@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify bench benchgate bench-serve bench-coldstart soak crash-soak fleet-soak fmt-check lint ci clean
+.PHONY: build test race vet verify soak crash-soak fleet-soak fmt-check lint ci clean
 
 build:
 	$(GO) build ./...
@@ -17,32 +17,6 @@ vet:
 # The full gate: build + vet + race-enabled tests (tools/verify.sh).
 verify:
 	sh tools/verify.sh
-
-# Benchmark snapshot: kernel/evaluator micro-benchmarks with their
-# naive/serial baselines plus the Figure 2 experiments, written to
-# BENCH_pr7.json with speedup ratios, allocs/op, and the runner CPU
-# count the parallel gates key off (tools/bench.sh).
-bench:
-	sh tools/bench.sh
-
-# Gate the kernel-vs-naive speedups, the zero-alloc arena hot path,
-# and (on 4+-core machines) the 4-worker parallel-vs-serial ratios in
-# the latest bench snapshot (tools/benchgate.sh). Run `make bench` first, or let `make ci` do both.
-benchgate:
-	sh tools/benchgate.sh
-
-# Serving fast-path snapshot: the internal/serve Zipf-workload
-# benchmarks, cached vs uncached, written to BENCH_pr5.json and gated
-# at >= 1.5x (tools/bench_serve.sh).
-bench-serve:
-	sh tools/bench_serve.sh
-
-# Cold-start snapshot: times loading the same organization from JSON
-# vs the binfmt container on a socrata lake, written to BENCH_pr8.json
-# and gated at > 2x with fingerprint equality by tools/benchgate.sh
-# (tools/bench_coldstart.sh). COLDSTART_QUICK=1 shrinks the lake.
-bench-coldstart:
-	sh tools/bench_coldstart.sh
 
 # End-to-end serving soak: socrata lake -> race-built navserver ->
 # deterministic lakeload for SOAK_DURATION (default 10s); fails on any
@@ -86,14 +60,11 @@ fmt-check:
 	fi
 
 # Everything .github/workflows/ci.yml runs, locally: the full verify
-# gate, the lint checks, the bench-regression smokes at reduced
-# benchtime, the binary-format cold-start gate, and the soaks.
+# gate, the lint checks, the benchmark driver's unit tests (cmd/lakebench
+# is its own module, so `go test ./...` skips it), and the soaks.
+# Performance itself is measured by `bash cmd/lakebench/run.sh`.
 ci: fmt-check lint verify
-	BENCHTIME=50ms sh tools/bench.sh BENCH_ci.json
-	sh tools/benchgate.sh BENCH_ci.json
-	BENCHTIME=50ms sh tools/bench_serve.sh BENCH_serve_ci.json
-	sh tools/bench_coldstart.sh BENCH_coldstart_ci.json
-	sh tools/benchgate.sh BENCH_coldstart_ci.json
+	$(GO) -C cmd/lakebench test ./...
 	SOAK_DURATION=10s sh tools/soak.sh soak-artifacts
 	sh tools/crash_soak.sh crash-soak-artifacts
 	FLEET_SOAK_DURATION=9s sh tools/fleet_soak.sh fleet-soak-artifacts

@@ -62,9 +62,8 @@ func cmdConvert(args []string) error {
 
 // cmdOrgHash times organization cold-start and prints one JSON line:
 // the best-of-N load latency, the bytes on disk, and the semantic
-// fingerprint. tools/bench_coldstart.sh runs it against the same
-// organization in both formats and gates the ratio and the hash
-// equality.
+// fingerprint. Run it on the same organization in both formats to
+// compare their load times and check that the hashes are equal.
 func cmdOrgHash(args []string) error {
 	fs := flag.NewFlagSet("orghash", flag.ExitOnError)
 	lakePath := fs.String("lake", "", "lake path")

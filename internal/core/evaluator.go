@@ -228,19 +228,14 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 	parallelForWorkers(nq, wk, func(w, lo, hi int) {
 		probs := ev.ws[w].probs
 		for q := lo; q < hi; q++ {
-			org.reachProbsInto(ev.queries[q].Topic, ev.queryNorm[q], ev.reach[q], probs)
-			ev.leafProb[q] = org.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.reach[q], probs)
+			org.reachProbsInto(ev.queries[q].Topic, ev.queryNorm[q], nil, ev.reach[q], probs)
+			ev.leafProb[q] = org.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], nil, ev.reach[q], probs)
 		}
 	})
 	ev.eff = ev.computeEff()
 	metricEvaluatorBuilds.Inc()
 	return ev, nil
 }
-
-// SetWorkers adjusts the worker-pool bound for subsequent evaluations;
-// n <= 0 selects GOMAXPROCS. Exposed for benchmarks and for services
-// that resize pools at runtime — the choice never changes results.
-func (ev *Evaluator) SetWorkers(n int) { ev.workers = resolveWorkers(n) }
 
 // Queries returns the evaluation probes (exposed for experiments).
 func (ev *Evaluator) Queries() []Query { return ev.queries }
@@ -490,7 +485,7 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 				}
 			}
 			if ev.leafDirty[q] {
-				ev.leafNew[q] = o.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.reach[q], probs)
+				ev.leafNew[q] = o.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], nil, ev.reach[q], probs)
 			}
 		}
 	})

@@ -113,66 +113,39 @@ func (f *Feedback) Decay(factor float64) error {
 	return nil
 }
 
-// TransitionProbs returns the blended transition distribution from s
-// under topic, parallel to s.Children.
-func (f *Feedback) TransitionProbs(s StateID, topic vector.Vector) []float64 {
-	model := f.org.childTransitions(s, topic)
+// blend applies the Dirichlet smoothing above in place, right after the
+// Eq 1 kernel: probs holds P_model over s's children (the CSR run
+// children) and becomes P̂. A state without observations keeps the pure
+// model.
+//
+//lakelint:hotpath
+func (f *Feedback) blend(s StateID, children []int32, probs []float64) {
 	row := f.counts[s]
 	if len(row) == 0 {
-		return model
+		return
 	}
-	total := f.totals[s]
-	denom := f.prior + total
-	out := make([]float64, len(model))
-	for i, c := range f.org.States[s].Children {
-		out[i] = (f.prior*model[i] + row[c]) / denom
+	denom := f.prior + f.totals[s]
+	for i, c := range children {
+		probs[i] = (f.prior*probs[i] + row[StateID(c)]) / denom
 	}
-	return out
+}
+
+// TransitionProbs returns the blended transition distribution from s
+// under topic, in the order of the state's children.
+func (f *Feedback) TransitionProbs(s StateID, topic vector.Vector) []float64 {
+	return f.org.transitionProbs(s, topic, f)
 }
 
 // ReachProbs computes reach probabilities like Org.ReachProbs but under
 // the blended transition model, so organizations can be re-evaluated
 // against observed behaviour.
 func (f *Feedback) ReachProbs(topic vector.Vector) []float64 {
-	o := f.org
-	reach := make([]float64, len(o.States))
-	reach[o.Root] = 1
-	for _, id := range o.Topo() {
-		s := o.States[id]
-		if s.Kind == KindLeaf || s.Kind == KindTag || reach[id] == 0 {
-			continue
-		}
-		probs := f.TransitionProbs(id, topic)
-		for i, c := range s.Children {
-			if o.States[c].Kind != KindLeaf {
-				reach[c] += reach[id] * probs[i]
-			}
-		}
-	}
-	return reach
+	return f.org.reachProbs(topic, f)
 }
 
 // LeafProb mirrors Org.LeafProb under the blended transition model.
 func (f *Feedback) LeafProb(a lake.AttrID, topic vector.Vector, reach []float64) float64 {
-	o := f.org
-	leaf, ok := o.leafOf[a]
-	if !ok {
-		return 0
-	}
-	var p float64
-	for _, t := range o.States[leaf].Parents {
-		if reach[t] == 0 {
-			continue
-		}
-		probs := f.TransitionProbs(t, topic)
-		for i, c := range o.States[t].Children {
-			if c == leaf {
-				p += reach[t] * probs[i]
-				break
-			}
-		}
-	}
-	return p
+	return f.org.leafProb(a, topic, reach, f)
 }
 
 // Effectiveness evaluates Eq 6 under the blended model: what the
@@ -181,25 +154,5 @@ func (f *Feedback) LeafProb(a lake.AttrID, topic vector.Vector, reach []float64)
 // whether real usage routes better or worse than the similarity model
 // assumes — the signal that would drive workload-aware re-optimization.
 func (f *Feedback) Effectiveness() float64 {
-	o := f.org
-	if len(o.Lake.Tables) == 0 {
-		return 0
-	}
-	idx := o.attrIndex()
-	probs := make([]float64, len(o.attrs))
-	for i, a := range o.attrs {
-		topic := o.States[o.leafOf[a]].topic
-		probs[i] = f.LeafProb(a, topic, f.ReachProbs(topic))
-	}
-	var sum float64
-	for _, t := range o.Lake.Tables {
-		fail := 1.0
-		for _, a := range t.Attrs {
-			if i, ok := idx[a]; ok {
-				fail *= 1 - probs[i]
-			}
-		}
-		sum += 1 - fail
-	}
-	return sum / float64(len(o.Lake.Tables))
+	return f.org.effectiveness(f)
 }

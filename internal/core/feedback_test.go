@@ -223,3 +223,107 @@ func TestFeedbackConcentratedUsageBoostsTarget(t *testing.T) {
 		t.Errorf("concentrated usage leaf prob %v not above model %v", got, base)
 	}
 }
+
+// assertFeedbackMatchesReference compares all four Feedback methods with
+// the naive blended walk of reference_test.go under a few query topics.
+func assertFeedbackMatchesReference(t *testing.T, f *Feedback, step int) {
+	t.Helper()
+	const tol = 1e-12
+	o := f.org
+	for _, a := range o.Attrs()[:5] {
+		topic := o.State(o.Leaf(a)).topic
+		for _, s := range o.States {
+			if s.deleted || s.Kind == KindLeaf {
+				continue
+			}
+			got, want := f.TransitionProbs(s.ID, topic), naiveBlendedTransitions(f, s.ID, topic)
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > tol {
+					t.Fatalf("step %d state %d child %d: blended %v != reference %v", step, s.ID, i, got[i], want[i])
+				}
+			}
+		}
+		reach, wantReach := f.ReachProbs(topic), naiveReachProbs(o, f, topic)
+		for id := range wantReach {
+			if math.Abs(reach[id]-wantReach[id]) > tol {
+				t.Fatalf("step %d state %d: blended reach %v != reference %v", step, id, reach[id], wantReach[id])
+			}
+		}
+		if got, want := f.LeafProb(a, topic, reach), naiveLeafProb(o, f, a, topic, wantReach); math.Abs(got-want) > tol {
+			t.Fatalf("step %d attr %d: blended leaf prob %v != reference %v", step, a, got, want)
+		}
+	}
+	if got, want := f.Effectiveness(), naiveEffectiveness(o, f); math.Abs(got-want) > tol {
+		t.Fatalf("step %d: blended effectiveness %v != reference %v", step, got, want)
+	}
+}
+
+// Feedback runs on the same kernels as Org: with no observations every
+// method returns exactly (==) the pure model's answer, and after random
+// Observe / ObservePath / Decay sequences every method matches the naive
+// blended reference within 1e-12.
+func TestFeedbackMatchesReference(t *testing.T) {
+	for _, seed := range []int64{3, 9} {
+		o := kernelTestOrg(t, seed)
+		f, err := NewFeedback(o, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range o.Attrs()[:5] {
+			topic := o.State(o.Leaf(a)).topic
+			for _, s := range o.States {
+				got, want := f.TransitionProbs(s.ID, topic), o.TransitionProbs(s.ID, topic)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d state %d: unobserved transition %v != model %v", seed, s.ID, got[i], want[i])
+					}
+				}
+			}
+			reach, modelReach := f.ReachProbs(topic), o.ReachProbs(topic)
+			for id := range modelReach {
+				if reach[id] != modelReach[id] {
+					t.Fatalf("seed %d state %d: unobserved reach %v != model %v", seed, id, reach[id], modelReach[id])
+				}
+			}
+			if got, want := f.LeafProb(a, topic, reach), o.LeafProb(a, topic, modelReach); got != want {
+				t.Fatalf("seed %d attr %d: unobserved leaf prob %v != model %v", seed, a, got, want)
+			}
+		}
+		if got, want := f.Effectiveness(), o.Effectiveness(); got != want {
+			t.Fatalf("seed %d: unobserved effectiveness %v != model %v", seed, got, want)
+		}
+
+		var branching []StateID
+		for _, s := range o.States {
+			if !s.deleted && len(s.Children) > 0 {
+				branching = append(branching, s.ID)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed * 13))
+		for step := 0; step < 10; step++ {
+			switch rng.Intn(3) {
+			case 0:
+				s := o.State(branching[rng.Intn(len(branching))])
+				c := s.Children[rng.Intn(len(s.Children))]
+				for n := rng.Intn(5); n >= 0; n-- {
+					if err := f.Observe(s.ID, c); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 1:
+				a := o.Attrs()[rng.Intn(len(o.Attrs()))]
+				if err := f.ObservePath(o.Walk(o.State(o.Leaf(a)).topic, rng)); err != nil {
+					t.Fatal(err)
+				}
+			case 2:
+				if err := f.Decay(0.3 + 0.6*rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertFeedbackMatchesReference(t, f, step)
+		}
+		if f.Observations() == 0 {
+			t.Fatalf("seed %d: no observations survived — blending not exercised", seed)
+		}
+	}
+}

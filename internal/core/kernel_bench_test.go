@@ -1,18 +1,16 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"lakenav/internal/synth"
 	"lakenav/vector"
 )
 
-// Micro-benchmarks of the similarity kernel and the parallel evaluator,
-// each paired with its pre-kernel baseline: Naive variants recompute
-// both vector norms on every cosine (the old two-Norms-plus-Dot path),
-// Serial variants pin the worker pool to one goroutine. tools/bench.sh
-// runs these and records the ratios in a BENCH_*.json snapshot.
+// Micro-benchmarks of the transition kernel and the parallel evaluator;
+// Serial and W4 variants pin the worker pool to one and four goroutines.
+// End-to-end construction and serving cost is measured by
+// `bash cmd/lakebench/run.sh`, not here.
 
 func benchOrg(b *testing.B) *Org {
 	b.Helper()
@@ -49,144 +47,6 @@ func benchStatesAndTopic(b *testing.B, o *Org) ([]StateID, vector.Vector) {
 	return states, topic
 }
 
-// BenchmarkChildTransitions measures the Eq 1 transition softmax on the
-// kernel path: cached child norms, one Dot per child.
-func BenchmarkChildTransitions(b *testing.B) {
-	o := benchOrg(b)
-	states, topic := benchStatesAndTopic(b, o)
-	norm := vector.Norm(topic)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.childTransitionsN(states[i%len(states)], topic, norm)
-	}
-}
-
-// BenchmarkChildTransitionsNaive measures the same softmax with
-// vector.Cosine recomputing both norms per child — the pre-kernel cost.
-func BenchmarkChildTransitionsNaive(b *testing.B) {
-	o := benchOrg(b)
-	states, topic := benchStatesAndTopic(b, o)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		naiveChildTransitions(o, states[i%len(states)], topic)
-	}
-}
-
-// naiveReevaluate is a faithful replica of the pre-kernel, pre-parallel
-// Reevaluate: the same pruning, rollback bookkeeping, and per-query
-// transition cache, but serial and with every cosine recomputing both
-// norms. It drives the same Evaluator state so Rollback works.
-func naiveReevaluate(ev *Evaluator, cs *ChangeSet) float64 {
-	if ev.pending {
-		panic("core: naiveReevaluate with uncommitted previous evaluation")
-	}
-	o := ev.org
-	changedOut := make(map[StateID]bool)
-	for id := range cs.ChildrenChanged {
-		if !o.States[id].deleted && o.States[id].Kind != KindLeaf {
-			changedOut[id] = true
-		}
-	}
-	for id := range cs.TopicChanged {
-		if o.States[id].deleted {
-			continue
-		}
-		for _, p := range o.States[id].Parents {
-			if !o.States[p].deleted {
-				changedOut[p] = true
-			}
-		}
-	}
-	affected := make(map[StateID]bool)
-	var stack []StateID
-	for id := range changedOut {
-		for _, c := range o.States[id].Children {
-			if o.States[c].Kind != KindLeaf && !affected[c] {
-				affected[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range o.States[id].Children {
-			if o.States[c].Kind != KindLeaf && !affected[c] {
-				affected[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	topo := o.Topo()
-	var affectedTopo []StateID
-	for _, id := range topo {
-		if affected[id] {
-			affectedTopo = append(affectedTopo, id)
-		}
-	}
-	for _, e := range cs.Eliminated {
-		affected[e] = true
-	}
-
-	ev.savedLeafProb = ev.savedLeafProb[:0]
-	ev.savedEff = ev.eff
-	ev.pending = true
-	perQuery := len(affectedTopo) + len(cs.Eliminated)
-	need := len(ev.queries) * perQuery
-	if cap(ev.savedReach) < need {
-		ev.savedReach = make([]savedCell, need)
-	} else {
-		ev.savedReach = ev.savedReach[:need]
-	}
-	for q := range ev.queries {
-		topic := ev.queries[q].Topic
-		reach := ev.reach[q]
-		saved := ev.savedReach[q*perQuery : (q+1)*perQuery]
-		transCache := make(map[StateID][]float64, len(changedOut))
-		for i, id := range affectedTopo {
-			saved[i] = savedCell{q, id, reach[id]}
-			var r float64
-			for _, p := range o.States[id].Parents {
-				probs, ok := transCache[p]
-				if !ok {
-					probs = naiveChildTransitions(o, p, topic)
-					transCache[p] = probs
-				}
-				for ci, c := range o.States[p].Children {
-					if c == id {
-						r += reach[p] * probs[ci]
-						break
-					}
-				}
-			}
-			reach[id] = r
-		}
-		for i, e := range cs.Eliminated {
-			saved[len(affectedTopo)+i] = savedCell{q, e, reach[e]}
-			reach[e] = 0
-		}
-	}
-	for q := range ev.queries {
-		leaf := o.Leaf(ev.queries[q].Attr)
-		if leaf < 0 {
-			continue
-		}
-		dirty := false
-		for _, t := range o.States[leaf].Parents {
-			if affected[t] || changedOut[t] {
-				dirty = true
-				break
-			}
-		}
-		if dirty {
-			ev.savedLeafProb = append(ev.savedLeafProb, savedLeaf{q, ev.leafProb[q]})
-			ev.leafProb[q] = naiveLeafProb(o, ev.queries[q].Attr, ev.queries[q].Topic, ev.reach[q])
-		}
-	}
-	ev.eff = ev.computeEff()
-	return ev.eff
-}
-
 // benchToggleOp finds a legal AddParent to toggle per iteration.
 func benchToggleOp(b *testing.B, o *Org) (StateID, StateID) {
 	b.Helper()
@@ -204,7 +64,7 @@ func benchToggleOp(b *testing.B, o *Org) (StateID, StateID) {
 	return -1, -1
 }
 
-func benchReevaluate(b *testing.B, workers int, naive bool) {
+func benchReevaluate(b *testing.B, workers int) {
 	o := benchOrg(b)
 	ev, err := NewEvaluatorWorkers(o, 0, nil, workers)
 	if err != nil {
@@ -216,11 +76,7 @@ func benchReevaluate(b *testing.B, workers int, naive bool) {
 		cs := o.BeginChanges()
 		u := o.AddParentOp(n, s)
 		o.EndChanges()
-		if naive {
-			naiveReevaluate(ev, cs)
-		} else {
-			ev.Reevaluate(cs)
-		}
+		ev.Reevaluate(cs)
 		o.Undo(u)
 		ev.Rollback()
 	}
@@ -228,19 +84,15 @@ func benchReevaluate(b *testing.B, workers int, naive bool) {
 
 // BenchmarkReevaluate measures one pruned incremental re-evaluation on
 // the kernel path with the default worker pool.
-func BenchmarkReevaluate(b *testing.B) { benchReevaluate(b, 0, false) }
+func BenchmarkReevaluate(b *testing.B) { benchReevaluate(b, 0) }
 
 // BenchmarkReevaluateSerial pins the pool to one worker, isolating the
-// parallelism contribution from the kernel contribution.
-func BenchmarkReevaluateSerial(b *testing.B) { benchReevaluate(b, 1, false) }
+// parallelism contribution.
+func BenchmarkReevaluateSerial(b *testing.B) { benchReevaluate(b, 1) }
 
-// BenchmarkReevaluateW4 pins the pool to four workers — the
-// parallel_vs_serial gate divides Serial by this on 4+-core runners.
-func BenchmarkReevaluateW4(b *testing.B) { benchReevaluate(b, 4, false) }
-
-// BenchmarkReevaluateNaive replays the pre-PR implementation: serial
-// with two norm recomputations per cosine.
-func BenchmarkReevaluateNaive(b *testing.B) { benchReevaluate(b, 1, true) }
+// BenchmarkReevaluateW4 pins the pool to four workers; compare it with
+// Serial on a machine with at least four cores.
+func BenchmarkReevaluateW4(b *testing.B) { benchReevaluate(b, 4) }
 
 // BenchmarkNewEvaluator measures evaluator construction (a full reach
 // sweep per query) with the default worker pool.
@@ -265,8 +117,7 @@ func BenchmarkNewEvaluatorSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkNewEvaluatorW4 is construction pinned to four workers — the
-// other parallel_vs_serial gate numerator.
+// BenchmarkNewEvaluatorW4 is construction pinned to four workers.
 func BenchmarkNewEvaluatorW4(b *testing.B) {
 	o := benchOrg(b)
 	b.ResetTimer()
@@ -289,36 +140,5 @@ func BenchmarkTransitionsInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.transitionsInto(adj, states[i%len(states)], topic, norm, probs)
-	}
-}
-
-// The naive replica must agree with the production Reevaluate — this
-// guards the benchmark baseline itself against drift.
-func TestNaiveReevaluateMatchesProduction(t *testing.T) {
-	o1 := kernelTestOrg(t, 23)
-	o2 := kernelTestOrg(t, 23)
-	ev1, err := NewEvaluatorWorkers(o1, 0, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev2, err := NewEvaluatorWorkers(o2, 0, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng1 := rand.New(rand.NewSource(29))
-	rng2 := rand.New(rand.NewSource(29))
-	for step := 0; step < 8; step++ {
-		cs1, _, ok := applyRandomOp(o1, rng1)
-		if !ok {
-			break
-		}
-		cs2, _, _ := applyRandomOp(o2, rng2)
-		e1 := naiveReevaluate(ev1, cs1)
-		e2 := ev2.Reevaluate(cs2)
-		if d := e1 - e2; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("step %d: naive %v != production %v", step, e1, e2)
-		}
-		ev1.Commit()
-		ev2.Commit()
 	}
 }

@@ -5,100 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"lakenav/internal/lake"
 	"lakenav/internal/synth"
 	"lakenav/vector"
 )
-
-// Naive reference implementations of the navigation model, written
-// directly against vector.Cosine (which recomputes both norms on every
-// call). The production path goes through the similarity kernel and the
-// cached per-state norms; these references are what the kernel must
-// agree with.
-
-func naiveChildTransitions(o *Org, s StateID, topic vector.Vector) []float64 {
-	children := o.States[s].Children
-	if len(children) == 0 {
-		return nil
-	}
-	probs := make([]float64, len(children))
-	scale := o.Gamma / float64(len(children))
-	maxLogit := math.Inf(-1)
-	for i, c := range children {
-		probs[i] = scale * vector.Cosine(o.States[c].topic, topic)
-		if probs[i] > maxLogit {
-			maxLogit = probs[i]
-		}
-	}
-	var sum float64
-	for i := range probs {
-		probs[i] = math.Exp(probs[i] - maxLogit)
-		sum += probs[i]
-	}
-	for i := range probs {
-		probs[i] /= sum
-	}
-	return probs
-}
-
-func naiveReachProbs(o *Org, topic vector.Vector) []float64 {
-	reach := make([]float64, len(o.States))
-	reach[o.Root] = 1
-	for _, id := range o.Topo() {
-		s := o.States[id]
-		if s.Kind == KindLeaf || reach[id] == 0 || s.Kind == KindTag {
-			continue
-		}
-		probs := naiveChildTransitions(o, id, topic)
-		for i, c := range s.Children {
-			if o.States[c].Kind != KindLeaf {
-				reach[c] += reach[id] * probs[i]
-			}
-		}
-	}
-	return reach
-}
-
-func naiveLeafProb(o *Org, a lake.AttrID, topic vector.Vector, reach []float64) float64 {
-	leaf, ok := o.leafOf[a]
-	if !ok {
-		return 0
-	}
-	var p float64
-	for _, t := range o.States[leaf].Parents {
-		if reach[t] == 0 {
-			continue
-		}
-		probs := naiveChildTransitions(o, t, topic)
-		for i, c := range o.States[t].Children {
-			if c == leaf {
-				p += reach[t] * probs[i]
-				break
-			}
-		}
-	}
-	return p
-}
-
-func naiveEffectiveness(o *Org) float64 {
-	probs := make([]float64, len(o.attrs))
-	for i, a := range o.attrs {
-		leaf, ok := o.leafOf[a]
-		if !ok {
-			continue
-		}
-		topic := o.States[leaf].topic
-		probs[i] = naiveLeafProb(o, a, topic, naiveReachProbs(o, topic))
-	}
-	var sum float64
-	for _, t := range o.Lake.Tables {
-		sum += o.TableProb(t, probs)
-	}
-	if len(o.Lake.Tables) == 0 {
-		return 0
-	}
-	return sum / float64(len(o.Lake.Tables))
-}
 
 // kernelTestOrg builds a clustered organization over a small seeded
 // synthetic lake — large enough to have multi-level structure, small
@@ -141,7 +50,7 @@ func assertKernelMatchesNaive(t *testing.T, o *Org, step int) {
 			if s.deleted || s.Kind == KindLeaf {
 				continue
 			}
-			got := o.childTransitions(s.ID, topic)
+			got := o.TransitionProbs(s.ID, topic)
 			want := naiveChildTransitions(o, s.ID, topic)
 			for i := range want {
 				if math.Abs(got[i]-want[i]) > tol {
@@ -151,7 +60,7 @@ func assertKernelMatchesNaive(t *testing.T, o *Org, step int) {
 			}
 		}
 		gotReach := o.ReachProbs(topic)
-		wantReach := naiveReachProbs(o, topic)
+		wantReach := naiveReachProbs(o, nil, topic)
 		for id := range wantReach {
 			if math.Abs(gotReach[id]-wantReach[id]) > tol {
 				t.Fatalf("step %d state %d: kernel reach %v != naive %v",
@@ -163,12 +72,12 @@ func assertKernelMatchesNaive(t *testing.T, o *Org, step int) {
 	probs := o.AttrDiscoveryProbs()
 	for i, a := range o.Attrs() {
 		leaf := o.State(o.Leaf(a))
-		want := naiveLeafProb(o, a, leaf.topic, naiveReachProbs(o, leaf.topic))
+		want := naiveLeafProb(o, nil, a, leaf.topic, naiveReachProbs(o, nil, leaf.topic))
 		if math.Abs(probs[i]-want) > tol {
 			t.Fatalf("step %d attr %d: kernel P(A|O) %v != naive %v", step, i, probs[i], want)
 		}
 	}
-	if got, want := o.Effectiveness(), naiveEffectiveness(o); math.Abs(got-want) > tol {
+	if got, want := o.Effectiveness(), naiveEffectiveness(o, nil); math.Abs(got-want) > tol {
 		t.Fatalf("step %d: kernel effectiveness %v != naive %v", step, got, want)
 	}
 }
@@ -264,6 +173,42 @@ func TestEvaluatorWorkerCountInvariance(t *testing.T) {
 		} else {
 			ev1.Commit()
 			ev8.Commit()
+		}
+	}
+}
+
+// The incremental evaluator against the reference: in exact mode, after
+// every committed or rolled-back random operation, Reevaluate's
+// effectiveness (and, after a rollback, the restored one) matches the
+// naive Eq 6 evaluation of the organization as it then stands.
+func TestReevaluateMatchesReference(t *testing.T) {
+	const tol = 1e-12
+	for _, seed := range []int64{5, 17, 23, 41} {
+		o := kernelTestOrg(t, seed)
+		ev, err := NewEvaluatorWorkers(o, 0, nil, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed * 29))
+		for step := 0; step < 12; step++ {
+			cs, u, ok := applyRandomOp(o, rng)
+			if !ok {
+				break
+			}
+			if got, want := ev.Reevaluate(cs), naiveEffectiveness(o, nil); math.Abs(got-want) > tol {
+				t.Fatalf("seed %d step %d: Reevaluate %v != reference %v", seed, step, got, want)
+			}
+			if step%3 == 2 {
+				o.Undo(u)
+				if err := ev.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := ev.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ev.Effectiveness(), naiveEffectiveness(o, nil); math.Abs(got-want) > tol {
+				t.Fatalf("seed %d step %d: resolved eff %v != reference %v", seed, step, got, want)
+			}
 		}
 	}
 }

@@ -8,38 +8,19 @@ import (
 	"lakenav/vector"
 )
 
-// childTransitions returns P(c|s, X, O) for every child of s, parallel
-// to s.Children (Eq 1): a softmax over children with logit
-// (γ/|ch(s)|)·cos(μ_c, μ_X). The |ch(s)| penalty makes large branching
-// factors wash out topic signal, which is what drives the model away
-// from flat organizations.
-func (o *Org) childTransitions(s StateID, topic vector.Vector) []float64 {
-	return o.childTransitionsN(s, topic, vector.Norm(topic))
-}
-
-// childTransitionsN is childTransitions with the query topic's norm
-// precomputed. It allocates its result; hot paths use transitionsInto
-// with caller-owned scratch instead.
-func (o *Org) childTransitionsN(s StateID, topic vector.Vector, topicNorm float64) []float64 {
-	a := o.adjacency()
-	n := len(a.childrenOf(s))
-	if n == 0 {
-		return nil
-	}
-	return o.transitionsInto(a, s, topic, topicNorm, make([]float64, n))
-}
-
-// transitionsInto is the zero-allocation transition kernel: it computes
-// P(c|s, X, O) for every child of s into the caller-provided scratch
-// (cap(probs) must be at least the fan-out; size it with
-// adjSnapshot.maxChildren) and returns probs resliced to the fan-out,
-// or nil for a childless state. The sweep walks the CSR children run
-// and the flat topic arena directly — contiguous float64 and int32
-// blocks, no *State dereferences — which is what lets evaluator
-// workers scale with cores instead of stalling on cache misses. The
-// arithmetic (CosineNorms per child, max-logit softmax) is identical,
-// in the same order, to the pointer-path fallback, so results are
-// bit-for-bit the same.
+// transitionsInto is the Eq 1 transition kernel, the only
+// implementation of it: P(c|s, X, O) for every child of s is a softmax
+// over children with logit (γ/|ch(s)|)·cos(μ_c, μ_X). The |ch(s)|
+// penalty makes large branching factors wash out topic signal, which is
+// what drives the model away from flat organizations.
+//
+// It writes into the caller-provided scratch (cap(probs) must be at
+// least the fan-out; size it with adjSnapshot.maxChildren) and returns
+// probs resliced to the fan-out, or nil for a childless state. The sweep
+// walks the CSR children run and the flat topic arena directly —
+// contiguous float64 and int32 blocks, no *State dereferences — which is
+// what lets evaluator workers scale with cores instead of stalling on
+// cache misses.
 //
 //lakelint:hotpath
 func (o *Org) transitionsInto(a *adjSnapshot, s StateID, topic vector.Vector, topicNorm float64, probs []float64) []float64 {
@@ -50,21 +31,13 @@ func (o *Org) transitionsInto(a *adjSnapshot, s StateID, topic vector.Vector, to
 	probs = probs[:len(children)]
 	scale := o.Gamma / float64(len(children))
 	maxLogit := math.Inf(-1)
-	if ar := o.arena; ar != nil {
-		dim := ar.dim
-		for i, c := range children {
-			off := int(c) * dim
-			probs[i] = scale * vector.CosineNorms(ar.vecs[off:off+dim], topic, ar.norms[c], topicNorm)
-			if probs[i] > maxLogit {
-				maxLogit = probs[i]
-			}
-		}
-	} else {
-		for i, c := range children {
-			probs[i] = scale * o.cosToState(StateID(c), topic, topicNorm)
-			if probs[i] > maxLogit {
-				maxLogit = probs[i]
-			}
+	ar := o.arena
+	dim := ar.dim
+	for i, c := range children {
+		off := int(c) * dim
+		probs[i] = scale * vector.CosineNorms(ar.vecs[off:off+dim], topic, ar.norms[c], topicNorm)
+		if probs[i] > maxLogit {
+			maxLogit = probs[i]
 		}
 	}
 	var sum float64
@@ -78,42 +51,16 @@ func (o *Org) transitionsInto(a *adjSnapshot, s StateID, topic vector.Vector, to
 	return probs
 }
 
-// TransitionProbs is the exported form of childTransitions for callers
-// outside the optimizer (navigation UIs, the user-study simulator).
-func (o *Org) TransitionProbs(s StateID, topic vector.Vector) []float64 {
-	return o.childTransitions(s, topic)
-}
-
-// ReachProbs computes P(s|X, O) (Eq 2–4) for every live non-leaf state
-// reachable from the root, indexed by StateID (leaves and unreachable
-// states hold 0). One topological sweep: each state's reach mass is
-// pushed to its children through the transition softmax.
-//
-// Leaf reach is intentionally not computed here: only the query
-// attribute's own leaf is ever needed, and tag states can have very
-// many leaf children (the paper notes the algorithm has no control over
-// the lowest-level branching factor); use LeafProb for it.
-func (o *Org) ReachProbs(topic vector.Vector) []float64 {
-	return o.reachProbsN(topic, vector.Norm(topic))
-}
-
-// reachProbsN is ReachProbs with the query topic's norm precomputed.
-// It allocates its result and scratch; hot paths use reachProbsInto.
-func (o *Org) reachProbsN(topic vector.Vector, topicNorm float64) []float64 {
-	a := o.adjacency()
-	return o.reachProbsInto(topic, topicNorm,
-		make([]float64, len(o.States)), make([]float64, a.maxChildren))
-}
-
-// reachProbsInto is the zero-allocation reach sweep: it fills reach
+// reachProbsInto is the Eq 2–4 reach sweep: it fills reach
 // (len(o.States), zeroed here) with P(s|X, O) using probs as the
-// transition scratch (cap ≥ adjacency().maxChildren) and returns
-// reach. Only interior states propagate — leaves are terminal and tag
-// states' children are leaves — exactly the skips the allocating path
-// performed, so results are bit-identical.
+// transition scratch (cap ≥ adjacency().maxChildren) and returns reach.
+// One topological sweep pushes each state's reach mass to its children
+// through the transition softmax, blended with fb's observations when fb
+// is non-nil (Sec 2.4). Only interior states propagate — leaves are
+// terminal and tag states' children are leaves.
 //
 //lakelint:hotpath
-func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, reach, probs []float64) []float64 {
+func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, fb *Feedback, reach, probs []float64) []float64 {
 	a := o.adjacency()
 	reach = reach[:len(o.States)]
 	for i := range reach {
@@ -126,8 +73,12 @@ func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, reach, prob
 		if a.kinds[id] != interior || reach[id] == 0 {
 			continue
 		}
+		children := a.childrenOf(id)
 		p := o.transitionsInto(a, id, topic, topicNorm, probs)
-		for i, c := range a.childrenOf(id) {
+		if fb != nil {
+			fb.blend(id, children, p)
+		}
+		for i, c := range children {
 			if a.kinds[c] != leaf {
 				reach[c] += reach[id] * p[i]
 			}
@@ -136,26 +87,15 @@ func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, reach, prob
 	return reach
 }
 
-// LeafProb returns the discovery probability of attribute a under query
-// topic, given reach probabilities from ReachProbs over the same topic:
-// the reach mass of a's tag-state parents times the leaf-level
-// transition probabilities (Definition 1).
-func (o *Org) LeafProb(a lake.AttrID, topic vector.Vector, reach []float64) float64 {
-	return o.leafProbN(a, topic, vector.Norm(topic), reach)
-}
-
-// leafProbN is LeafProb with the query topic's norm precomputed. It
-// allocates transition scratch; hot paths use leafProbInto.
-func (o *Org) leafProbN(a lake.AttrID, topic vector.Vector, topicNorm float64, reach []float64) float64 {
-	adj := o.adjacency()
-	return o.leafProbInto(a, topic, topicNorm, reach, make([]float64, adj.maxChildren))
-}
-
-// leafProbInto is the zero-allocation form of leafProbN: probs is the
-// caller-owned transition scratch (cap ≥ adjacency().maxChildren).
+// leafProbInto is Definition 1's leaf probability: the discovery
+// probability of attribute a under query topic, given reach from
+// reachProbsInto over the same topic and fb — the reach mass of a's
+// tag-state parents times the leaf-level transition probabilities.
+// probs is the caller-owned transition scratch (cap ≥
+// adjacency().maxChildren).
 //
 //lakelint:hotpath
-func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, reach, probs []float64) float64 {
+func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, fb *Feedback, reach, probs []float64) float64 {
 	leaf, ok := o.leafOf[a]
 	if !ok {
 		return 0
@@ -166,8 +106,12 @@ func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64
 		if reach[t] == 0 {
 			continue
 		}
+		children := adj.childrenOf(StateID(t))
 		tp := o.transitionsInto(adj, StateID(t), topic, topicNorm, probs)
-		for i, c := range adj.childrenOf(StateID(t)) {
+		if fb != nil {
+			fb.blend(StateID(t), children, tp)
+		}
+		for i, c := range children {
 			if StateID(c) == leaf {
 				p += reach[t] * tp[i]
 				break
@@ -177,17 +121,85 @@ func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64
 	return p
 }
 
-// DiscoveryProb returns P(A|O): the probability that a user whose query
-// topic is attribute a's own topic vector reaches a's leaf. This is the
-// exact quantity the organization problem maximizes the table-level
-// aggregate of (Definitions 1–3).
-func (o *Org) DiscoveryProb(a lake.AttrID) float64 {
+// newScratch allocates one reach row and one transition buffer sized
+// for the kernels, for the allocating entry points below.
+func (o *Org) newScratch() (reach, probs []float64) {
+	return make([]float64, len(o.States)), make([]float64, o.adjacency().maxChildren)
+}
+
+// TransitionProbs returns P(c|s, X, O) (Eq 1) for every child of s,
+// parallel to s.Children, for callers outside the optimizer (navigation
+// UIs, the user-study simulator).
+func (o *Org) TransitionProbs(s StateID, topic vector.Vector) []float64 {
+	return o.transitionProbs(s, topic, nil)
+}
+
+// transitionProbs is TransitionProbs, blended with fb when non-nil.
+func (o *Org) transitionProbs(s StateID, topic vector.Vector, fb *Feedback) []float64 {
+	a := o.adjacency()
+	children := a.childrenOf(s)
+	if len(children) == 0 {
+		return nil
+	}
+	p := o.transitionsInto(a, s, topic, vector.Norm(topic), make([]float64, len(children)))
+	if fb != nil {
+		fb.blend(s, children, p)
+	}
+	return p
+}
+
+// ReachProbs computes P(s|X, O) (Eq 2–4) for every live non-leaf state
+// reachable from the root, indexed by StateID (leaves and unreachable
+// states hold 0).
+//
+// Leaf reach is intentionally not computed here: only the query
+// attribute's own leaf is ever needed, and tag states can have very
+// many leaf children (the paper notes the algorithm has no control over
+// the lowest-level branching factor); use LeafProb for it.
+func (o *Org) ReachProbs(topic vector.Vector) []float64 {
+	return o.reachProbs(topic, nil)
+}
+
+// reachProbs is ReachProbs, blended with fb when non-nil.
+func (o *Org) reachProbs(topic vector.Vector, fb *Feedback) []float64 {
+	reach, probs := o.newScratch()
+	return o.reachProbsInto(topic, vector.Norm(topic), fb, reach, probs)
+}
+
+// LeafProb returns the discovery probability of attribute a under query
+// topic, given reach probabilities from ReachProbs over the same topic:
+// the reach mass of a's tag-state parents times the leaf-level
+// transition probabilities (Definition 1).
+func (o *Org) LeafProb(a lake.AttrID, topic vector.Vector, reach []float64) float64 {
+	return o.leafProb(a, topic, reach, nil)
+}
+
+// leafProb is LeafProb, blended with fb when non-nil.
+func (o *Org) leafProb(a lake.AttrID, topic vector.Vector, reach []float64, fb *Feedback) float64 {
+	probs := make([]float64, o.adjacency().maxChildren)
+	return o.leafProbInto(a, topic, vector.Norm(topic), fb, reach, probs)
+}
+
+// discoveryProbInto is P(A|O) under fb (nil for the pure model): one
+// reach sweep and one leaf evaluation under a's own topic, into
+// caller-owned scratch.
+func (o *Org) discoveryProbInto(a lake.AttrID, fb *Feedback, reach, probs []float64) float64 {
 	leaf, ok := o.leafOf[a]
 	if !ok {
 		return 0
 	}
 	topic, norm := o.States[leaf].topic, o.States[leaf].topicNorm
-	return o.leafProbN(a, topic, norm, o.reachProbsN(topic, norm))
+	o.reachProbsInto(topic, norm, fb, reach, probs)
+	return o.leafProbInto(a, topic, norm, fb, reach, probs)
+}
+
+// DiscoveryProb returns P(A|O): the probability that a user whose query
+// topic is attribute a's own topic vector reaches a's leaf. This is the
+// exact quantity the organization problem maximizes the table-level
+// aggregate of (Definitions 1–3).
+func (o *Org) DiscoveryProb(a lake.AttrID) float64 {
+	reach, probs := o.newScratch()
+	return o.discoveryProbInto(a, nil, reach, probs)
 }
 
 // DiscoveryProbs returns, for every organized attribute (parallel to
@@ -198,10 +210,11 @@ func (o *Org) DiscoveryProb(a lake.AttrID) float64 {
 // for an attribute's own topic, this answers it for an arbitrary query.
 func (o *Org) DiscoveryProbs(topic vector.Vector) []float64 {
 	norm := vector.Norm(topic)
-	reach := o.reachProbsN(topic, norm)
+	reach, probs := o.newScratch()
+	o.reachProbsInto(topic, norm, nil, reach, probs)
 	out := make([]float64, len(o.attrs))
 	for i, a := range o.attrs {
-		out[i] = o.leafProbN(a, topic, norm, reach)
+		out[i] = o.leafProbInto(a, topic, norm, nil, reach, probs)
 	}
 	return out
 }
@@ -210,9 +223,16 @@ func (o *Org) DiscoveryProbs(topic vector.Vector) []float64 {
 // parallel to Attrs(). This is the exact (non-approximate, non-pruned)
 // evaluation; the optimizer uses the incremental evaluator instead.
 func (o *Org) AttrDiscoveryProbs() []float64 {
+	return o.attrDiscoveryProbs(nil)
+}
+
+// attrDiscoveryProbs is AttrDiscoveryProbs, blended with fb when
+// non-nil; one reach row and one transition buffer serve every attribute.
+func (o *Org) attrDiscoveryProbs(fb *Feedback) []float64 {
+	reach, probs := o.newScratch()
 	out := make([]float64, len(o.attrs))
 	for i, a := range o.attrs {
-		out[i] = o.DiscoveryProb(a)
+		out[i] = o.discoveryProbInto(a, fb, reach, probs)
 	}
 	return out
 }
@@ -262,13 +282,18 @@ func (o *Org) buildAttrIndex() {
 // matching the paper's observation that single-attribute, single-tag
 // tables stay hard to discover.
 func (o *Org) Effectiveness() float64 {
-	probs := o.AttrDiscoveryProbs()
+	return o.effectiveness(nil)
+}
+
+// effectiveness is Eq 6 under fb (nil for the pure model).
+func (o *Org) effectiveness(fb *Feedback) float64 {
+	if len(o.Lake.Tables) == 0 {
+		return 0
+	}
+	probs := o.attrDiscoveryProbs(fb)
 	var sum float64
 	for _, t := range o.Lake.Tables {
 		sum += o.TableProb(t, probs)
-	}
-	if len(o.Lake.Tables) == 0 {
-		return 0
 	}
 	return sum / float64(len(o.Lake.Tables))
 }
@@ -279,14 +304,16 @@ func (o *Org) Effectiveness() float64 {
 // reproducible; a nil rng takes the most probable child at every step.
 func (o *Org) Walk(topic vector.Vector, rng *rand.Rand) []StateID {
 	topicNorm := vector.Norm(topic)
+	a := o.adjacency()
+	scratch := make([]float64, a.maxChildren)
 	path := []StateID{o.Root}
 	cur := o.Root
 	for {
-		s := o.States[cur]
-		if len(s.Children) == 0 {
+		children := a.childrenOf(cur)
+		if len(children) == 0 {
 			return path
 		}
-		probs := o.childTransitionsN(cur, topic, topicNorm)
+		probs := o.transitionsInto(a, cur, topic, topicNorm, scratch)
 		var next StateID
 		if rng == nil {
 			best, bp := 0, -1.0
@@ -295,15 +322,15 @@ func (o *Org) Walk(topic vector.Vector, rng *rand.Rand) []StateID {
 					bp, best = p, i
 				}
 			}
-			next = s.Children[best]
+			next = StateID(children[best])
 		} else {
 			u := rng.Float64()
 			acc := 0.0
-			next = s.Children[len(s.Children)-1]
+			next = StateID(children[len(children)-1])
 			for i, p := range probs {
 				acc += p
 				if u <= acc {
-					next = s.Children[i]
+					next = StateID(children[i])
 					break
 				}
 			}

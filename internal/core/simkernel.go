@@ -12,13 +12,6 @@ import "lakenav/vector"
 // the naive one — CosineNorms runs the same operations in the same
 // order — which the kernel-equivalence property tests verify.
 
-// cosToState returns cos(μ_state, topic) given the query topic's
-// precomputed norm, using the state's cached norm.
-func (o *Org) cosToState(id StateID, topic vector.Vector, topicNorm float64) float64 {
-	s := o.States[id]
-	return vector.CosineNorms(s.topic, topic, s.topicNorm, topicNorm)
-}
-
 // stateCos is the nil-safe cosine between two states' topics, used for
 // candidate scoring in the optimizer. A state whose topic is unset (nil)
 // carries no signal and scores 0 — the same convention vector.Cosine

@@ -475,11 +475,16 @@ func TestCoordinatorRetries(t *testing.T) {
 			return
 		}
 		if calls.Add(1) == 1 {
+			// A malformed status line, not a bare close: net/http's
+			// Transport silently replays an idempotent GET when a reused
+			// keep-alive connection closes before sending a byte, so the
+			// coordinator would never see the failure it must retry.
 			hj := w.(http.Hijacker)
 			conn, _, err := hj.Hijack()
 			if err != nil {
 				panic(err)
 			}
+			conn.Write([]byte("HTTP/1.1 garbage\r\n\r\n"))
 			conn.Close()
 			return
 		}

@@ -91,8 +91,8 @@ func benchmarkDiscover(b *testing.B, cache *Cache) {
 func BenchmarkDiscoverZipfUncached(b *testing.B) { benchmarkDiscover(b, nil) }
 
 // BenchmarkDiscoverZipfCached is the serving fast path on the same
-// skewed schedule; the ≥1.5x ratio over the uncached run is the PR's
-// recorded acceptance benchmark (tools/bench_serve.sh → BENCH_pr5.json).
+// skewed schedule; PR 5 recorded it at ≥1.5x the uncached run.
+// End-to-end serving cost is measured by `bash cmd/lakebench/run.sh`.
 func BenchmarkDiscoverZipfCached(b *testing.B) { benchmarkDiscover(b, NewCache(DefaultCacheSize)) }
 
 func benchmarkSuggest(b *testing.B, cache *Cache) {

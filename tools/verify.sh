@@ -57,7 +57,8 @@ fuzz_smoke() {
 stage "go test -fuzz (5s smoke x6)" fuzz_smoke
 
 # Benchmarks compile and run: one iteration of everything keeps the
-# bench harness (and tools/bench.sh's parse targets) from bit-rotting.
+# micro-benchmarks from bit-rotting. Performance is measured end to end
+# by `bash cmd/lakebench/run.sh`.
 bench_once() {
 	go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
 }
