@@ -12,8 +12,9 @@ import (
 // receive, range, or close on a channel declared outside the goroutine
 // body). A goroutine with none of those is unobservable: it cannot be
 // waited for on shutdown, cannot be cancelled, and leaks whatever it
-// captured. The bounded-pool dispatch path (core.ParallelFor) passes
-// by construction — its workers pair Done with Add.
+// captured. The bounded-pool dispatch path (parallel.For, behind
+// core.ParallelFor and the lake's topic kernel) passes by construction
+// — its workers pair Done with Add.
 //
 // Named callees are resolved one level through the module's function
 // index; a spawn whose body the check cannot see (function value,

@@ -33,7 +33,7 @@ func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 // compares.
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
-	path := fs.String("lake", "", "base lake JSON path (never rewritten)")
+	path := fs.String("lake", "", "base lake path, json or bin (never rewritten)")
 	orgPath := fs.String("org", "", "base organization JSON path (from `lakenav organize -export`)")
 	journalPath := fs.String("journal", "", "commit journal path (created on first commit)")
 	var adds stringList

@@ -147,7 +147,7 @@ func loadLake(path string) (*lakenav.Lake, error) {
 
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	path := fs.String("lake", "", "lake JSON path")
+	path := fs.String("lake", "", "lake path (json or bin)")
 	_ = fs.Parse(args) // ExitOnError: Parse exits on bad flags
 	l, err := loadLake(*path)
 	if err != nil {
@@ -159,7 +159,7 @@ func cmdStats(args []string) error {
 
 func cmdOrganize(args []string) error {
 	fs := flag.NewFlagSet("organize", flag.ExitOnError)
-	path := fs.String("lake", "", "lake JSON path")
+	path := fs.String("lake", "", "lake path (json or bin)")
 	dims := fs.Int("dims", 1, "number of dimensions")
 	noOpt := fs.Bool("no-opt", false, "skip local-search optimization")
 	seed := fs.Int64("seed", 1, "construction seed")
@@ -248,7 +248,7 @@ func cmdOrganize(args []string) error {
 
 func cmdSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
-	path := fs.String("lake", "", "lake JSON path")
+	path := fs.String("lake", "", "lake path (json or bin)")
 	query := fs.String("q", "", "keyword query")
 	k := fs.Int("k", 10, "results to return")
 	_ = fs.Parse(args) // ExitOnError: Parse exits on bad flags
@@ -273,7 +273,7 @@ func cmdSearch(args []string) error {
 
 func cmdWalk(args []string) error {
 	fs := flag.NewFlagSet("walk", flag.ExitOnError)
-	path := fs.String("lake", "", "lake JSON path")
+	path := fs.String("lake", "", "lake path (json or bin)")
 	query := fs.String("q", "", "intent query")
 	dims := fs.Int("dims", 1, "organization dimensions")
 	seed := fs.Int64("seed", 0, "walk seed (0 = greedy)")

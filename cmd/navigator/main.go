@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	path := flag.String("lake", "", "lake JSON path")
+	path := flag.String("lake", "", "lake path (json or bin)")
 	dims := flag.Int("dims", 1, "organization dimensions")
 	flag.Parse()
 	if *path == "" {

@@ -39,7 +39,7 @@ import (
 )
 
 func main() {
-	path := flag.String("lake", "", "lake JSON path")
+	path := flag.String("lake", "", "lake path (json or bin)")
 	orgPath := flag.String("org", "", "pre-built organization, json or bin (skips construction)")
 	dims := flag.Int("dims", 1, "organization dimensions")
 	addr := flag.String("addr", ":8080", "listen address")

@@ -2,7 +2,8 @@ package core
 
 import (
 	"runtime"
-	"sync"
+
+	"lakenav/internal/parallel"
 )
 
 // The evaluator's per-query loops are embarrassingly parallel — each
@@ -61,40 +62,19 @@ func parallelFor(n, workers int, fn func(lo, hi int)) {
 
 // parallelForWorkers is parallelFor with the worker's slot index passed
 // to fn, so callers can hand each fork a dedicated scratch buffer
-// (worker w and only worker w touches scratch slot w). Each worker
-// runs exactly one contiguous chunk — one fork per slot — so the slot
-// index is also the fork index. The serial degenerate case runs as
-// slot 0 on the calling goroutine.
+// (worker w and only worker w touches scratch slot w). The chunking is
+// parallel.For's, shared with the lake's topic kernel; this wrapper
+// adds the core.parallel.* metrics.
 func parallelForWorkers(n, workers int, fn func(w, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
 	metricParallelRuns.Inc()
-	if workers <= 1 {
+	if forks := parallel.For(n, workers, fn); forks > 1 {
+		metricParallelForks.Add(uint64(forks))
+	} else {
 		metricParallelSerial.Inc()
-		fn(0, 0, n)
-		return
 	}
-	chunk := (n + workers - 1) / workers
-	metricParallelForks.Add(uint64((n + chunk - 1) / chunk))
-	var wg sync.WaitGroup
-	w := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-		w++
-	}
-	wg.Wait()
 }
 
 // scaleWorkers sizes a worker pool to the work at hand: one worker per

@@ -31,9 +31,19 @@ import (
 
 // Model is the minimal interface the rest of lakenav needs from an
 // embedding source: a word lookup and the embedding dimension.
+//
+// Lookup must be safe for concurrent use and a pure function of the
+// word: the same word always yields the same vector (or the same miss),
+// whatever was looked up before and on whichever goroutine. The lake's
+// topic kernel relies on both — it looks each distinct word up once,
+// fanned out over GOMAXPROCS, and reuses the vector for every
+// occurrence. Hashed is stateless; Store and TopicSpace only read their
+// maps once built, so they must not be modified (Store.Add) while a
+// lookup may run.
 type Model interface {
 	// Lookup returns the embedding of word and true, or nil and false if
-	// the word is out of vocabulary.
+	// the word is out of vocabulary. Callers must not modify the
+	// returned vector: a Store returns the vector it holds, not a copy.
 	Lookup(word string) (vector.Vector, bool)
 	// Dim returns the embedding dimension.
 	Dim() int

@@ -73,36 +73,30 @@ func MeanVector(m Model, values []string) (vector.Vector, CoverageStats, bool) {
 	run := vector.NewRunning(m.Dim())
 	var stats CoverageStats
 	for _, val := range values {
-		stats.Values++
-		embedded := false
-		for _, tok := range Tokenize(val) {
-			stats.Tokens++
-			if v, ok := m.Lookup(tok); ok {
-				stats.EmbeddedTokens++
-				run.Add(v)
-				embedded = true
-			}
-		}
-		if embedded {
-			stats.Embedded++
-		}
+		AddValue(run, &stats, Tokenize(val), m.Lookup)
 	}
 	mean, ok := run.Mean()
 	return mean, stats, ok
 }
 
-// Accumulate adds the embeddings of every embedded token of values into
-// run, returning the number of tokens added. It is MeanVector without
-// the final division, for callers maintaining running topic vectors.
-func Accumulate(m Model, values []string, run *vector.Running) int {
-	added := 0
-	for _, val := range values {
-		for _, tok := range Tokenize(val) {
-			if v, ok := m.Lookup(tok); ok {
-				run.Add(v)
-				added++
-			}
+// AddValue is the per-value step of Definition 4, shared by MeanVector
+// and the lake's topic kernel: it adds the embedding of every embedded
+// token of one value to run, in token order, and counts the value and
+// its tokens into stats. lookup resolves one token — a word, or an index
+// into a table of words already looked up — to its embedding, or false
+// when the token has none.
+func AddValue[T any](run *vector.Running, stats *CoverageStats, tokens []T, lookup func(T) (vector.Vector, bool)) {
+	stats.Values++
+	embedded := false
+	for _, tok := range tokens {
+		stats.Tokens++
+		if v, ok := lookup(tok); ok {
+			stats.EmbeddedTokens++
+			run.Add(v)
+			embedded = true
 		}
 	}
-	return added
+	if embedded {
+		stats.Embedded++
+	}
 }

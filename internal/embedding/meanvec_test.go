@@ -84,21 +84,6 @@ func TestMeanVectorMultiTokenValue(t *testing.T) {
 	}
 }
 
-func TestAccumulateMatchesMeanVector(t *testing.T) {
-	m := NewHashed(8, 3, 1)
-	values := []string{"civic center", "transit plan", "energy audit"}
-	want, _, _ := MeanVector(m, values)
-	run := vector.NewRunning(8)
-	n := Accumulate(m, values, run)
-	if n != 6 {
-		t.Errorf("Accumulate added %d tokens, want 6", n)
-	}
-	got, ok := run.Mean()
-	if !ok || !vector.Equal(want, got, 1e-12) {
-		t.Errorf("Accumulate mean = %v, want %v", got, want)
-	}
-}
-
 func TestCoverageStatsZero(t *testing.T) {
 	var c CoverageStats
 	if c.ValueCoverage() != 0 || c.TokenCoverage() != 0 {

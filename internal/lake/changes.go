@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lakenav/internal/embedding"
-	"lakenav/vector"
 )
 
 // This file is the lake's mutation surface for incremental ingest:
@@ -138,37 +137,13 @@ func (l *Lake) ApplyChanges(add []TableChange, remove []string) (*ChangeSummary,
 // ComputeTopicsFor computes topic vectors for exactly the given
 // attributes — the incremental counterpart of ComputeTopics, used
 // after ApplyChanges so a batch costs embedding work proportional to
-// what it added, not to the whole lake.
+// what it added, not to the whole lake. It runs the same kernel, so an
+// attribute gets the same topic either way.
 func (l *Lake) ComputeTopicsFor(model embedding.Model, ids []AttrID) error {
 	if l.dim != 0 && l.dim != model.Dim() {
 		return fmt.Errorf("lake: embedding dimension %d does not match lake dimension %d", model.Dim(), l.dim)
 	}
-	l.dim = model.Dim()
-	for _, id := range ids {
-		a := l.Attrs[id]
-		run := vector.NewRunning(model.Dim())
-		var cov embedding.CoverageStats
-		for _, val := range a.Values {
-			cov.Values++
-			embedded := false
-			for _, tok := range embedding.Tokenize(val) {
-				cov.Tokens++
-				if v, ok := model.Lookup(tok); ok {
-					cov.EmbeddedTokens++
-					run.Add(v)
-					embedded = true
-				}
-			}
-			if embedded {
-				cov.Embedded++
-			}
-		}
-		a.EmbSum = run.Sum()
-		a.EmbCount = run.Count()
-		mean, _ := run.Mean()
-		a.Topic = mean
-		a.Coverage = cov
-	}
+	l.computeTopics(model, ids)
 	return nil
 }
 

@@ -247,39 +247,19 @@ func IsTextDomain(values []string) bool {
 	return float64(numeric)/float64(nonEmpty) < 0.5
 }
 
-// ComputeTopics computes the topic vector of every attribute using model
-// and records the lake's embedding dimension. Attributes whose domains
-// have no embedded token keep a zero topic vector; they remain in the
-// lake but carry no navigation signal.
+// ComputeTopics computes the topic vector of every live attribute using
+// model and records the lake's embedding dimension. Attributes whose
+// domains have no embedded token keep a zero topic vector; they remain
+// in the lake but carry no navigation signal. Each distinct word is
+// looked up once (see computeTopics).
 func (l *Lake) ComputeTopics(model embedding.Model) {
-	l.dim = model.Dim()
+	ids := make([]AttrID, 0, len(l.Attrs))
 	for _, a := range l.Attrs {
-		if a.Removed {
-			continue
+		if !a.Removed {
+			ids = append(ids, a.ID)
 		}
-		run := vector.NewRunning(model.Dim())
-		var cov embedding.CoverageStats
-		for _, val := range a.Values {
-			cov.Values++
-			embedded := false
-			for _, tok := range embedding.Tokenize(val) {
-				cov.Tokens++
-				if v, ok := model.Lookup(tok); ok {
-					cov.EmbeddedTokens++
-					run.Add(v)
-					embedded = true
-				}
-			}
-			if embedded {
-				cov.Embedded++
-			}
-		}
-		a.EmbSum = run.Sum()
-		a.EmbCount = run.Count()
-		mean, _ := run.Mean()
-		a.Topic = mean
-		a.Coverage = cov
 	}
+	l.computeTopics(model, ids)
 }
 
 // TagTopic returns the topic vector of a tag state: the mean embedding
