@@ -67,7 +67,7 @@ ci: fmt-check lint verify
 	$(GO) -C cmd/lakebench test ./...
 	SOAK_DURATION=10s sh tools/soak.sh soak-artifacts
 	sh tools/crash_soak.sh crash-soak-artifacts
-	FLEET_SOAK_DURATION=9s sh tools/fleet_soak.sh fleet-soak-artifacts
+	FLEET_SOAK_DURATION=12s sh tools/fleet_soak.sh fleet-soak-artifacts
 
 clean:
 	$(GO) clean ./...

@@ -23,7 +23,6 @@ import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -31,6 +30,7 @@ import (
 	"time"
 
 	"lakenav/internal/fleet"
+	"lakenav/internal/httpx"
 )
 
 func main() {
@@ -67,6 +67,9 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	// The first signal starts the drain; un-registering then lets a
+	// second one kill the process outright.
+	context.AfterFunc(ctx, stop)
 
 	if err := coord.SetMap(ctx, m); err != nil {
 		log.Fatal("lakecoord: ", err)
@@ -84,31 +87,8 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", *addr)
-		errc <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errc:
+	if err := httpx.Serve(ctx, *addr, coord.Handler()); err != nil {
 		log.Fatal("lakecoord: ", err)
-	case <-ctx.Done():
-	}
-	stop()
-	log.Print("shutting down: draining in-flight requests…")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("lakecoord: shutdown: %v", err)
-		_ = srv.Close() // drain timed out; force-close, nothing left to report
 	}
 	pollWG.Wait()
 	coord.Close()

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"lakenav"
+	"lakenav/internal/httpx"
 	"lakenav/internal/navhttp"
 )
 
@@ -80,6 +81,9 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	// The first signal starts the drain; un-registering then lets a
+	// second one kill the process outright.
+	context.AfterFunc(ctx, stop)
 
 	// buildWG joins the background organization build on shutdown:
 	// OrganizeContext honors ctx, so cancelling and waiting bounds exit
@@ -152,34 +156,11 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", *addr)
-		errc <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errc:
+	if err := httpx.Serve(ctx, *addr, s.Handler()); err != nil {
 		log.Fatal("navserver: ", err)
-	case <-ctx.Done():
 	}
-	stop()
-	log.Print("shutting down: draining in-flight requests…")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("navserver: shutdown: %v", err)
-		_ = srv.Close() // drain timed out; force-close, nothing left to report
-	}
-	// ctx is already cancelled (stop() above), so a still-running build
-	// unwinds through OrganizeContext's cancellation path promptly.
+	// ctx is already cancelled, so a still-running build unwinds through
+	// OrganizeContext's cancellation path promptly.
 	buildWG.Wait()
 	log.Print("bye")
 }

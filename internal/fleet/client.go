@@ -97,7 +97,9 @@ type shardResult struct {
 // (itself a retry loop) raced, when hedging is enabled, against a
 // second attempt launched after the hedge delay. The first non-error
 // result wins; when all racers fail, the last failure is returned.
-// Health state is maintained on the way out.
+// Health state is maintained on the way out, except for a failure once
+// the caller's ctx is done: a caller giving up says nothing about the
+// shard.
 func (c *shardClient) do(ctx context.Context, method, pathAndQuery string, body []byte) shardResult {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel() // reap the losing racer's request
@@ -121,7 +123,9 @@ func (c *shardClient) do(ctx context.Context, method, pathAndQuery string, body 
 		case res := <-resc:
 			inflight--
 			if res.err == nil || inflight == 0 {
-				c.noteResult(res)
+				if res.err == nil || ctx.Err() == nil {
+					c.noteResult(res)
+				}
 				return res
 			}
 			// The primary failed but a hedge is still running; let it
@@ -132,9 +136,7 @@ func (c *shardClient) do(ctx context.Context, method, pathAndQuery string, body 
 			launch()
 			inflight++
 		case <-ctx.Done():
-			res := shardResult{err: ctx.Err()}
-			c.noteResult(res)
-			return res
+			return shardResult{err: ctx.Err()}
 		}
 	}
 }

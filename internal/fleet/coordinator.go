@@ -14,7 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lakenav"
+	"lakenav/internal/httpx"
 	"lakenav/internal/obs"
 	"lakenav/internal/serve"
 )
@@ -40,9 +40,7 @@ const (
 	defaultCoordInflight  = 256
 	defaultCoordBatch     = 256
 	defaultCheckInterval  = 2 * time.Second
-	maxCoordBody          = 1 << 20
 	degradedHeader        = "X-Fleet-Degraded"
-	shedBody              = "overloaded"
 	unavailableBodyPrefix = "shard"
 )
 
@@ -170,8 +168,9 @@ func (st *fleetState) healthyCount() int {
 	return n
 }
 
-// Handler assembles the coordinator's routes behind recovery and
-// load-shedding middleware.
+// Handler assembles the coordinator's routes behind panic recovery,
+// the request counter, and httpx.Limit's load shedding (probes,
+// /metrics and /admin/* bypass it).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/node", c.proxyNav)
@@ -186,45 +185,11 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("/readyz", c.handleReady)
 	mux.HandleFunc("/metrics", c.handleMetrics)
-	return c.recoverware(c.limitware(mux))
-}
-
-func (c *Coordinator) recoverware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				log.Printf("lakecoord: panic serving %s: %v", r.URL.Path, v)
-				http.Error(w, "internal error", http.StatusInternalServerError)
-			}
-		}()
+	limited := httpx.Limit(c.sem, c.m.shed, c.m.inflight, mux)
+	return httpx.Recover(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c.m.requests.Inc()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// limitware sheds with 503 once MaxInflight requests are in flight.
-// Probes and the admin plane bypass the limit: an operator must be
-// able to see an overloaded fleet.
-func (c *Coordinator) limitware(next http.Handler) http.Handler {
-	bypass := map[string]bool{
-		"/healthz": true, "/readyz": true, "/metrics": true, "/admin/fleet": true,
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if bypass[r.URL.Path] {
-			next.ServeHTTP(w, r)
-			return
-		}
-		select {
-		case c.sem <- struct{}{}:
-			defer func() { <-c.sem }()
-			c.m.inflight.Add(1)
-			defer c.m.inflight.Add(-1)
-			next.ServeHTTP(w, r)
-		default:
-			c.m.shed.Inc()
-			http.Error(w, shedBody, http.StatusServiceUnavailable)
-		}
-	})
+		limited.ServeHTTP(w, r)
+	}))
 }
 
 // currentState answers nil — and a 503 when w is non-nil — while no
@@ -300,38 +265,12 @@ type searchQuery struct {
 	serve.SearchRequest
 }
 
-// errItemSuggest renders a degradation answer in the exact shape of a
-// navserver batch-suggest item.
-func errItemSuggest(msg string) json.RawMessage {
-	raw, err := json.Marshal(struct {
-		Suggestions []lakenav.ScoredNode `json:"suggestions"`
-		Error       string               `json:"error,omitempty"`
-	}{nil, msg})
-	if err != nil {
-		panic("fleet: marshal error item: " + err.Error())
-	}
-	return raw
-}
-
-// errItemSearch renders a degradation answer in the exact shape of a
-// navserver batch-search item.
-func errItemSearch(msg string) json.RawMessage {
-	raw, err := json.Marshal(struct {
-		Tables []string `json:"tables"`
-		Error  string   `json:"error,omitempty"`
-	}{nil, msg})
-	if err != nil {
-		panic("fleet: marshal error item: " + err.Error())
-	}
-	return raw
-}
-
 func (c *Coordinator) handleBatchSuggest(w http.ResponseWriter, r *http.Request) {
 	st := c.currentState(w)
 	if st == nil {
 		return
 	}
-	queries, ok := decodeCoordBatch[suggestQuery](c, w, r)
+	queries, ok := httpx.DecodeBatch[suggestQuery](w, r, c.opts.MaxBatch)
 	if !ok {
 		return
 	}
@@ -341,7 +280,7 @@ func (c *Coordinator) handleBatchSuggest(w http.ResponseWriter, r *http.Request)
 		keys[i] = NavKey(q.Lake, q.Dim)
 		payload[i] = q.SuggestRequest
 	}
-	c.fanOut(w, r, st, "/batch/suggest", keys, payload, errItemSuggest)
+	c.fanOut(w, r, st, "/batch/suggest", keys, payload, func(msg string) any { return httpx.SuggestItem{Error: msg} })
 }
 
 func (c *Coordinator) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
@@ -349,7 +288,7 @@ func (c *Coordinator) handleBatchSearch(w http.ResponseWriter, r *http.Request) 
 	if st == nil {
 		return
 	}
-	queries, ok := decodeCoordBatch[searchQuery](c, w, r)
+	queries, ok := httpx.DecodeBatch[searchQuery](w, r, c.opts.MaxBatch)
 	if !ok {
 		return
 	}
@@ -359,35 +298,7 @@ func (c *Coordinator) handleBatchSearch(w http.ResponseWriter, r *http.Request) 
 		keys[i] = SearchKey(q.Lake, q.Q)
 		payload[i] = q.SearchRequest
 	}
-	c.fanOut(w, r, st, "/batch/search", keys, payload, errItemSearch)
-}
-
-// decodeCoordBatch mirrors navserver's batch decoding: POST only, body
-// cap, strict fields, batch budget.
-func decodeCoordBatch[T any](c *Coordinator, w http.ResponseWriter, r *http.Request) ([]T, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST a JSON body: {\"queries\": [...]}", http.StatusMethodNotAllowed)
-		return nil, false
-	}
-	var req struct {
-		Queries []T `json:"queries"`
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCoordBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad batch body: "+err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if len(req.Queries) == 0 {
-		http.Error(w, "empty batch: want {\"queries\": [...]}", http.StatusBadRequest)
-		return nil, false
-	}
-	if len(req.Queries) > c.opts.MaxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d queries exceeds the limit of %d", len(req.Queries), c.opts.MaxBatch), http.StatusBadRequest)
-		return nil, false
-	}
-	return req.Queries, true
+	c.fanOut(w, r, st, "/batch/search", keys, payload, func(msg string) any { return httpx.SearchItem{Error: msg} })
 }
 
 // fanOut is the batch scatter/gather: group items by owning shard,
@@ -401,7 +312,7 @@ func decodeCoordBatch[T any](c *Coordinator, w http.ResponseWriter, r *http.Requ
 // shard answers, the merged body is byte-identical to what one
 // navserver would have produced for the same batch.
 func (c *Coordinator) fanOut(w http.ResponseWriter, r *http.Request, st *fleetState,
-	path string, keys []string, payload []any, errItem func(string) json.RawMessage) {
+	path string, keys []string, payload []any, errItem func(msg string) any) {
 
 	type group struct {
 		indices []int
@@ -419,7 +330,9 @@ func (c *Coordinator) fanOut(w http.ResponseWriter, r *http.Request, st *fleetSt
 		g.queries = append(g.queries, payload[i])
 	}
 
-	results := make([]json.RawMessage, len(keys))
+	// Items are shard answers (json.RawMessage) or degraded answers in
+	// the shard's own httpx item type.
+	results := make([]any, len(keys))
 	var degraded atomic.Int64
 	degrade := func(g *group, msg string) {
 		item := errItem(msg)
@@ -471,17 +384,12 @@ func (c *Coordinator) fanOut(w http.ResponseWriter, r *http.Request, st *fleetSt
 	}
 	wg.Wait()
 
-	w.Header().Set("Content-Type", "application/json")
 	if n := degraded.Load(); n > 0 {
 		w.Header().Set(degradedHeader, strconv.FormatInt(n, 10))
 	}
-	enc := json.NewEncoder(w)
-	out := struct {
-		Results []json.RawMessage `json:"results"`
-	}{results}
-	if err := enc.Encode(out); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-		log.Printf("lakecoord: encode: %v", err)
-	}
+	httpx.WriteJSON(w, struct {
+		Results []any `json:"results"`
+	}{results})
 }
 
 // trim bounds a shard error body for embedding in an item error.
@@ -554,7 +462,7 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no shard map installed", http.StatusServiceUnavailable)
 		return
 	}
-	writeJSON(w, status)
+	httpx.WriteJSON(w, status)
 }
 
 // handleReady reports ready once a map is installed and at least one
@@ -571,17 +479,8 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 // handleMetrics exports the coordinator registry next to the
 // process-wide core registry, mirroring navserver's /metrics shape.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, struct {
+	httpx.WriteJSON(w, struct {
 		Fleet obs.Snapshot `json:"fleet"`
 		Core  obs.Snapshot `json:"core"`
 	}{c.m.reg.Snapshot(), obs.Default.Snapshot()})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-		log.Printf("lakecoord: encode: %v", err)
-	}
 }

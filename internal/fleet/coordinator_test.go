@@ -12,9 +12,13 @@ import (
 	"time"
 
 	"lakenav"
+	"lakenav/internal/httpx"
 	"lakenav/internal/navhttp"
 	"lakenav/internal/obs"
 )
+
+// shedBody is the coordinator's shed 503 body.
+const shedBody = httpx.Overloaded
 
 // fleetLakeAndOrg builds the shared fixture: every shard serves the
 // same lake and (deterministically built) organization, so any shard's
@@ -42,8 +46,12 @@ func fleetLakeAndOrg(t *testing.T) (*lakenav.Lake, *lakenav.Organization) {
 // avoids listener port-reuse races.
 type flakyShard struct {
 	down atomic.Bool
-	h    http.Handler
+	// h is atomic because tests replace it while the health sweep may
+	// already be probing the shard.
+	h atomic.Pointer[http.Handler]
 }
+
+func (f *flakyShard) setHandler(h http.Handler) { f.h.Store(&h) }
 
 func (f *flakyShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if f.down.Load() {
@@ -58,7 +66,7 @@ func (f *flakyShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		conn.Close()
 		return
 	}
-	f.h.ServeHTTP(w, r)
+	(*f.h.Load()).ServeHTTP(w, r)
 }
 
 // testFleet is a booted in-process fleet: N navhttp shards behind
@@ -87,7 +95,8 @@ func bootFleet(t *testing.T, n int, opts Options) *testFleet {
 		id := fmt.Sprintf("s%d", i)
 		s := navhttp.New(lakenav.NewSearchEngine(l), navhttp.Options{ShardID: id})
 		s.SetOrganization(org)
-		f := &flakyShard{h: s.Handler()}
+		f := &flakyShard{}
+		f.setHandler(s.Handler())
 		srv := httptest.NewServer(f)
 		t.Cleanup(srv.Close)
 		tf.shards[id] = s
@@ -431,6 +440,7 @@ func TestCoordinatorBatchRejections(t *testing.T) {
 		"unknown item field": `{"queries":[{"q":"a","zebra":1}]}`,
 		"empty":              `{"queries":[]}`,
 		"over budget":        `{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`,
+		"trailing data":      `{"queries":[{"q":"salmon","k":1}]} garbage`,
 	} {
 		if rec := tf.post(t, "/batch/suggest", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, rec.Code)
@@ -459,14 +469,50 @@ func TestCoordinatorShedsAndBypasses(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCallerCancelKeepsShardHealthy: a caller that gives up
+// (a client hanging up, or a map swap retiring a health loop mid-probe)
+// says nothing about the shard, so it must not mark a healthy shard
+// down, count a down edge, or fail /readyz.
+func TestCoordinatorCallerCancelKeepsShardHealthy(t *testing.T) {
+	tf := bootFleet(t, 1, Options{})
+	// Wait out the first sweep, so its probe cannot mark the shard up
+	// again behind the test's back; the next one is 2s away.
+	deadline := time.Now().Add(2 * time.Second)
+	for tf.coord.m.healthy.Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("first health sweep never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodGet, "/api/search?q=salmon", nil),
+		httptest.NewRequest(http.MethodPost, "/batch/search", strings.NewReader(`{"queries":[{"q":"salmon"}]}`)),
+	} {
+		tf.h.ServeHTTP(httptest.NewRecorder(), req.WithContext(ctx))
+	}
+	tf.coord.state.Load().clients["s0"].checkHealth(ctx)
+
+	if status, _ := tf.coord.Status(); status.Healthy != 1 {
+		t.Errorf("healthy shards = %d after cancelled calls, want 1", status.Healthy)
+	}
+	if got := counterValue(t, tf.coord, "fleet.shard.down"); got != 0 {
+		t.Errorf("fleet.shard.down = %d after cancelled calls, want 0", got)
+	}
+	if rec := tf.get(t, "/readyz"); rec.Code != http.StatusOK {
+		t.Errorf("/readyz after cancelled calls: status %d", rec.Code)
+	}
+}
+
 // TestCoordinatorRetries: a shard that drops the first connection is
 // reached on the retry; the request succeeds and the retry is counted.
 func TestCoordinatorRetries(t *testing.T) {
 	tf := bootFleet(t, 1, Options{Client: ClientOptions{Retries: 1, RetryBase: time.Millisecond, Timeout: time.Second}})
 	f := tf.flaky["s0"]
 	var calls atomic.Int64
-	inner := f.h
-	f.h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	inner := *f.h.Load()
+	f.setHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Health probes pass through: only request traffic is flaky,
 		// so the coordinator's background sweep cannot eat the
 		// scripted first-call failure.
@@ -489,7 +535,7 @@ func TestCoordinatorRetries(t *testing.T) {
 			return
 		}
 		inner.ServeHTTP(w, r)
-	})
+	}))
 	rec := tf.get(t, "/api/suggest?lake=a&q=salmon")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d after retry: %s", rec.Code, rec.Body)
@@ -509,8 +555,8 @@ func TestCoordinatorHedging(t *testing.T) {
 	}})
 	f := tf.flaky["s0"]
 	var calls atomic.Int64
-	inner := f.h
-	f.h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	inner := *f.h.Load()
+	f.setHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/admin/shard" {
 			inner.ServeHTTP(w, r)
 			return
@@ -522,7 +568,7 @@ func TestCoordinatorHedging(t *testing.T) {
 			return
 		}
 		inner.ServeHTTP(w, r)
-	})
+	}))
 	rec := tf.get(t, "/api/suggest?lake=a&q=salmon")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d with hedging: %s", rec.Code, rec.Body)

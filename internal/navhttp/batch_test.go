@@ -127,6 +127,7 @@ func TestHandleBatchSuggestRejections(t *testing.T) {
 		{"unknown field", `{"nope":[]}`},
 		{"empty batch", `{"queries":[]}`},
 		{"over budget", `{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`},
+		{"trailing data", `{"queries":[{"q":"salmon","k":1}]} garbage`},
 	}
 	for _, c := range cases {
 		if rec := post(t, s.handleBatchSuggest, "/batch/suggest", c.body); rec.Code != http.StatusBadRequest {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lakenav"
+	"lakenav/internal/httpx"
 	"lakenav/internal/journal"
 	"lakenav/internal/serve"
 )
@@ -131,7 +132,7 @@ func (s *Server) handleGenerations(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ingest not enabled (start with -journal)", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, struct {
+	httpx.WriteJSON(w, struct {
 		Generations []serve.GenerationInfo `json:"generations"`
 	}{s.hist.List()})
 }
@@ -171,7 +172,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	log.Printf("rolled back to generation %d (hash %.12s…)", g.Seq, g.Hash)
-	writeJSON(w, struct {
+	httpx.WriteJSON(w, struct {
 		Seq  int    `json:"seq"`
 		Hash string `json:"hash"`
 	}{g.Seq, g.Hash})

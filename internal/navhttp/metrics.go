@@ -1,15 +1,12 @@
 package navhttp
 
 import (
-	"encoding/json"
-	"errors"
-	"log"
 	"net/http"
 	netpprof "net/http/pprof"
-	"os"
 	"time"
 
 	"lakenav"
+	"lakenav/internal/httpx"
 	"lakenav/internal/obs"
 )
 
@@ -169,17 +166,11 @@ func (s *Server) metricsware(next http.Handler) http.Handler {
 // registry plus the process-wide core (evaluator / worker pool)
 // registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	resp := struct {
+	httpx.WriteJSON(w, struct {
 		ShardID string       `json:"shard_id,omitempty"`
 		Server  obs.Snapshot `json:"server"`
 		Core    obs.Snapshot `json:"core"`
-	}{s.shardID, s.metrics.reg.Snapshot(), obs.Default.Snapshot()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-		log.Printf("navserver: encode metrics: %v", err)
-	}
+	}{s.shardID, s.metrics.reg.Snapshot(), obs.Default.Snapshot()})
 }
 
 // PprofMux assembles the net/http/pprof routes on a private mux. The

@@ -36,18 +36,16 @@
 package navhttp
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lakenav"
+	"lakenav/internal/httpx"
 	"lakenav/internal/serve"
 )
 
@@ -59,7 +57,6 @@ const (
 	maxSearchK      = 1000
 	defaultInflight = 64
 	defaultMaxBatch = 256
-	maxBatchBody    = 1 << 20 // batch request body cap, bytes
 )
 
 type Server struct {
@@ -172,7 +169,8 @@ func (s *Server) organization() *lakenav.Organization { return s.snap.Load().Org
 
 // Handler assembles the route table inside the middleware chain:
 // panic recovery outermost, then request logging, then metrics (so
-// shed responses are metered too), then load shedding.
+// shed responses are metered too), then load shedding (httpx.Limit's
+// bypass rule keeps probes, /metrics and /admin/* answering).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/node", s.handleNode)
@@ -188,7 +186,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/", s.handleIndex)
-	return recoverware(logware(s.metricsware(s.limitware(mux))))
+	return httpx.Recover(logware(s.metricsware(httpx.Limit(s.sem, s.metrics.shed, nil, mux))))
 }
 
 // ShardStatus is the /admin/shard response: the shard's fleet identity
@@ -205,25 +203,10 @@ type ShardStatus struct {
 
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshot()
-	writeJSON(w, ShardStatus{
+	httpx.WriteJSON(w, ShardStatus{
 		ShardID:    s.shardID,
 		Generation: snap.Generation(),
 		Ready:      snap.Ready(),
-	})
-}
-
-// recoverware converts a handler panic into a 500 instead of killing
-// the connection (and, for panics on the main goroutine of a handler,
-// the process).
-func recoverware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				log.Printf("navserver: panic serving %s %s: %v", r.Method, r.URL.Path, v)
-				http.Error(w, "internal server error", http.StatusInternalServerError)
-			}
-		}()
-		next.ServeHTTP(w, r)
 	})
 }
 
@@ -244,31 +227,6 @@ func logware(next http.Handler) http.Handler {
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sr, r)
 		log.Printf("%s %s %d %s", r.Method, r.URL.RequestURI(), sr.status, time.Since(start).Round(time.Microsecond))
-	})
-}
-
-// limitware sheds load once maxInflight requests are in flight. Health
-// probes and the metrics export bypass the limit: an overloaded server
-// is still alive, and orchestrators (and the operator debugging the
-// overload) must be able to see that.
-func (s *Server) limitware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz", "/readyz", "/metrics", "/admin/shard", "/admin/generations", "/admin/rollback":
-			// Probes, metrics, and generation admin bypass shedding: an
-			// overloaded server must stay observable, and overload is
-			// exactly when an operator may need to roll a bad batch back.
-			next.ServeHTTP(w, r)
-			return
-		}
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-			next.ServeHTTP(w, r)
-		default:
-			s.metrics.shed.Inc()
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-		}
 	})
 }
 
@@ -367,7 +325,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, nodeResponse{
+	httpx.WriteJSON(w, nodeResponse{
 		Here:     nav.Here(),
 		Depth:    nav.Depth(),
 		Dim:      nav.Dimension(),
@@ -400,7 +358,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, sugg)
+	httpx.WriteJSON(w, sugg)
 }
 
 // handleDiscover serves the table-discovery ranking: for a query, the
@@ -431,7 +389,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, disc)
+	httpx.WriteJSON(w, disc)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -445,46 +403,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, s.snapshot().Search(q, k))
-}
-
-// batchRequest is the wire form of both batch endpoints' bodies.
-type batchRequest[T any] struct {
-	Queries []T `json:"queries"`
-}
-
-// decodeBatch reads and bounds a batch request body. It enforces the
-// method, the body size cap, and the per-request query budget, writing
-// the error response itself when the batch is rejected.
-func decodeBatch[T any](s *Server, w http.ResponseWriter, r *http.Request) ([]T, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST a JSON body: {\"queries\": [...]}", http.StatusMethodNotAllowed)
-		return nil, false
-	}
-	var req batchRequest[T]
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad batch body: "+err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if len(req.Queries) == 0 {
-		http.Error(w, "empty batch: want {\"queries\": [...]}", http.StatusBadRequest)
-		return nil, false
-	}
-	if len(req.Queries) > s.maxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d queries exceeds the limit of %d", len(req.Queries), s.maxBatch), http.StatusBadRequest)
-		return nil, false
-	}
-	return req.Queries, true
-}
-
-// batchSuggestItem is one answer of a /batch/suggest response; Error is
-// per-item so one malformed query never fails its siblings.
-type batchSuggestItem struct {
-	Suggestions []lakenav.ScoredNode `json:"suggestions"`
-	Error       string               `json:"error,omitempty"`
+	httpx.WriteJSON(w, s.snapshot().Search(q, k))
 }
 
 func (s *Server) handleBatchSuggest(w http.ResponseWriter, r *http.Request) {
@@ -492,39 +411,33 @@ func (s *Server) handleBatchSuggest(w http.ResponseWriter, r *http.Request) {
 	if !requireReady(w, snap) {
 		return
 	}
-	reqs, ok := decodeBatch[serve.SuggestRequest](s, w, r)
+	reqs, ok := httpx.DecodeBatch[serve.SuggestRequest](w, r, s.maxBatch)
 	if !ok {
 		return
 	}
 	results := snap.SuggestBatch(reqs)
-	items := make([]batchSuggestItem, len(results))
+	items := make([]httpx.SuggestItem, len(results))
 	for i, res := range results {
 		items[i].Suggestions = res.Suggestions
 		if res.Err != nil {
 			items[i].Error = res.Err.Error()
 		}
 	}
-	writeJSON(w, struct {
-		Results []batchSuggestItem `json:"results"`
+	httpx.WriteJSON(w, struct {
+		Results []httpx.SuggestItem `json:"results"`
 	}{items})
-}
-
-// batchSearchItem is one answer of a /batch/search response.
-type batchSearchItem struct {
-	Tables []string `json:"tables"`
-	Error  string   `json:"error,omitempty"`
 }
 
 func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshot()
-	reqs, ok := decodeBatch[serve.SearchRequest](s, w, r)
+	reqs, ok := httpx.DecodeBatch[serve.SearchRequest](w, r, s.maxBatch)
 	if !ok {
 		return
 	}
 	// Validate per item (k bounds match /api/search); invalid items are
 	// answered with an error, valid ones still go through the batch.
 	valid := make([]serve.SearchRequest, 0, len(reqs))
-	items := make([]batchSearchItem, len(reqs))
+	items := make([]httpx.SearchItem, len(reqs))
 	slot := make([]int, 0, len(reqs))
 	for i, req := range reqs {
 		if req.Q == "" {
@@ -544,8 +457,8 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 	for i, res := range snap.SearchBatch(valid) {
 		items[slot[i]].Tables = res.Tables
 	}
-	writeJSON(w, struct {
-		Results []batchSearchItem `json:"results"`
+	httpx.WriteJSON(w, struct {
+		Results []httpx.SearchItem `json:"results"`
 	}{items})
 }
 
@@ -556,13 +469,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, indexHTML)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-		log.Printf("navserver: encode: %v", err)
-	}
 }
 
 const indexHTML = `<!doctype html>

@@ -1,16 +1,12 @@
 package navhttp
 
 import (
-	"context"
 	"encoding/json"
-	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"lakenav"
 	"lakenav/internal/serve"
@@ -267,18 +263,6 @@ func TestOrgSwapUnderLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// A panicking handler yields a 500, not a dead connection or process.
-func TestRecoverwareConvertsPanicTo500(t *testing.T) {
-	h := recoverware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		panic("boom")
-	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/node", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("panic produced status %d", rec.Code)
-	}
-}
-
 // With the semaphore full, API requests shed with 503 while health
 // probes keep answering.
 func TestLimitwareShedsLoad(t *testing.T) {
@@ -439,81 +423,6 @@ func TestPprofMux(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Errorf("%s: status %d", url, rec.Code)
 		}
-	}
-}
-
-// Graceful shutdown drains in-flight requests: a request that is mid-
-// handler when Shutdown is called still completes, and new connections
-// are refused afterwards.
-func TestShutdownDrainsInflight(t *testing.T) {
-	s := testServer(t)
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	mux := http.NewServeMux()
-	mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
-		close(entered)
-		<-release
-		io.WriteString(w, "done")
-	})
-	mux.Handle("/", s.Handler())
-	srv := &http.Server{Handler: mux}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		_ = srv.Serve(ln) // returns http.ErrServerClosed after Shutdown/Close
-	}()
-	defer func() {
-		_ = srv.Close()
-		<-serveDone // join the serve goroutine on every exit path
-	}()
-	base := "http://" + ln.Addr().String()
-
-	type result struct {
-		body string
-		err  error
-	}
-	slow := make(chan result, 1)
-	go func() {
-		resp, err := http.Get(base + "/slow")
-		if err != nil {
-			slow <- result{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		slow <- result{body: string(b), err: err}
-	}()
-	<-entered
-
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		shutdownDone <- srv.Shutdown(ctx)
-	}()
-
-	// Shutdown must not complete while the slow request is in flight.
-	select {
-	case err := <-shutdownDone:
-		t.Fatalf("shutdown returned (%v) with a request in flight", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-
-	close(release)
-	got := <-slow
-	if got.err != nil || got.body != "done" {
-		t.Errorf("in-flight request during shutdown: body %q, err %v", got.body, got.err)
-	}
-	if err := <-shutdownDone; err != nil {
-		t.Errorf("shutdown: %v", err)
-	}
-	if _, err := http.Get(base + "/healthz"); err == nil {
-		t.Error("connection accepted after shutdown")
 	}
 }
 
