@@ -168,10 +168,9 @@ func cmdOrganize(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint the search to this path (dimension i appends .dim<i>); Ctrl-C stops gracefully with the best-so-far result")
 	resume := fs.Bool("resume", false, "resume the search from -checkpoint files when present")
 	timeout := fs.Duration("timeout", 0, "optional build time budget; on expiry the best organization so far is returned")
-	workers := fs.Int("workers", 0, "evaluator goroutine pool size; 0 uses all CPUs (results are identical for any value)")
 	restarts := fs.Int("restarts", 1, "independent searches per dimension, keeping the most effective (restart r appends .r<r> to checkpoint files)")
 	progress := fs.String("progress", "", "stream optimizer progress to this file as NDJSON, one event per iteration")
-	formatName := fs.String("format", "json", "format for -export and -checkpoint files: json or bin")
+	formatName := fs.String("format", "json", "format for -export files: json or bin (checkpoints are always bin)")
 	_ = fs.Parse(args) // ExitOnError: Parse exits on bad flags
 	format, err := lakenav.ParseFormat(*formatName)
 	if err != nil {
@@ -186,9 +185,7 @@ func cmdOrganize(args []string) error {
 	cfg.Optimize = !*noOpt
 	cfg.Seed = *seed
 	cfg.CheckpointPath = *checkpoint
-	cfg.CheckpointBinary = format == lakenav.FormatBin
 	cfg.Resume = *resume
-	cfg.Workers = *workers
 	cfg.Restarts = *restarts
 	var sink *obs.Sink
 	if *progress != "" {

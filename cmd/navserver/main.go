@@ -47,7 +47,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "checkpoint the background build to this path (dimension i appends .dim<i>)")
 	resume := flag.Bool("resume", false, "resume the background build from -checkpoint files when present")
 	maxInflight := flag.Int("max-inflight", 64, "maximum concurrently served requests before shedding with 503")
-	workers := flag.Int("workers", 0, "evaluator goroutine pool size for the background build; 0 uses all CPUs")
 	restarts := flag.Int("restarts", 1, "independent searches per dimension in the background build, keeping the most effective")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables")
 	cacheSize := flag.Int("cache-size", 0, "query-result cache capacity in entries; 0 uses the default, negative disables caching")
@@ -77,7 +76,7 @@ func main() {
 		opts.Generations = *generations
 	}
 	s := navhttp.New(lakenav.NewSearchEngine(l), opts)
-	ingestCfg := lakenav.IngestConfig{Reoptimize: *reoptimize, Seed: 1, Workers: *workers}
+	ingestCfg := lakenav.IngestConfig{Reoptimize: *reoptimize, Seed: 1}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -111,7 +110,6 @@ func main() {
 		cfg.Dimensions = *dims
 		cfg.CheckpointPath = *checkpoint
 		cfg.Resume = *resume
-		cfg.Workers = *workers
 		cfg.Restarts = *restarts
 		// Optimizer progress events drive the build.* gauges, so an
 		// operator can watch a long build converge via /metrics.

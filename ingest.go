@@ -24,8 +24,6 @@ type IngestConfig struct {
 	MaxIterations int
 	// RepFraction approximates search evaluation (see Config).
 	RepFraction float64
-	// Workers bounds the evaluator pool during reoptimization.
-	Workers int
 }
 
 // IngestPipeline replays journal batches into a working lake and its
@@ -106,7 +104,6 @@ func (p *IngestPipeline) Apply(b journal.Batch) error {
 			_, err := core.ReoptimizeLocal(p.org.m.Orgs[i], cs, core.OptimizeConfig{
 				RepFraction:   p.cfg.RepFraction,
 				MaxIterations: p.cfg.MaxIterations,
-				Workers:       p.cfg.Workers,
 				// Distinct stream per (batch, dimension), fully derived
 				// from the journal position: replay is deterministic.
 				Seed: p.cfg.Seed + int64(p.applied)*7919 + int64(i)*104729,

@@ -332,7 +332,7 @@ func ReoptimizeLocal(org *Org, cs *ChangeSet, cfg OptimizeConfig) (*OptimizeStat
 
 	src := newSearchSource(cfg.Seed)
 	rng := newSearchRand(src)
-	ev, err := NewEvaluatorWorkers(org, cfg.RepFraction, rng, cfg.Workers)
+	ev, err := NewEvaluator(org, cfg.RepFraction, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -7,14 +7,12 @@ import (
 	"lakenav/internal/binfmt"
 )
 
-// Binary checkpoint format (binfmt.KindCheckpoint). Checkpoints are
-// write-bound — every EveryAccepted boundary serializes the whole
-// search — so the binary flavor packs the scalar state into one meta
-// section and stores Current/Best as nested structural org containers
-// (see binorg.go), skipping both JSON reflection and the topic blocks
-// (Import re-derives them from the lake on resume). DecodeCheckpoint
-// remains the JSON debug/export path; LoadCheckpoint sniffs the magic
-// and accepts either format.
+// Checkpoint format (binfmt.KindCheckpoint), the only checkpoint
+// encoding. Checkpoints are write-bound — every EveryAccepted boundary
+// serializes the whole search — so the format packs the scalar state
+// into one meta section and stores Current/Best as nested structural
+// org containers (see binorg.go), skipping reflection and the topic
+// blocks (Import re-derives them from the lake on resume).
 
 // ckFormatVersion is the kindVer of checkpoint containers.
 const ckFormatVersion = 1
@@ -118,9 +116,9 @@ func encodeBinCheckpoint(ck *Checkpoint) (*binfmt.Writer, error) {
 	return w, nil
 }
 
-// DecodeBinCheckpoint decodes a binary checkpoint. Like
-// DecodeCheckpoint it never returns a checkpoint that fails validate():
-// resumable state is either structurally sound or rejected whole.
+// DecodeBinCheckpoint decodes a binary checkpoint. It never returns a
+// checkpoint that fails validate(): resumable state is either
+// structurally sound or rejected whole.
 func DecodeBinCheckpoint(data []byte) (*Checkpoint, error) {
 	c, err := binfmt.New(data)
 	if err != nil {
@@ -165,7 +163,6 @@ func DecodeBinCheckpoint(data []byte) (*Checkpoint, error) {
 			Seed:              int64(meta[ckMetaSeed]),
 			CheckpointEvery:   int(int64(meta[ckMetaCheckpointEvery])),
 		},
-		binary: true,
 	}
 
 	strs, err := binfmt.ReadStringTable(c, secCkStrOffs, secCkStrBytes)

@@ -71,7 +71,6 @@ func FuzzReadBinCheckpoint(f *testing.F) {
 		TagGroup: []string{"fishery"},
 		Current:  o.Export(),
 		Best:     o.Export(),
-		binary:   true,
 	}
 	w, err := encodeBinCheckpoint(ck)
 	if err != nil {

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
-	"lakenav/internal/atomicio"
 	"lakenav/internal/binfmt"
 	"lakenav/internal/lake"
 )
@@ -41,11 +37,6 @@ type CheckpointConfig struct {
 	// belongs to a different dimension or grouping.
 	Dim      int
 	TagGroup []string
-	// Binary writes checkpoints in the binfmt container format instead
-	// of JSON, cutting per-snapshot serialization cost. LoadCheckpoint
-	// accepts either format; a resumed search keeps checkpointing in
-	// the format it was loaded from.
-	Binary bool
 }
 
 func (c *CheckpointConfig) defaults() {
@@ -58,51 +49,48 @@ func (c *CheckpointConfig) defaults() {
 // the search trajectory; a resumed search runs under the checkpointed
 // config, not the caller's.
 type SearchConfig struct {
-	RepFraction       float64 `json:"repFraction,omitempty"`
-	MaxIterations     int     `json:"maxIterations"`
-	Window            int     `json:"window"`
-	MinRelImprovement float64 `json:"minRelImprovement"`
-	LeafProposals     int     `json:"leafProposals"`
-	AcceptExponent    float64 `json:"acceptExponent"`
-	Seed              int64   `json:"seed"`
-	CheckpointEvery   int     `json:"checkpointEvery"`
+	RepFraction       float64
+	MaxIterations     int
+	Window            int
+	MinRelImprovement float64
+	LeafProposals     int
+	AcceptExponent    float64
+	Seed              int64
+	CheckpointEvery   int
 }
 
 // Checkpoint is a resumable snapshot of an in-progress local search:
 // the current organization, the best one seen so far, every counter
 // the termination and plateau rules depend on, and the RNG state.
 type Checkpoint struct {
-	Version int `json:"version"`
+	Version int
 	// Dim and TagGroup identify the dimension of a multi-dimensional
 	// build, so a restart never resumes dimension 2 from dimension 0's
 	// file or from a checkpoint of a differently grouped lake.
-	Dim      int      `json:"dim"`
-	TagGroup []string `json:"tagGroup,omitempty"`
+	Dim      int
+	TagGroup []string
 
-	Config SearchConfig `json:"config"`
+	Config SearchConfig
 
-	Iterations   int     `json:"iterations"`
-	Accepted     int     `json:"accepted"`
-	Rejected     int     `json:"rejected"`
-	SinceImprove int     `json:"sinceImprove"`
-	PlateauRef   float64 `json:"plateauRef"`
-	InitialEff   float64 `json:"initialEff"`
-	BestEff      float64 `json:"bestEff"`
-	RNGState     uint64  `json:"rngState"`
+	Iterations   int
+	Accepted     int
+	Rejected     int
+	SinceImprove int
+	PlateauRef   float64
+	InitialEff   float64
+	BestEff      float64
+	RNGState     uint64
 
 	// Current is the organization the search continues from.
-	Current *ExportedOrg `json:"current"`
+	Current *ExportedOrg
 	// Best is the best organization seen, when it differs from Current
 	// (accepted-but-not-improving operations move the walk off the
 	// best state); nil means Current is the best.
-	Best *ExportedOrg `json:"best,omitempty"`
+	Best *ExportedOrg
 
 	// path remembers where the checkpoint was loaded from so a resumed
 	// search keeps checkpointing to the same file.
 	path string
-	// binary remembers the on-disk format the checkpoint was loaded
-	// from (or configured with), so a resumed search keeps writing it.
-	binary bool
 }
 
 // searchConfig rebuilds the OptimizeConfig a resumed search runs under.
@@ -119,7 +107,6 @@ func (ck *Checkpoint) searchConfig() OptimizeConfig {
 		Checkpoint: &CheckpointConfig{
 			Path:          ck.path,
 			EveryAccepted: c.CheckpointEvery,
-			Binary:        ck.binary,
 		},
 	}
 }
@@ -158,65 +145,34 @@ func (ck *Checkpoint) validate() error {
 	return nil
 }
 
-// SaveCheckpoint atomically writes ck to path, in the binfmt container
-// format when the checkpoint is binary-flagged and JSON otherwise.
+// SaveCheckpoint atomically writes ck to path in the binfmt container
+// format (bincheckpoint.go).
 func SaveCheckpoint(path string, ck *Checkpoint) error {
-	if ck.binary {
-		w, err := encodeBinCheckpoint(ck)
-		if err != nil {
-			return fmt.Errorf("core: save checkpoint: %w", err)
-		}
-		if err := binfmt.WriteFile(path, w); err != nil {
-			return fmt.Errorf("core: save checkpoint: %w", err)
-		}
-		return nil
-	}
-	err := atomicio.WriteFile(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		return enc.Encode(ck)
-	})
+	w, err := encodeBinCheckpoint(ck)
 	if err != nil {
+		return fmt.Errorf("core: save checkpoint: %w", err)
+	}
+	if err := binfmt.WriteFile(path, w); err != nil {
 		return fmt.Errorf("core: save checkpoint: %w", err)
 	}
 	return nil
 }
 
 // LoadCheckpoint reads and validates a checkpoint written by
-// SaveCheckpoint, sniffing the container magic so both the binary and
-// the JSON format are accepted. A torn, truncated, or otherwise
-// invalid file returns an error; callers are expected to fall back to
-// a fresh build.
+// SaveCheckpoint. A torn, truncated, foreign (including the retired
+// JSON encoding) or otherwise invalid file returns an error; callers
+// are expected to fall back to a fresh build.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: load checkpoint: %w", err)
 	}
-	var ck *Checkpoint
-	if binfmt.IsMagic(data) {
-		ck, err = DecodeBinCheckpoint(data)
-	} else {
-		ck, err = DecodeCheckpoint(bytes.NewReader(data))
-	}
+	ck, err := DecodeBinCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: load checkpoint %s: %w", path, err)
 	}
 	ck.path = path
 	return ck, nil
-}
-
-// DecodeCheckpoint decodes and validates a checkpoint from a stream.
-// It accepts exactly what LoadCheckpoint accepts from a file, and never
-// returns a checkpoint that fails validate() — resumable state is
-// either structurally sound or rejected whole.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var ck Checkpoint
-	if err := json.NewDecoder(r).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
-	}
-	if err := ck.validate(); err != nil {
-		return nil, err
-	}
-	return &ck, nil
 }
 
 // rebuildSearchState reconstructs the live search state a checkpoint
@@ -237,9 +193,9 @@ func rebuildSearchState(l *lake.Lake, cfg OptimizeConfig, ck *Checkpoint) (*Org,
 	// evaluator construction did (attribute set and leaf topics are
 	// invariant under search operations), reproducing the original
 	// query set; the search RNG position is then restored explicitly.
-	// Workers is free to differ between the original and resumed process
-	// — pool size never changes evaluation results.
-	ev, err := NewEvaluatorWorkers(org, cfg.RepFraction, rng, cfg.Workers)
+	// GOMAXPROCS is free to differ between the original and resumed
+	// process — pool size never changes evaluation results.
+	ev, err := NewEvaluator(org, cfg.RepFraction, rng)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: checkpoint evaluator: %w", err)
 	}

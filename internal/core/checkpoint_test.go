@@ -93,7 +93,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgR, statsR, err := ResumeOptimizeContext(context.Background(), tcI.Lake, ck)
+	orgR, statsR, err := ResumeOptimizeRuntime(context.Background(), tcI.Lake, ck, RuntimeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +238,13 @@ func TestLoadCheckpointRejectsCorruptFiles(t *testing.T) {
 		t.Error("truncated checkpoint loaded")
 	}
 
-	// Tampered fields that pass JSON decoding but fail validation.
+	// Tampered fields that encode cleanly but fail validation.
 	tamper := func(name string, mutate func(*Checkpoint)) {
 		t.Helper()
 		bad := *ck
 		mutate(&bad)
 		p := filepath.Join(dir, name)
-		data, err := json.Marshal(&bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, data, 0o644); err != nil {
+		if err := SaveCheckpoint(p, &bad); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadCheckpoint(p); err == nil {
@@ -256,9 +252,53 @@ func TestLoadCheckpointRejectsCorruptFiles(t *testing.T) {
 		}
 	}
 	tamper("badversion.ck", func(c *Checkpoint) { c.Version = 99 })
-	tamper("noorg.ck", func(c *Checkpoint) { c.Current = nil })
 	tamper("negative.ck", func(c *Checkpoint) { c.Accepted = -1 })
 	tamper("inconsistent.ck", func(c *Checkpoint) { c.Accepted = 100 })
+	// A checkpoint without a current organization cannot even be
+	// written: the encoder refuses it, and validate() would too.
+	noOrg := *ck
+	noOrg.Current = nil
+	if err := SaveCheckpoint(filepath.Join(dir, "noorg.ck"), &noOrg); err == nil {
+		t.Error("checkpoint without a current organization saved")
+	}
+	if noOrg.validate() == nil {
+		t.Error("checkpoint without a current organization validated")
+	}
+
+	// The retired JSON encoding is a clean load error, not a fallback.
+	legacy := filepath.Join(dir, "legacy.ck")
+	writeLegacyJSONCheckpoint(t, legacy, ck)
+	if _, err := LoadCheckpoint(legacy); err == nil {
+		t.Error("JSON-encoded checkpoint loaded")
+	}
+}
+
+// writeLegacyJSONCheckpoint writes ck in the JSON encoding checkpoints
+// used before binfmt became the only one.
+func writeLegacyJSONCheckpoint(t *testing.T, path string, ck *Checkpoint) {
+	t.Helper()
+	c := ck.Config
+	data, err := json.Marshal(map[string]any{
+		"version":  ck.Version,
+		"dim":      ck.Dim,
+		"tagGroup": ck.TagGroup,
+		"config": map[string]any{
+			"repFraction": c.RepFraction, "maxIterations": c.MaxIterations,
+			"window": c.Window, "minRelImprovement": c.MinRelImprovement,
+			"leafProposals": c.LeafProposals, "acceptExponent": c.AcceptExponent,
+			"seed": c.Seed, "checkpointEvery": c.CheckpointEvery,
+		},
+		"iterations": ck.Iterations, "accepted": ck.Accepted, "rejected": ck.Rejected,
+		"sinceImprove": ck.SinceImprove, "plateauRef": ck.PlateauRef,
+		"initialEff": ck.InitialEff, "bestEff": ck.BestEff, "rngState": ck.RNGState,
+		"current": ck.Current,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCheckpointMatchesDimension(t *testing.T) {
@@ -359,48 +399,71 @@ func TestBuildMultiDimContextCancelAndResume(t *testing.T) {
 	}
 }
 
-// Resume gating: a checkpoint for the wrong seed or tag group is
-// silently ignored and the dimension rebuilds from scratch.
+// Resume gating: a checkpoint for the wrong seed or tag group, or one
+// in the retired JSON encoding, is silently ignored and the dimension
+// rebuilds from scratch.
 func TestResumeIgnoresIncompatibleCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "gate.ck")
-	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
-	if err != nil {
-		t.Fatal(err)
+	tc, o := checkpointLakeOrg(t)
+	build := func(base string, resume bool) (*MultiDim, []*OptimizeStats) {
+		t.Helper()
+		m, stats, err := BuildMultiDimContext(context.Background(), tc.Lake, MultiDimConfig{
+			K:          1,
+			Optimize:   &OptimizeConfig{MaxIterations: 60},
+			Seed:       7,
+			Checkpoint: &CheckpointConfig{Path: base, EveryAccepted: 1000},
+			Resume:     resume,
+		})
+		if err != nil {
+			t.Fatalf("incompatible checkpoint failed the build: %v", err)
+		}
+		return m, stats
 	}
-	o, err := NewClustered(tc.Lake, BuildConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A checkpoint stamped with an alien tag group under dimension 0's
-	// path.
-	ck := &Checkpoint{
-		Version:  checkpointVersion,
-		Dim:      0,
-		TagGroup: []string{"not", "your", "tags"},
-		Config:   SearchConfig{MaxIterations: 10, Window: 5, Seed: 999},
-		Current:  o.Export(),
-	}
-	if err := SaveCheckpoint(DimCheckpointPath(base, 0), ck); err != nil {
-		t.Fatal(err)
-	}
-	opt := OptimizeConfig{MaxIterations: 60}
-	m, _, err := BuildMultiDimContext(context.Background(), tc.Lake, MultiDimConfig{
-		K:          1,
-		Optimize:   &opt,
-		Seed:       7,
-		Checkpoint: &CheckpointConfig{Path: base, EveryAccepted: 1000},
-		Resume:     true,
-	})
-	if err != nil {
-		t.Fatalf("incompatible checkpoint failed the build: %v", err)
-	}
-	if m.Truncated {
-		t.Error("fresh build truncated")
-	}
-	for _, o := range m.Orgs {
-		if err := o.Validate(); err != nil {
-			t.Fatal(err)
+	fresh, _ := build(filepath.Join(t.TempDir(), "fresh.ck"), false)
+	for _, c := range []struct {
+		name  string
+		write func(path string)
+	}{
+		// A checkpoint stamped with an alien tag group and seed.
+		{"alien", func(path string) {
+			ck := &Checkpoint{
+				Version:  checkpointVersion,
+				Dim:      0,
+				TagGroup: []string{"not", "your", "tags"},
+				Config:   SearchConfig{MaxIterations: 10, Window: 5, Seed: 999},
+				Current:  o.Export(),
+			}
+			if err := SaveCheckpoint(path, ck); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A checkpoint for exactly this dimension and seed in the old
+		// JSON encoding: only the encoding keeps it from resuming.
+		{"legacy JSON", func(path string) {
+			writeLegacyJSONCheckpoint(t, path, &Checkpoint{
+				Version:    checkpointVersion,
+				TagGroup:   fresh.TagGroups[0],
+				Config:     SearchConfig{MaxIterations: 60, Window: 50, Seed: 7},
+				Iterations: 1, Accepted: 1,
+				Current: o.Export(),
+			})
+		}},
+	} {
+		base := filepath.Join(t.TempDir(), "gate.ck")
+		c.write(DimCheckpointPath(base, 0))
+		m, stats := build(base, true)
+		if m.Truncated {
+			t.Errorf("%s: fresh build truncated", c.name)
+		}
+		if stats[0].Resumed {
+			t.Errorf("%s: build resumed from an incompatible checkpoint", c.name)
+		}
+		for _, o := range m.Orgs {
+			if err := o.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.Fingerprint() != fresh.Fingerprint() {
+			t.Errorf("%s: build differs from a fresh build", c.name)
 		}
 	}
 }

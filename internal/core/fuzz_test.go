@@ -37,40 +37,3 @@ func FuzzReadOrg(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeCheckpoint drives arbitrary bytes through checkpoint
-// decoding. DecodeCheckpoint must never panic, and anything it accepts
-// must re-validate — the resume path trusts validated checkpoints
-// completely, so acceptance of malformed state would surface later as
-// a corrupted search.
-func FuzzDecodeCheckpoint(f *testing.F) {
-	l := testLake(f)
-	o, err := NewClustered(l, BuildConfig{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	ck := &Checkpoint{
-		Version:    checkpointVersion,
-		Config:     SearchConfig{MaxIterations: 10, Window: 5, Seed: 1},
-		Iterations: 4, Accepted: 3, Rejected: 1,
-		Current: o.Export(),
-	}
-	valid, err := json.Marshal(ck)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":1}`))
-	f.Add([]byte(`{"version":99,"config":{"seed":1}}`))
-	f.Add([]byte(`null`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if verr := ck.validate(); verr != nil {
-			t.Fatalf("DecodeCheckpoint accepted a checkpoint that fails validate: %v", verr)
-		}
-	})
-}

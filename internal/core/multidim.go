@@ -49,12 +49,11 @@ type MultiDimConfig struct {
 	// Checkpoint.Path + ".dim<i>". A dimension that finishes its search
 	// uninterrupted removes its file.
 	Checkpoint *CheckpointConfig
-	// Resume, together with Checkpoint, resumes any dimension whose
-	// checkpoint file exists, parses, and matches the dimension's tag
-	// group; stale or corrupt files are ignored and the dimension is
-	// rebuilt from scratch — resume never fails a build. Resume applies
-	// only to single-restart builds: with Restarts > 1 each dimension is
-	// a fresh multi-restart search.
+	// Resume, together with Checkpoint, resumes every search (each
+	// restart of each dimension) whose checkpoint file exists, parses,
+	// and matches the search's dimension, tag group and seed; stale or
+	// corrupt files are ignored and that search starts from scratch —
+	// resume never fails a build.
 	Resume bool
 	// Restarts runs each dimension's local search that many times with
 	// derived seeds and keeps the most effective result (values < 2 run
@@ -179,10 +178,6 @@ func BuildMultiDimContext(ctx context.Context, l *lake.Lake, cfg MultiDimConfig)
 				base(p)
 			}
 		}
-		restarts := cfg.Restarts
-		if restarts < 1 {
-			restarts = 1
-		}
 		if cfg.Checkpoint != nil {
 			cc := *cfg.Checkpoint
 			cc.Path = DimCheckpointPath(cfg.Checkpoint.Path, i)
@@ -190,31 +185,21 @@ func BuildMultiDimContext(ctx context.Context, l *lake.Lake, cfg MultiDimConfig)
 			cc.TagGroup = groups[i]
 			oc.Checkpoint = &cc
 		}
-		var o *Org
-		var st *OptimizeStats
-		if restarts > 1 {
-			var err error
-			o, st, err = OptimizeRestartsContext(ctx, func() (*Org, error) {
-				return NewClustered(l, bc)
-			}, oc, restarts)
+		o, st, err := optimizeRestarts(ctx, oc, cfg.Restarts, func(rc OptimizeConfig) (*Org, *OptimizeStats, error) {
+			if cfg.Resume {
+				if o, st := resumeSearch(ctx, l, rc); o != nil {
+					return o, st, nil
+				}
+			}
+			built, err := NewClustered(l, bc)
 			if err != nil {
-				errs[i] = fmt.Errorf("core: dimension %d optimize: %w", i, err)
-				return
+				return nil, nil, err
 			}
-		} else {
-			o, st = resumeDimension(ctx, l, i, groups[i], oc, cfg.Resume)
-			if o == nil {
-				built, err := NewClustered(l, bc)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: dimension %d: %w", i, err)
-					return
-				}
-				o, st, err = OptimizeContext(ctx, built, oc)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: dimension %d optimize: %w", i, err)
-					return
-				}
-			}
+			return OptimizeContext(ctx, built, rc)
+		})
+		if err != nil {
+			errs[i] = fmt.Errorf("core: dimension %d: %w", i, err)
+			return
 		}
 		if oc.Checkpoint != nil && oc.Checkpoint.Path != "" && !st.Truncated {
 			// The search converged; the checkpoints have served their
@@ -222,7 +207,7 @@ func BuildMultiDimContext(ctx context.Context, l *lake.Lake, cfg MultiDimConfig)
 			// failed removal is harmless — resume validation rejects a
 			// stale file — so the errors are deliberately dropped.
 			_ = os.Remove(oc.Checkpoint.Path)
-			for r := 0; r < restarts; r++ {
+			for r := 0; r < cfg.Restarts; r++ {
 				_ = os.Remove(RestartCheckpointPath(oc.Checkpoint.Path, r))
 			}
 		}
@@ -269,23 +254,24 @@ func BuildMultiDimContext(ctx context.Context, l *lake.Lake, cfg MultiDimConfig)
 	return m, stats, nil
 }
 
-// resumeDimension tries to continue dimension i from its checkpoint
-// file. Any failure — missing file, torn JSON, wrong dimension or tag
-// group, an import that no longer matches the lake — returns (nil, nil)
-// and the caller rebuilds from scratch; a checkpoint can speed a
-// restart up but can never break one.
-func resumeDimension(ctx context.Context, l *lake.Lake, dim int, tags []string, oc OptimizeConfig, resume bool) (*Org, *OptimizeStats) {
-	if !resume || oc.Checkpoint == nil || oc.Checkpoint.Path == "" {
+// resumeSearch tries to continue the search cfg describes from its
+// checkpoint file. Any failure — missing file, one that does not
+// decode, a wrong dimension, tag group or seed, an import that no
+// longer matches the lake — returns (nil, nil) and the caller searches
+// from scratch; a checkpoint can speed a restart up but can never
+// break one.
+func resumeSearch(ctx context.Context, l *lake.Lake, cfg OptimizeConfig) (*Org, *OptimizeStats) {
+	c := cfg.Checkpoint
+	if c == nil || c.Path == "" {
 		return nil, nil
 	}
-	ck, err := LoadCheckpoint(oc.Checkpoint.Path)
-	if err != nil || !ck.MatchesDimension(dim, tags) || ck.Config.Seed != oc.Seed {
+	ck, err := LoadCheckpoint(c.Path)
+	if err != nil || !ck.MatchesDimension(c.Dim, c.TagGroup) || ck.Config.Seed != cfg.Seed {
 		return nil, nil
 	}
-	// The checkpoint dictates the trajectory; the caller's runtime-only
-	// knobs (pool size, observation hooks) carry over.
-	rt := RuntimeConfig{Workers: oc.Workers, Progress: oc.Progress, Probe: oc.Probe}
-	o, st, err := ResumeOptimizeRuntime(ctx, l, ck, rt)
+	// The checkpoint dictates the trajectory; the caller's observation
+	// hooks carry over.
+	o, st, err := ResumeOptimizeRuntime(ctx, l, ck, RuntimeConfig{Progress: cfg.Progress, Probe: cfg.Probe})
 	if err != nil {
 		return nil, nil
 	}

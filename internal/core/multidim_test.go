@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"lakenav/internal/synth"
@@ -216,4 +219,46 @@ func splitLabel(s string) []string {
 	}
 	out = append(out, s[start:])
 	return out
+}
+
+// Construction is bit-identical at any GOMAXPROCS. The build nests two
+// parallel layers — dimensions searching concurrently and each
+// evaluator's per-query pool, both sized by GOMAXPROCS — and runs
+// checkpoint reconstruction; none of them may change the answer.
+func TestBuildMultiDimGOMAXPROCSInvariance(t *testing.T) {
+	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(procs int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m, stats, err := BuildMultiDimContext(context.Background(), tc.Lake, MultiDimConfig{
+			K:          2,
+			Optimize:   &OptimizeConfig{MaxIterations: 200, Window: 100},
+			Seed:       7,
+			Parallel:   true,
+			Checkpoint: &CheckpointConfig{Path: filepath.Join(t.TempDir(), "p.ck"), EveryAccepted: 3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Orgs) != 2 {
+			t.Fatalf("built %d dimensions, want 2", len(m.Orgs))
+		}
+		for i, st := range stats {
+			if st.Checkpoints == 0 {
+				t.Fatalf("dimension %d never checkpointed; reconstruction untested", i)
+			}
+		}
+		return m.Fingerprint()
+	}
+	serial := build(1)
+	forks := metricParallelForks.Value()
+	parallel := build(4)
+	if metricParallelForks.Value() == forks {
+		t.Fatal("evaluator pool never forked at GOMAXPROCS 4; the test proves nothing")
+	}
+	if serial != parallel {
+		t.Errorf("fingerprint at GOMAXPROCS 1 %x != at GOMAXPROCS 4 %x", serial, parallel)
+	}
 }

@@ -33,11 +33,6 @@ type OptimizeConfig struct {
 	// are the most numerous states, so they are sampled. Zero means 25;
 	// negative disables leaf proposals.
 	LeafProposals int
-	// Workers bounds the evaluator's goroutine pool for the per-query
-	// loops; 0 selects GOMAXPROCS. Evaluation results — and therefore
-	// the search trajectory — are identical for every value, so Workers
-	// is not part of the checkpointed trajectory config.
-	Workers int
 	// AcceptExponent controls the downhill-acceptance rule. Negative
 	// (the default) is greedy: only non-worsening operations are
 	// accepted. Positive values accept a worse organization with
@@ -52,7 +47,7 @@ type OptimizeConfig struct {
 	// Seed drives proposal and acceptance randomness.
 	Seed int64
 	// Checkpoint, when non-nil, periodically snapshots the search so a
-	// killed build can resume where it left off (ResumeOptimizeContext).
+	// killed build can resume where it left off (ResumeOptimizeRuntime).
 	// Only OptimizeContext supports it: resuming and boundary
 	// reconstruction may return a different *Org than the input.
 	Checkpoint *CheckpointConfig
@@ -67,8 +62,7 @@ type OptimizeConfig struct {
 	// multi-dimensional builds, concurrently from each dimension's
 	// goroutine — so implementations must be goroutine-safe and fast.
 	// Progress is observation only: it can never change the search
-	// trajectory, so (like Workers) it is not part of the checkpointed
-	// config.
+	// trajectory, so it is not part of the checkpointed config.
 	Progress func(ProgressEvent)
 }
 
@@ -102,11 +96,9 @@ type ProgressEvent struct {
 }
 
 // RuntimeConfig carries the knobs of a resumed search that are not
-// part of the checkpointed trajectory: they change how the search runs
-// (pool size, observation hooks), never where it goes.
+// part of the checkpointed trajectory: observation hooks that watch the
+// search, never steer it.
 type RuntimeConfig struct {
-	// Workers bounds the evaluator pool; 0 selects GOMAXPROCS.
-	Workers int
 	// Progress receives per-iteration events (see OptimizeConfig).
 	Progress func(ProgressEvent)
 	// Probe is the fault-injection test hook (see OptimizeConfig).
@@ -203,7 +195,7 @@ func OptimizeContext(ctx context.Context, org *Org, cfg OptimizeConfig) (*Org, *
 	cfg.defaults()
 	src := newSearchSource(cfg.Seed)
 	rng := newSearchRand(src)
-	ev, err := NewEvaluatorWorkers(org, cfg.RepFraction, rng, cfg.Workers)
+	ev, err := NewEvaluator(org, cfg.RepFraction, rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,25 +218,16 @@ func OptimizeContext(ctx context.Context, org *Org, cfg OptimizeConfig) (*Org, *
 	return s.run()
 }
 
-// ResumeOptimizeContext continues a search from a checkpoint over the
+// ResumeOptimizeRuntime continues a search from a checkpoint over the
 // lake it was built on. The search runs under the checkpointed config
 // (including its seed and checkpoint cadence) and keeps checkpointing
 // to the file the checkpoint was loaded from. Because checkpoints are
 // written at reconstruction boundaries, the resumed trajectory is
 // identical to the one an uninterrupted process would have followed:
-// only the work since the last checkpoint is redone.
-func ResumeOptimizeContext(ctx context.Context, l *lake.Lake, ck *Checkpoint) (*Org, *OptimizeStats, error) {
-	return ResumeOptimizeRuntime(ctx, l, ck, RuntimeConfig{})
-}
-
-// ResumeOptimizeRuntime is ResumeOptimizeContext with explicit runtime
-// knobs. The checkpoint dictates the trajectory (seed, window, cadence
-// — the resumed result is identical either way); rt carries only the
-// observation hooks and pool size the checkpoint deliberately does not
-// store.
+// only the work since the last checkpoint is redone. rt carries only
+// the observation hooks the checkpoint deliberately does not store.
 func ResumeOptimizeRuntime(ctx context.Context, l *lake.Lake, ck *Checkpoint, rt RuntimeConfig) (*Org, *OptimizeStats, error) {
 	cfg := ck.searchConfig()
-	cfg.Workers = rt.Workers
 	cfg.Progress = rt.Progress
 	cfg.Probe = rt.Probe
 	cfg.defaults()
@@ -508,7 +491,6 @@ func (s *search) checkpoint() error {
 		Current:      cur,
 		Best:         best,
 		path:         s.cfg.Checkpoint.Path,
-		binary:       s.cfg.Checkpoint.Binary,
 	}
 	if ck.path != "" {
 		if err := SaveCheckpoint(ck.path, ck); err != nil {
@@ -754,15 +736,6 @@ func worstLeafParent(org *Org, sid StateID, meanReach []float64) StateID {
 // debugOptimizer enables proposal tracing (LAKENAV_DEBUG_OPT=1).
 var debugOptimizer = os.Getenv("LAKENAV_DEBUG_OPT") == "1"
 
-// OptimizeRestarts runs the local search restarts times with different
-// seeds, each on a fresh copy of the initial organization built by
-// build, and returns the most effective result. Greedy acceptance makes
-// individual runs cheap but local; independent restarts are the
-// standard remedy. The build function is called once per restart.
-func OptimizeRestarts(build func() (*Org, error), cfg OptimizeConfig, restarts int) (*Org, *OptimizeStats, error) {
-	return OptimizeRestartsContext(context.Background(), build, cfg, restarts)
-}
-
 // RestartCheckpointPath derives the checkpoint file restart r of a
 // multi-restart search writes to: base + ".r<r>". Restarts are
 // independent searches with different seeds, so they must never share a
@@ -773,14 +746,32 @@ func RestartCheckpointPath(base string, r int) string {
 	return fmt.Sprintf("%s.r%d", base, r)
 }
 
-// OptimizeRestartsContext is OptimizeRestarts with cancellation and
-// checkpoint support. Cancellation degrades gracefully: the in-flight
-// restart stops at its next iteration boundary, later restarts are
-// skipped, and the best organization found so far is returned with
-// stats.Truncated set — never an error. When cfg.Checkpoint is set and
-// restarts > 1, each restart snapshots to its own derived path
-// (RestartCheckpointPath), so concurrent progress files never collide.
+// OptimizeRestartsContext runs the local search restarts times with
+// different seeds, each on a fresh copy of the initial organization
+// built by build, and returns the most effective result. Greedy
+// acceptance makes individual runs cheap but local; independent
+// restarts are the standard remedy. Cancellation degrades gracefully:
+// the in-flight restart stops at its next iteration boundary, later
+// restarts are skipped, and the best organization found so far is
+// returned with stats.Truncated set — never an error. When
+// cfg.Checkpoint is set and restarts > 1, each restart snapshots to its
+// own derived path (RestartCheckpointPath), so concurrent progress
+// files never collide.
 func OptimizeRestartsContext(ctx context.Context, build func() (*Org, error), cfg OptimizeConfig, restarts int) (*Org, *OptimizeStats, error) {
+	return optimizeRestarts(ctx, cfg, restarts, func(rc OptimizeConfig) (*Org, *OptimizeStats, error) {
+		org, err := build()
+		if err != nil {
+			return nil, nil, err
+		}
+		return OptimizeContext(ctx, org, rc)
+	})
+}
+
+// optimizeRestarts is the restart loop behind OptimizeRestartsContext
+// and multi-dimensional builds: restart r calls search with cfg's
+// derived seed, progress stamp and checkpoint path, and the most
+// effective result wins.
+func optimizeRestarts(ctx context.Context, cfg OptimizeConfig, restarts int, search func(OptimizeConfig) (*Org, *OptimizeStats, error)) (*Org, *OptimizeStats, error) {
 	if restarts < 1 {
 		restarts = 1
 	}
@@ -792,10 +783,6 @@ func OptimizeRestartsContext(ctx context.Context, build func() (*Org, error), cf
 			// and the result is best-so-far, marked truncated.
 			bestStats.Truncated = true
 			break
-		}
-		org, err := build()
-		if err != nil {
-			return nil, nil, err
 		}
 		runCfg := cfg
 		runCfg.Seed = cfg.Seed + int64(r)*104729
@@ -814,7 +801,7 @@ func OptimizeRestartsContext(ctx context.Context, build func() (*Org, error), cf
 			ck.Path = RestartCheckpointPath(cfg.Checkpoint.Path, r)
 			runCfg.Checkpoint = &ck
 		}
-		res, stats, err := OptimizeContext(ctx, org, runCfg)
+		res, stats, err := search(runCfg)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -29,13 +29,13 @@ func resolveWorkers(w int) int {
 }
 
 // ParallelFor runs fn over the contiguous chunks of [0, n) on up to
-// workers goroutines and returns when all chunks are done; workers <= 0
-// selects GOMAXPROCS. It is the exported form of the evaluator's pool
-// for other read-only fan-outs (the serving layer's batched evaluation):
-// fn must confine its writes to index ranges it owns, which keeps
-// results deterministic for every worker count.
-func ParallelFor(n, workers int, fn func(lo, hi int)) {
-	parallelFor(n, resolveWorkers(workers), fn)
+// GOMAXPROCS goroutines and returns when all chunks are done. It is the
+// exported form of the evaluator's pool for other read-only fan-outs
+// (the serving layer's batched evaluation): fn must confine its writes
+// to index ranges it owns, which keeps results deterministic for every
+// pool size.
+func ParallelFor(n int, fn func(lo, hi int)) {
+	parallelFor(n, runtime.GOMAXPROCS(0), fn)
 }
 
 // parallelFor runs fn over the contiguous chunks of [0, n) on up to

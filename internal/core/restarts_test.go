@@ -24,7 +24,7 @@ func restartsLake(t *testing.T) *synth.TagCloud {
 // the in-flight restart stops at its next boundary, later restarts are
 // skipped, and the result is the best organization found so far with
 // Truncated set — never an error, never nil. This pins the bug where
-// OptimizeRestarts ignored cancellation entirely and ran every
+// the restart loop ignored cancellation entirely and ran every
 // remaining restart to completion.
 func TestOptimizeRestartsContextCancelMidRestart(t *testing.T) {
 	tc := restartsLake(t)
@@ -203,5 +203,78 @@ func TestMultiDimRestarts(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Errorf("checkpoint files left after clean completion: %v", left)
+	}
+}
+
+// Resume keeps multi-restart progress: every restart of a dimension
+// continues from its own checkpoint file, so a canceled Restarts=2
+// build redoes only the work since each restart's last snapshot and
+// finishes identical to a never-interrupted build.
+func TestMultiDimResumeMultiRestart(t *testing.T) {
+	tc := restartsLake(t)
+	dir := t.TempDir()
+	iterations := 0
+	mk := func(base string) MultiDimConfig {
+		return MultiDimConfig{
+			K:          1,
+			Optimize:   &OptimizeConfig{MaxIterations: 400, Window: 200, Probe: func(int) { iterations++ }},
+			Seed:       7,
+			Restarts:   2,
+			Checkpoint: &CheckpointConfig{Path: base, EveryAccepted: 3},
+		}
+	}
+
+	mU, _, err := BuildMultiDimContext(context.Background(), tc.Lake, mk(filepath.Join(dir, "u.ck")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mU.Truncated {
+		t.Fatal("uninterrupted build truncated")
+	}
+	uninterrupted := iterations
+
+	// Cancel once restart 1 has checkpointed: restart 0 has finished and
+	// left its last snapshot, restart 1 loses its post-snapshot work.
+	baseI := filepath.Join(dir, "i.ck")
+	r0 := RestartCheckpointPath(DimCheckpointPath(baseI, 0), 0)
+	r1 := RestartCheckpointPath(DimCheckpointPath(baseI, 0), 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfgI := mk(baseI)
+	cfgI.Optimize.Probe = faultinject.CancelWhen(cancel, func() bool {
+		_, err := os.Stat(r1)
+		return err == nil
+	})
+	mHalf, _, err := BuildMultiDimContext(ctx, tc.Lake, cfgI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mHalf.Truncated {
+		t.Fatal("canceled build not truncated")
+	}
+	for _, p := range []string{r0, r1} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("interrupted build left no checkpoint to resume: %v", err)
+		}
+	}
+
+	iterations = 0
+	cfgR := mk(baseI)
+	cfgR.Resume = true
+	mR, statsR, err := BuildMultiDimContext(context.Background(), tc.Lake, cfgR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mR.Truncated {
+		t.Fatal("resumed build truncated")
+	}
+	if !statsR[0].Resumed {
+		t.Error("resumed build did not resume its restarts")
+	}
+	if iterations >= uninterrupted {
+		t.Errorf("resumed build ran %d iterations, uninterrupted %d: no progress kept", iterations, uninterrupted)
+	}
+	if mR.Fingerprint() != mU.Fingerprint() {
+		t.Error("resumed multi-restart build differs from the uninterrupted one")
 	}
 }

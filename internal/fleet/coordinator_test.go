@@ -134,6 +134,21 @@ func (tf *testFleet) post(t *testing.T, url, body string) *httptest.ResponseReco
 	return rec
 }
 
+// waitFirstSweep blocks until the coordinator's first health sweep,
+// started by SetMap, has finished with every shard healthy. Its probes
+// go through the same clients as requests and book hedges and health
+// transitions into the counters tests read.
+func (tf *testFleet) waitFirstSweep(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for tf.coord.m.healthy.Value() != int64(len(tf.m.Shards)) {
+		if time.Now().After(deadline) {
+			t.Fatal("first health sweep never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // counterValue reads one counter out of the coordinator's registry.
 func counterValue(t *testing.T, c *Coordinator, name string) uint64 {
 	t.Helper()
@@ -207,6 +222,8 @@ func TestCoordinatorBatchBitIdentical(t *testing.T) {
 func TestCoordinatorKilledShardDegrades(t *testing.T) {
 	tf := bootFleet(t, 3, Options{Client: ClientOptions{Timeout: time.Second, Retries: 0}})
 	dead := "s1"
+	// A sweep still probing would race the request to mark s1 down.
+	tf.waitFirstSweep(t)
 	tf.flaky[dead].down.Store(true)
 	downBefore := counterValue(t, tf.coord, "fleet.shard.down")
 
@@ -548,11 +565,20 @@ func TestCoordinatorRetries(t *testing.T) {
 // TestCoordinatorHedging: when the primary attempt stalls past the
 // hedge delay, a second concurrent attempt answers and wins.
 func TestCoordinatorHedging(t *testing.T) {
-	tf := bootFleet(t, 1, Options{Client: ClientOptions{
-		Hedge:   10 * time.Millisecond,
-		Timeout: 5 * time.Second,
-		Retries: 0,
-	}})
+	tf := bootFleet(t, 1, Options{
+		// One health sweep only: every sweep's /admin/shard probe goes
+		// through the same hedging client and may hedge too.
+		CheckInterval: time.Hour,
+		Client: ClientOptions{
+			Hedge:   10 * time.Millisecond,
+			Timeout: 5 * time.Second,
+			Retries: 0,
+		},
+	})
+	// Count only the request's hedge: the first sweep's probe hedges
+	// too when it takes longer than the hedge delay.
+	tf.waitFirstSweep(t)
+	before := counterValue(t, tf.coord, "fleet.hedges_total")
 	f := tf.flaky["s0"]
 	var calls atomic.Int64
 	inner := *f.h.Load()
@@ -573,8 +599,8 @@ func TestCoordinatorHedging(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d with hedging: %s", rec.Code, rec.Body)
 	}
-	if got := counterValue(t, tf.coord, "fleet.hedges_total"); got != 1 {
-		t.Errorf("fleet.hedges_total = %d, want 1", got)
+	if got := counterValue(t, tf.coord, "fleet.hedges_total") - before; got != 1 {
+		t.Errorf("fleet.hedges_total grew by %d, want 1", got)
 	}
 }
 

@@ -122,7 +122,7 @@ func (s *Server) publishGeneration(g *serve.Generation) {
 	s.genMu.Lock()
 	defer s.genMu.Unlock()
 	s.hist.Add(g)
-	s.storeSnapshot(serve.NewSnapshot(g.Org, g.Search, serve.Config{Cache: s.cache, Workers: s.serveWorkers}))
+	s.storeSnapshot(serve.NewSnapshot(g.Org, g.Search, serve.Config{Cache: s.cache}))
 }
 
 // handleGenerations lists the retained generations, newest first, with
@@ -164,7 +164,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	g, ok := s.hist.Get(seq)
 	if ok {
 		s.hist.SetCurrent(g.Seq)
-		s.storeSnapshot(serve.NewSnapshot(g.Org, g.Search, serve.Config{Cache: s.cache, Workers: s.serveWorkers}))
+		s.storeSnapshot(serve.NewSnapshot(g.Org, g.Search, serve.Config{Cache: s.cache}))
 	}
 	s.genMu.Unlock()
 	if !ok {

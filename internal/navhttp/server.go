@@ -71,8 +71,6 @@ type Server struct {
 	// swap's new snapshot generation invalidates old entries wholesale);
 	// nil disables caching.
 	cache *serve.Cache
-	// serveWorkers bounds the batch fan-out pool (0 = all CPUs).
-	serveWorkers int
 	// maxBatch bounds queries per batch request.
 	maxBatch int
 	// sem bounds concurrently served requests; a full semaphore sheds
@@ -94,8 +92,8 @@ type Server struct {
 }
 
 // Options configures a Server; the zero value means a default-sized
-// cache, default batch and inflight bounds, all-CPU fan-out, no ingest
-// history, and no shard identity.
+// cache, default batch and inflight bounds, no ingest history, and no
+// shard identity. Batches fan out over GOMAXPROCS workers.
 type Options struct {
 	// MaxInflight bounds concurrently served requests before shedding
 	// with 503; non-positive selects the default.
@@ -106,8 +104,6 @@ type Options struct {
 	// MaxBatch bounds queries per batch request; non-positive selects
 	// the default.
 	MaxBatch int
-	// Workers bounds the batch fan-out pool; 0 uses all CPUs.
-	Workers int
 	// Generations, when positive, retains that many ingest generations
 	// for /admin/generations and rollback (journal mode).
 	Generations int
@@ -126,12 +122,11 @@ func New(search *lakenav.SearchEngine, opts Options) *Server {
 		opts.MaxBatch = defaultMaxBatch
 	}
 	s := &Server{
-		search:       search,
-		serveWorkers: opts.Workers,
-		maxBatch:     opts.MaxBatch,
-		sem:          make(chan struct{}, opts.MaxInflight),
-		metrics:      newServerMetrics(),
-		shardID:      opts.ShardID,
+		search:   search,
+		maxBatch: opts.MaxBatch,
+		sem:      make(chan struct{}, opts.MaxInflight),
+		metrics:  newServerMetrics(),
+		shardID:  opts.ShardID,
 	}
 	if opts.CacheSize >= 0 {
 		s.cache = serve.NewCache(opts.CacheSize)
@@ -149,7 +144,7 @@ func New(search *lakenav.SearchEngine, opts Options) *Server {
 // requests only ever see answers computed against the organization they
 // were routed to.
 func (s *Server) SetOrganization(org *lakenav.Organization) {
-	s.storeSnapshot(serve.NewSnapshot(org, s.search, serve.Config{Cache: s.cache, Workers: s.serveWorkers}))
+	s.storeSnapshot(serve.NewSnapshot(org, s.search, serve.Config{Cache: s.cache}))
 }
 
 // storeSnapshot makes snap the serving snapshot and mirrors its

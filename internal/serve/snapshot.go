@@ -99,9 +99,6 @@ type Config struct {
 	// Cache is the shared result cache; nil disables caching entirely,
 	// which is the reference path the property tests compare against.
 	Cache *Cache
-	// Workers bounds the batch fan-out pool; non-positive selects
-	// GOMAXPROCS. Results are identical for every value.
-	Workers int
 }
 
 // generation hands out one number per snapshot, process-wide.
@@ -114,11 +111,10 @@ var generation atomic.Uint64
 //
 //lakelint:immutable
 type Snapshot struct {
-	org     *lakenav.Organization
-	search  *lakenav.SearchEngine
-	cache   *Cache
-	gen     uint64
-	workers int
+	org    *lakenav.Organization
+	search *lakenav.SearchEngine
+	cache  *Cache
+	gen    uint64
 }
 
 // NewSnapshot wraps an organization (nil while the background build is
@@ -130,11 +126,10 @@ func NewSnapshot(org *lakenav.Organization, search *lakenav.SearchEngine, cfg Co
 		org.Warm()
 	}
 	return &Snapshot{
-		org:     org,
-		search:  search,
-		cache:   cfg.Cache,
-		gen:     generation.Add(1),
-		workers: cfg.Workers,
+		org:    org,
+		search: search,
+		cache:  cfg.Cache,
+		gen:    generation.Add(1),
 	}
 }
 
@@ -291,14 +286,14 @@ type SearchResult struct {
 	Tables []string
 }
 
-// SuggestBatch answers every request, fanning the batch across the
-// bounded worker pool. Results are positionally parallel to reqs and
-// bit-identical to issuing each request alone, for any worker count:
-// every worker writes only the result slots it owns.
+// SuggestBatch answers every request, fanning the batch across a
+// GOMAXPROCS-sized worker pool. Results are positionally parallel to
+// reqs and bit-identical to issuing each request alone, for any pool
+// size: every worker writes only the result slots it owns.
 func (s *Snapshot) SuggestBatch(reqs []SuggestRequest) []SuggestResult {
 	start := time.Now()
 	out := make([]SuggestResult, len(reqs))
-	core.ParallelFor(len(reqs), s.workers, func(lo, hi int) {
+	core.ParallelFor(len(reqs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sugg, err := s.Suggest(reqs[i].Dim, reqs[i].Path, reqs[i].Q, reqs[i].K)
 			out[i] = SuggestResult{Suggestions: sugg, Err: err}
@@ -309,11 +304,11 @@ func (s *Snapshot) SuggestBatch(reqs []SuggestRequest) []SuggestResult {
 }
 
 // SearchBatch answers every keyword query, fanning the batch across the
-// bounded worker pool.
+// same pool.
 func (s *Snapshot) SearchBatch(reqs []SearchRequest) []SearchResult {
 	start := time.Now()
 	out := make([]SearchResult, len(reqs))
-	core.ParallelFor(len(reqs), s.workers, func(lo, hi int) {
+	core.ParallelFor(len(reqs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = SearchResult{Tables: s.Search(reqs[i].Q, reqs[i].K)}
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,7 +265,7 @@ func play(s *Snapshot, r request) any {
 }
 
 // TestCachedUncachedBitIdentical is the acceptance property: for every
-// seed × cache size × worker count, a cached snapshot answers a skewed
+// seed × cache size × GOMAXPROCS, a cached snapshot answers a skewed
 // request stream bit-identically to the uncached reference path.
 func TestCachedUncachedBitIdentical(t *testing.T) {
 	org, search := testOrg(t)
@@ -276,14 +277,16 @@ func TestCachedUncachedBitIdentical(t *testing.T) {
 			want[i] = play(ref, r)
 		}
 		for _, size := range []int{1, 8, 1024} {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("seed=%d/cache=%d/workers=%d", seed, size, workers)
-				cached := NewSnapshot(org, search, Config{Cache: NewCache(size), Workers: workers})
-				for i, r := range reqs {
-					if got := play(cached, r); !reflect.DeepEqual(got, want[i]) {
-						t.Fatalf("%s: request %d (%+v):\n got %v\nwant %v", name, i, r, got, want[i])
+			for _, procs := range []int{1, 4} {
+				name := fmt.Sprintf("seed=%d/cache=%d/procs=%d", seed, size, procs)
+				withProcs(procs, func() {
+					cached := NewSnapshot(org, search, Config{Cache: NewCache(size)})
+					for i, r := range reqs {
+						if got := play(cached, r); !reflect.DeepEqual(got, want[i]) {
+							t.Fatalf("%s: request %d (%+v):\n got %v\nwant %v", name, i, r, got, want[i])
+						}
 					}
-				}
+				})
 			}
 		}
 	}
@@ -291,44 +294,53 @@ func TestCachedUncachedBitIdentical(t *testing.T) {
 
 func TestBatchMatchesSequential(t *testing.T) {
 	org, search := testOrg(t)
-	for _, workers := range []int{1, 3, 8} {
-		s := NewSnapshot(org, search, Config{Cache: NewCache(32), Workers: workers})
-		var sreqs []SuggestRequest
-		var qreqs []SearchRequest
-		for _, r := range requestStream(t, 7, 120) {
-			switch r.op {
-			case 0:
-				sreqs = append(sreqs, SuggestRequest{Dim: r.dim, Path: r.path, Q: r.q, K: r.k})
-			case 2:
-				qreqs = append(qreqs, SearchRequest{Q: r.q, K: r.k})
+	for _, procs := range []int{1, 3, 8} {
+		withProcs(procs, func() {
+			s := NewSnapshot(org, search, Config{Cache: NewCache(32)})
+			var sreqs []SuggestRequest
+			var qreqs []SearchRequest
+			for _, r := range requestStream(t, 7, 120) {
+				switch r.op {
+				case 0:
+					sreqs = append(sreqs, SuggestRequest{Dim: r.dim, Path: r.path, Q: r.q, K: r.k})
+				case 2:
+					qreqs = append(qreqs, SearchRequest{Q: r.q, K: r.k})
+				}
 			}
-		}
-		// Include a failing item: batches must isolate per-item errors.
-		sreqs = append(sreqs, SuggestRequest{Dim: 42, Q: "salmon"})
+			// Include a failing item: batches must isolate per-item errors.
+			sreqs = append(sreqs, SuggestRequest{Dim: 42, Q: "salmon"})
 
-		batch := s.SuggestBatch(sreqs)
-		if len(batch) != len(sreqs) {
-			t.Fatalf("workers=%d: batch len %d != %d", workers, len(batch), len(sreqs))
-		}
-		for i, r := range sreqs {
-			sugg, err := s.Suggest(r.Dim, r.Path, r.Q, r.K)
-			if (err == nil) != (batch[i].Err == nil) {
-				t.Fatalf("workers=%d item %d: err mismatch %v vs %v", workers, i, batch[i].Err, err)
+			batch := s.SuggestBatch(sreqs)
+			if len(batch) != len(sreqs) {
+				t.Fatalf("procs=%d: batch len %d != %d", procs, len(batch), len(sreqs))
 			}
-			if err != nil && batch[i].Err.Error() != err.Error() {
-				t.Fatalf("workers=%d item %d: err %q vs %q", workers, i, batch[i].Err, err)
+			for i, r := range sreqs {
+				sugg, err := s.Suggest(r.Dim, r.Path, r.Q, r.K)
+				if (err == nil) != (batch[i].Err == nil) {
+					t.Fatalf("procs=%d item %d: err mismatch %v vs %v", procs, i, batch[i].Err, err)
+				}
+				if err != nil && batch[i].Err.Error() != err.Error() {
+					t.Fatalf("procs=%d item %d: err %q vs %q", procs, i, batch[i].Err, err)
+				}
+				if !reflect.DeepEqual(batch[i].Suggestions, sugg) {
+					t.Fatalf("procs=%d item %d: batch result differs from sequential", procs, i)
+				}
 			}
-			if !reflect.DeepEqual(batch[i].Suggestions, sugg) {
-				t.Fatalf("workers=%d item %d: batch result differs from sequential", workers, i)
+			sbatch := s.SearchBatch(qreqs)
+			for i, r := range qreqs {
+				if !reflect.DeepEqual(sbatch[i].Tables, s.Search(r.Q, r.K)) {
+					t.Fatalf("procs=%d search item %d differs from sequential", procs, i)
+				}
 			}
-		}
-		sbatch := s.SearchBatch(qreqs)
-		for i, r := range qreqs {
-			if !reflect.DeepEqual(sbatch[i].Tables, s.Search(r.Q, r.K)) {
-				t.Fatalf("workers=%d search item %d differs from sequential", workers, i)
-			}
-		}
+		})
 	}
+}
+
+// withProcs runs fn at the given GOMAXPROCS, which sizes the batch
+// fan-out pool, and restores the previous value.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
 }
 
 // TestSnapshotSwapUnderLoad hammers a shared cache from concurrent

@@ -191,10 +191,6 @@ type Config struct {
 	MaxIterations int
 	// Seed makes construction reproducible.
 	Seed int64
-	// Workers bounds the evaluator's goroutine pool during search; 0
-	// selects GOMAXPROCS. The result is identical for every value — the
-	// pool only changes wall-clock time.
-	Workers int
 	// Restarts runs each dimension's search that many times with derived
 	// seeds and keeps the most effective result; values < 2 search once.
 	Restarts int
@@ -206,15 +202,11 @@ type Config struct {
 	// CheckpointEvery is how many accepted operations accumulate between
 	// snapshots; 0 selects the default (100).
 	CheckpointEvery int
-	// Resume continues any dimension whose checkpoint file exists and
-	// matches (same seed, same tag group). Stale or corrupt files are
-	// ignored and the dimension rebuilds from scratch — resuming can
-	// speed a restart up but never fail it.
+	// Resume continues every search (each restart of each dimension)
+	// whose checkpoint file exists and matches (same seed, same tag
+	// group). Stale or corrupt files are ignored and that search starts
+	// from scratch — resuming can speed a restart up but never fail it.
 	Resume bool
-	// CheckpointBinary writes checkpoints in the binary container
-	// format instead of JSON, cutting per-snapshot serialization cost
-	// on large lakes. Resume accepts either format regardless.
-	CheckpointBinary bool
 	// Progress, when non-nil, receives one event per optimizer
 	// iteration plus a closing event per search, letting callers watch
 	// a long build converge live (the CLI streams these as NDJSON via
@@ -307,7 +299,6 @@ func OrganizeContext(ctx context.Context, l *Lake, cfg Config) (*Organization, e
 			RepFraction:   cfg.RepFraction,
 			MaxIterations: cfg.MaxIterations,
 			Seed:          cfg.Seed,
-			Workers:       cfg.Workers,
 		}
 		if cfg.Progress != nil {
 			progress := cfg.Progress
@@ -326,7 +317,6 @@ func OrganizeContext(ctx context.Context, l *Lake, cfg Config) (*Organization, e
 		mc.Checkpoint = &core.CheckpointConfig{
 			Path:          cfg.CheckpointPath,
 			EveryAccepted: cfg.CheckpointEvery,
-			Binary:        cfg.CheckpointBinary,
 		}
 		mc.Resume = cfg.Resume
 	}

@@ -42,20 +42,19 @@ stage "go test -race ./..." go test -race ./...
 
 # Fuzz smoke: a few seconds of coverage-guided input on the decode
 # surfaces that accept untrusted bytes (organization import — JSON and
-# binfmt container — checkpoint resume in both encodings, journal
-# recovery, the HTTP batch body decoder, lakelint's directive parser). -fuzzminimizetime is capped
+# binfmt container — binfmt checkpoint resume, journal recovery, the
+# HTTP batch body decoder, lakelint's directive parser). -fuzzminimizetime is capped
 # because the default 60s-per-input minimization starves short windows
 # on small machines.
 fuzz_smoke() {
 	go test ./internal/core -fuzz FuzzReadOrg -fuzztime 5s -fuzzminimizetime 10x -run '^$'
-	go test ./internal/core -fuzz FuzzDecodeCheckpoint -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/core -fuzz FuzzReadBinOrg -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/core -fuzz FuzzReadBinCheckpoint -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/journal -fuzz FuzzReadJournal -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/httpx -fuzz FuzzDecodeBatch -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./cmd/lakelint -fuzz FuzzParseDirective -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 }
-stage "go test -fuzz (5s smoke x7)" fuzz_smoke
+stage "go test -fuzz (5s smoke x6)" fuzz_smoke
 
 # Benchmarks compile and run: one iteration of everything keeps the
 # micro-benchmarks from bit-rotting. Performance is measured end to end
