@@ -42,7 +42,7 @@ fleet-soak:
 
 # Invariant analyzer (cmd/lakelint): the type-aware engine of DESIGN.md
 # §15 — the six DESIGN.md §10 checks plus immutfreeze/hotpath/goroleak/
-# lockhold. The per-(check,package) result cache under .lakelint-cache
+# lockhold/deadexport. The per-(check,package) result cache under .lakelint-cache
 # keeps warm runs parse-only (no go/types), so repeated `make lint`
 # costs a fraction of a cold run. CI passes
 # LAKELINT_FLAGS="-json lakelint.json -sarif lakelint.sarif" to keep

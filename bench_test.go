@@ -19,7 +19,6 @@ import (
 	"lakenav/internal/core"
 	"lakenav/internal/experiments"
 	"lakenav/internal/hybrid"
-	"lakenav/internal/numeric"
 	"lakenav/internal/synth"
 	"lakenav/internal/textsearch"
 	"lakenav/vector"
@@ -280,36 +279,6 @@ func BenchmarkAblationInitialOrg(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
-// BenchmarkReachProbs measures one reach sweep (Eq 2–4) for one query.
-func BenchmarkReachProbs(b *testing.B) {
-	tc := ablationLake(b)
-	org, err := core.NewClustered(tc.Lake, core.BuildConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	attrs := org.Attrs()
-	topic := org.State(org.Leaf(attrs[0])).Topic()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		org.ReachProbs(topic)
-	}
-}
-
-// BenchmarkDiscoveryProb measures the full discovery-probability path
-// for a single attribute (reach sweep plus leaf softmax).
-func BenchmarkDiscoveryProb(b *testing.B) {
-	tc := ablationLake(b)
-	org, err := core.NewClustered(tc.Lake, core.BuildConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	attrs := org.Attrs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		org.DiscoveryProb(attrs[i%len(attrs)])
-	}
-}
-
 // BenchmarkIncrementalReevaluate measures one pruned incremental
 // re-evaluation after an operation, against which the full O(Q·E)
 // recompute is the baseline.
@@ -443,19 +412,6 @@ func BenchmarkOrgExportImport(b *testing.B) {
 		if _, err := core.Import(tc.Lake, org.Export()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkQuantileSketchInsert measures the numeric substrate.
-func BenchmarkQuantileSketchInsert(b *testing.B) {
-	s, err := numeric.NewSketch(0.01)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Insert(rng.NormFloat64())
 	}
 }
 

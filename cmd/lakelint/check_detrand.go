@@ -10,8 +10,8 @@ import (
 // xorshift64* source. Global math/rand draws (hidden shared state),
 // rand.NewSource (607 words of unserializable state), and bare wall-
 // clock reads are all forbidden; the explicit allowlist carries the
-// two sanctioned wall-clock sites — the sessionlog clock-injection
-// default and the optimizer's observation-only timing stamps.
+// sanctioned wall-clock sites, the optimizer's observation-only timing
+// stamps.
 var detrandCheck = &Check{
 	Name: "detrand",
 	Doc:  "internal/core draws randomness only from the serializable RNG; wall-clock reads allowlisted",
@@ -33,10 +33,9 @@ var detrandForbiddenTime = map[string]bool{"Now": true, "Since": true}
 
 // detrandAllowedWallclock is the explicit allowlist: functions in
 // internal/core that may read the wall clock. All of them feed
-// observation-only outputs (stats durations, progress events, session
-// timestamps) that never influence a search trajectory.
+// observation-only outputs (stats durations, progress events) that
+// never influence a search trajectory.
 var detrandAllowedWallclock = map[string]bool{
-	"NewSessionLogger":    true, // clock-injection default; tests swap it out
 	"search.run":          true, // wall-clock start stamp for stats.Duration
 	"search.finish":       true, // stats.Duration on the final stats
 	"search.emitProgress": true, // ElapsedMS on progress events

@@ -16,7 +16,7 @@ import (
 // engineVersion keys the result cache together with the Go toolchain
 // version; bump it whenever any check's semantics change so stale
 // results cannot survive a lint upgrade through unchanged sources.
-const engineVersion = "lakelint/2.0.0"
+const engineVersion = "lakelint/2.1.0"
 
 // Options configures one Analyze run.
 type Options struct {

@@ -6,7 +6,8 @@
 // the no-dropped-errors posture, the obs metric-name scheme, the
 // atomicio durability funnel, and (type-aware, since v2) frozen-
 // snapshot immutability, hot-path allocation freedom, goroutine
-// join/cancel discipline, and mutex hold/ordering hygiene.
+// join/cancel discipline, mutex hold/ordering hygiene, and exported
+// identifiers that only tests reach.
 // `make lint` runs it over the whole module; CI gates merges on it.
 // DESIGN.md §10 and §15 list each check, the contract it pins, and
 // how to extend the suite.
@@ -92,6 +93,7 @@ var AllChecks = []*Check{
 	hotpathCheck,
 	goroleakCheck,
 	lockholdCheck,
+	deadexportCheck,
 }
 
 // RunChecks runs the named checks (nil = all) over a loaded module and

@@ -125,6 +125,8 @@ func TestGoroleakFixture(t *testing.T) { runFixture(t, filepath.Join("testdata",
 
 func TestLockholdFixture(t *testing.T) { runFixture(t, filepath.Join("testdata", "lockhold")) }
 
+func TestDeadexportFixture(t *testing.T) { runFixture(t, filepath.Join("testdata", "deadexport")) }
+
 // TestTestfilesFixture pins the loader contract: _test.go files (both
 // in-package and external test packages) are analyzed under the same
 // rules as production code by the new checks, the legacy checks keep

@@ -16,9 +16,6 @@ type search struct{ started time.Time }
 // run is on the wall-clock allowlist (the real optimizer stamp).
 func (s *search) run() { s.started = time.Now() }
 
-// NewSessionLogger is on the allowlist (clock-injection default).
-func NewSessionLogger() func() time.Time { return time.Now }
-
 func globalDraw() int {
 	return rand.Intn(10) // want detrand "rand.Intn in globalDraw"
 }

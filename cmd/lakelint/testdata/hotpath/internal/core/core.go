@@ -5,6 +5,8 @@
 package core
 
 // Org mirrors the shape of the evaluator's organization type.
+//
+//lakelint:ignore deadexport -- fixture replica; only its methods matter
 type Org struct{ n int }
 
 // transitionsInto is on the required hot-path list but does not carry

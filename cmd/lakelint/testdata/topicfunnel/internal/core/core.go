@@ -27,9 +27,13 @@ func (s *State) setTopic(t Vector) {
 }
 
 // Org exists so Validate has its real receiver shape.
+//
+//lakelint:ignore deadexport -- fixture replica; only its Validate method matters
 type Org struct{ States []*State }
 
 // Validate may re-derive the pair (the invariant checker).
+//
+//lakelint:ignore deadexport -- fixture replica of the real invariant checker; nothing here calls it
 func (o *Org) Validate() error {
 	for _, s := range o.States {
 		s.topicNorm = norm(s.topic)

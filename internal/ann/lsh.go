@@ -69,6 +69,8 @@ func New(cfg Config) *Index {
 }
 
 // Len returns the number of indexed vectors.
+//
+//lakelint:ignore deadexport -- ROADMAP item "Make the Sec 4.2 success probability exact and delete internal/ann" removes this package
 func (x *Index) Len() int { return len(x.vecs) }
 
 // signature hashes v in band b.
@@ -134,6 +136,8 @@ func (x *Index) Similar(query vector.Vector, threshold float64) []Match {
 
 // SimilarBrute computes the exact answer by linear scan; used for small
 // inputs and in tests as ground truth for recall measurement.
+//
+//lakelint:ignore deadexport -- ROADMAP item "Make the Sec 4.2 success probability exact and delete internal/ann" removes this package
 func (x *Index) SimilarBrute(query vector.Vector, threshold float64) []Match {
 	var out []Match
 	for id, v := range x.vecs {
@@ -153,6 +157,8 @@ func (x *Index) SimilarBrute(query vector.Vector, threshold float64) []Match {
 // HammingSimilarity estimates cosine from signature agreement in one
 // band: cos(π·h/Bits) where h is the Hamming distance. Exposed for
 // diagnostics and tests.
+//
+//lakelint:ignore deadexport -- ROADMAP item "Make the Sec 4.2 success probability exact and delete internal/ann" removes this package
 func (x *Index) HammingSimilarity(b int, v, w vector.Vector) (agree int, total int) {
 	sv, sw := x.signature(b, v), x.signature(b, w)
 	h := bits.OnesCount64(sv ^ sw)

@@ -38,17 +38,6 @@ var syncDir = func(dir string) error {
 	return cerr
 }
 
-// SyncDir fsyncs the directory containing path-level metadata (renames,
-// creations). Callers that append to a pre-existing file do not need
-// it; callers that create or rename files and require them to survive
-// power loss do.
-func SyncDir(dir string) error {
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("atomicio: sync dir %s: %w", dir, err)
-	}
-	return nil
-}
-
 // WriteFile atomically replaces path with the bytes produced by write.
 // The temp file is created in path's directory (rename must not cross
 // filesystems) and removed on any failure. The file is fsynced before

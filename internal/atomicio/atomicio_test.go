@@ -236,9 +236,9 @@ func TestWriteFileDirSyncUnsupportedIgnored(t *testing.T) {
 	// reports EINVAL, which the default implementation must swallow.
 	if err := (func() error {
 		d := t.TempDir()
-		return SyncDir(d)
+		return orig(d)
 	})(); err != nil {
-		t.Errorf("SyncDir on a plain tempdir: %v", err)
+		t.Errorf("syncDir on a plain tempdir: %v", err)
 	}
 }
 

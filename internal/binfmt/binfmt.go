@@ -64,8 +64,8 @@ const (
 	KindCheckpoint uint32 = 3
 	// KindLake is a data lake snapshot (internal/lake).
 	KindLake uint32 = 4
-	// KindEmbedding is an embedding store (internal/embedding).
-	KindEmbedding uint32 = 5
+	// Kind 5 was the embedding store, retired with its codec; it stays
+	// reserved so no future payload reuses the number.
 )
 
 const (
@@ -342,16 +342,6 @@ func (c *Container) Close() error {
 		return m()
 	}
 	return nil
-}
-
-// Has reports whether a section is present.
-func (c *Container) Has(id uint32) bool {
-	for _, x := range c.ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Section returns a section's payload, verifying its CRC-32C on first

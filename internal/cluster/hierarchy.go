@@ -62,72 +62,6 @@ func (d *Dendrogram) Root() int {
 	return d.N + len(d.Merges) - 1
 }
 
-// Children returns the two children of internal node id, which must be
-// at least N.
-func (d *Dendrogram) Children(id int) (int, int) {
-	m := d.Merges[id-d.N]
-	return m.A, m.B
-}
-
-// IsLeaf reports whether id is an input item.
-func (d *Dendrogram) IsLeaf(id int) bool { return id < d.N }
-
-// Leaves returns the input items under node id in discovery order.
-func (d *Dendrogram) Leaves(id int) []int {
-	var out []int
-	stack := []int{id}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if d.IsLeaf(n) {
-			out = append(out, n)
-			continue
-		}
-		a, b := d.Children(n)
-		stack = append(stack, b, a)
-	}
-	return out
-}
-
-// Cut returns a partition of the items into at most k clusters by
-// repeatedly splitting the merge with the largest distance. k must be
-// at least 1.
-func (d *Dendrogram) Cut(k int) [][]int {
-	if k < 1 {
-		panic("cluster: Cut k must be >= 1")
-	}
-	// The merges are produced in nondecreasing... not guaranteed for all
-	// linkages, so pick tops explicitly: the forest after undoing the
-	// last k-1 merges is exactly the k-cluster cut for monotone linkages.
-	if k > d.N {
-		k = d.N
-	}
-	removed := make(map[int]bool, k-1)
-	roots := []int{d.Root()}
-	for len(roots) < k {
-		// Undo the highest remaining internal node among roots.
-		best := -1
-		for i, r := range roots {
-			if !d.IsLeaf(r) && (best == -1 || r > roots[best]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		r := roots[best]
-		a, b := d.Children(r)
-		removed[r] = true
-		roots[best] = a
-		roots = append(roots, b)
-	}
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, d.Leaves(r))
-	}
-	return out
-}
-
 // CosineDistances builds the condensed pairwise distance matrix
 // 1 − cosine(vi, vj) for the given vectors.
 func CosineDistances(vs []vector.Vector) *DistMatrix {

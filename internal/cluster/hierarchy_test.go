@@ -76,7 +76,7 @@ func TestAgglomerativeStructure(t *testing.T) {
 				t.Errorf("second merge = %+v, want {2 3}", second)
 			}
 			// Root covers all leaves.
-			leaves := d.Leaves(d.Root())
+			leaves := d.leaves(d.Root())
 			sort.Ints(leaves)
 			if len(leaves) != 4 || leaves[0] != 0 || leaves[3] != 3 {
 				t.Errorf("root leaves = %v", leaves)
@@ -99,10 +99,10 @@ func TestAgglomerativeLinkageDistances(t *testing.T) {
 
 func TestAgglomerativeSingleItem(t *testing.T) {
 	d := Agglomerative(NewDistMatrix(1), Average)
-	if d.Root() != 0 || !d.IsLeaf(0) {
+	if d.Root() != 0 || !d.isLeaf(0) {
 		t.Errorf("single item dendrogram: root=%d", d.Root())
 	}
-	if got := d.Leaves(0); len(got) != 1 || got[0] != 0 {
+	if got := d.leaves(0); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Leaves = %v", got)
 	}
 }
@@ -116,49 +116,8 @@ func TestAgglomerativeEmptyPanics(t *testing.T) {
 	Agglomerative(NewDistMatrix(0), Average)
 }
 
-func TestCut(t *testing.T) {
-	d := Agglomerative(fourPointMatrix(), Average)
-	two := d.Cut(2)
-	if len(two) != 2 {
-		t.Fatalf("Cut(2) = %d clusters", len(two))
-	}
-	for _, c := range two {
-		sort.Ints(c)
-	}
-	sort.Slice(two, func(i, j int) bool { return two[i][0] < two[j][0] })
-	if !(len(two[0]) == 2 && two[0][0] == 0 && two[0][1] == 1) {
-		t.Errorf("Cut(2)[0] = %v, want [0 1]", two[0])
-	}
-	if !(len(two[1]) == 2 && two[1][0] == 2 && two[1][1] == 3) {
-		t.Errorf("Cut(2)[1] = %v, want [2 3]", two[1])
-	}
-
-	one := d.Cut(1)
-	if len(one) != 1 || len(one[0]) != 4 {
-		t.Errorf("Cut(1) = %v", one)
-	}
-	four := d.Cut(4)
-	if len(four) != 4 {
-		t.Errorf("Cut(4) = %d clusters", len(four))
-	}
-	huge := d.Cut(10)
-	if len(huge) != 4 {
-		t.Errorf("Cut(10) = %d clusters, want clamped to 4", len(huge))
-	}
-}
-
-func TestCutInvalid(t *testing.T) {
-	d := Agglomerative(fourPointMatrix(), Average)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Cut(0) did not panic")
-		}
-	}()
-	d.Cut(0)
-}
-
-// Property-style test: on random data every dendrogram covers each item
-// exactly once at every cut level.
+// Property-style test: on random data the root covers each item exactly
+// once and every merge partitions its leaves between its two children.
 func TestDendrogramPartitionInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
@@ -172,19 +131,33 @@ func TestDendrogramPartitionInvariant(t *testing.T) {
 			vs[i] = v
 		}
 		d := AgglomerativeVectors(vs, Average)
-		for k := 1; k <= n; k++ {
-			seen := make(map[int]int)
-			for _, c := range d.Cut(k) {
-				for _, item := range c {
-					seen[item]++
-				}
+		seen := make(map[int]int)
+		for _, item := range d.leaves(d.Root()) {
+			seen[item]++
+		}
+		if len(seen) != n {
+			t.Fatalf("root covers %d/%d items", len(seen), n)
+		}
+		for item, cnt := range seen {
+			if cnt != 1 {
+				t.Fatalf("root lists item %d %d times", item, cnt)
 			}
-			if len(seen) != n {
-				t.Fatalf("cut %d covers %d/%d items", k, len(seen), n)
+		}
+		for node := n; node <= d.Root(); node++ {
+			a, b := d.children(node)
+			owner := make(map[int]int)
+			for _, item := range d.leaves(a) {
+				owner[item]++
 			}
-			for item, cnt := range seen {
+			for _, item := range d.leaves(b) {
+				owner[item]++
+			}
+			if len(owner) != len(d.leaves(node)) {
+				t.Fatalf("merge %d: children cover %d of its %d items", node, len(owner), len(d.leaves(node)))
+			}
+			for item, cnt := range owner {
 				if cnt != 1 {
-					t.Fatalf("cut %d assigns item %d to %d clusters", k, item, cnt)
+					t.Fatalf("merge %d: item %d in both children", node, item)
 				}
 			}
 		}
@@ -199,3 +172,30 @@ func TestLinkageString(t *testing.T) {
 		t.Error("unknown linkage empty")
 	}
 }
+
+// leaves returns the input items under node id in discovery order.
+func (d *Dendrogram) leaves(id int) []int {
+	var out []int
+	stack := []int{id}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if d.isLeaf(n) {
+			out = append(out, n)
+			continue
+		}
+		a, b := d.children(n)
+		stack = append(stack, b, a)
+	}
+	return out
+}
+
+// children returns the two children of internal node id, which must be
+// at least N.
+func (d *Dendrogram) children(id int) (int, int) {
+	m := d.Merges[id-d.N]
+	return m.A, m.B
+}
+
+// isLeaf reports whether id is an input item.
+func (d *Dendrogram) isLeaf(id int) bool { return id < d.N }

@@ -18,16 +18,6 @@ type KMedoidsResult struct {
 	Cost float64
 }
 
-// Clusters returns the partition as item-index groups, parallel to
-// Medoids.
-func (r *KMedoidsResult) Clusters() [][]int {
-	out := make([][]int, len(r.Medoids))
-	for item, c := range r.Assign {
-		out[c] = append(out[c], item)
-	}
-	return out
-}
-
 // KMedoids partitions the items of dist into k clusters using
 // k-means++-style seeding followed by Voronoi iteration (assign to
 // nearest medoid; recompute each cluster's medoid as its 1-median).
@@ -157,49 +147,4 @@ func seedPlusPlus(dist *DistMatrix, k int, rng *rand.Rand) []int {
 // KMedoidsVectors clusters vectors under cosine distance.
 func KMedoidsVectors(vs []vector.Vector, k int, rng *rand.Rand, maxIter int) (*KMedoidsResult, error) {
 	return KMedoids(CosineDistances(vs), k, rng, maxIter)
-}
-
-// Silhouette returns the mean silhouette coefficient of the clustering
-// in [-1, 1]; higher is better-separated. Items in singleton clusters
-// contribute 0. It returns 0 when there are fewer than 2 clusters.
-func Silhouette(dist *DistMatrix, assign []int, k int) float64 {
-	if k < 2 {
-		return 0
-	}
-	n := dist.N()
-	counts := make([]int, k)
-	for _, c := range assign {
-		counts[c]++
-	}
-	var total float64
-	for i := 0; i < n; i++ {
-		ci := assign[i]
-		if counts[ci] <= 1 {
-			continue
-		}
-		sums := make([]float64, k)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			sums[assign[j]] += dist.Get(i, j)
-		}
-		a := sums[ci] / float64(counts[ci]-1)
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == ci || counts[c] == 0 {
-				continue
-			}
-			if m := sums[c] / float64(counts[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue
-		}
-		if m := math.Max(a, b); m > 0 {
-			total += (b - a) / m
-		}
-	}
-	return total / float64(n)
 }

@@ -49,7 +49,7 @@ func TestApplyLakeBatchAddOnlyMatchesRebuild(t *testing.T) {
 	if len(cs.TopicChanged) == 0 || len(cs.ChildrenChanged) == 0 {
 		t.Fatalf("change set empty: %+v", cs)
 	}
-	if org.TagState("port") == -1 {
+	if org.tagStateID("port") == -1 {
 		t.Fatal("new tag port not materialized")
 	}
 
@@ -86,7 +86,7 @@ func TestApplyLakeBatchRemoveMatchesRebuildStructure(t *testing.T) {
 	if err := org.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if org.TagState("city") != -1 {
+	if org.tagStateID("city") != -1 {
 		t.Fatal("emptied tag city still has a state")
 	}
 	if org.Leaf(district) != -1 {
@@ -214,7 +214,7 @@ func TestMultiDimApplyLakeBatch(t *testing.T) {
 		if err := org.Validate(); err != nil {
 			t.Fatalf("dimension %d: %v", i, err)
 		}
-		if has := org.TagState("port") != -1; has != (i == portDim) {
+		if has := org.tagStateID("port") != -1; has != (i == portDim) {
 			t.Errorf("dimension %d: tag state presence %v, routed to %d", i, has, portDim)
 		}
 	}

@@ -108,13 +108,13 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 		t.Errorf("transitionsInto allocates %.1f per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		o.reachProbsInto(topic, norm, nil, reach, probs)
+		o.reachProbsInto(topic, norm, reach, probs)
 	}); n != 0 {
 		t.Errorf("reachProbsInto allocates %.1f per call, want 0", n)
 	}
-	o.reachProbsInto(topic, norm, nil, reach, probs)
+	o.reachProbsInto(topic, norm, reach, probs)
 	if n := testing.AllocsPerRun(100, func() {
-		o.leafProbInto(attr, topic, norm, nil, reach, probs)
+		o.leafProbInto(attr, topic, norm, reach, probs)
 	}); n != 0 {
 		t.Errorf("leafProbInto allocates %.1f per call, want 0", n)
 	}

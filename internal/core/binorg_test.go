@@ -77,7 +77,7 @@ func TestBinOrgMatchesJSONPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := built.WriteJSON(&buf); err != nil {
+	if err := writeOrgJSON(built, &buf); err != nil {
 		t.Fatal(err)
 	}
 	fromJSON, err := ReadOrg(l, &buf)

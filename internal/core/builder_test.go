@@ -108,7 +108,7 @@ func TestTagStateDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fishery := o.State(o.TagState("fishery"))
+	fishery := o.State(o.tagStateID("fishery"))
 	// data(fishery) = species + product.
 	if fishery.DomainSize() != 2 {
 		t.Errorf("fishery domain = %v", fishery.Domain())
@@ -155,7 +155,7 @@ func TestBuildWithTagSubset(t *testing.T) {
 	if got := len(o.Attrs()); got != 3 {
 		t.Errorf("subset attrs = %d, want 3", got)
 	}
-	if o.TagState("city") != -1 {
+	if o.tagStateID("city") != -1 {
 		t.Error("city organized despite subset")
 	}
 }
@@ -199,7 +199,7 @@ func TestLevels(t *testing.T) {
 		t.Errorf("root level = %d", levels[o.Root])
 	}
 	for _, tag := range []string{"fishery", "grain", "city", "tax"} {
-		if lv := levels[o.TagState(tag)]; lv != 1 {
+		if lv := levels[o.tagStateID(tag)]; lv != 1 {
 			t.Errorf("tag %s level = %d, want 1", tag, lv)
 		}
 	}
@@ -287,7 +287,7 @@ func TestReachProbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	topic := vector.Vector{1, 0, 0, 0}
-	reach := o.ReachProbs(topic)
+	reach := o.reachProbs(topic)
 	if reach[o.Root] != 1 {
 		t.Errorf("root reach = %v", reach[o.Root])
 	}
@@ -315,12 +315,12 @@ func TestDiscoveryProbFavorsOwnAttr(t *testing.T) {
 	// Attr 0 is species (fish axis). Searching with its own topic should
 	// find it with higher probability than searching with the tax topic.
 	species := o.Attrs()[0]
-	own := o.DiscoveryProb(species)
+	own := o.discoveryProb(species)
 	if own <= 0 || own > 1 {
 		t.Fatalf("DiscoveryProb = %v", own)
 	}
 	taxTopic := vector.Vector{0, 0, 0, 1}
-	cross := o.LeafProb(species, taxTopic, o.ReachProbs(taxTopic))
+	cross := o.leafProb(species, taxTopic, o.reachProbs(taxTopic))
 	if cross >= own {
 		t.Errorf("cross-topic prob %v >= own-topic prob %v", cross, own)
 	}
@@ -390,4 +390,13 @@ func TestWalkReachesLeaf(t *testing.T) {
 	if name != "species" && name != "product" {
 		t.Errorf("greedy fish walk found %q", name)
 	}
+}
+
+// tagStateID returns the tag state of tag, or -1 if the tag is not
+// organized.
+func (o *Org) tagStateID(tag string) StateID {
+	if id, ok := o.tagState[tag]; ok {
+		return id
+	}
+	return -1
 }

@@ -63,8 +63,9 @@ type Evaluator struct {
 	// eff is the current effectiveness (Eq 6).
 	eff float64
 
-	// tableAttrs[i] lists, per lake table, the positions in org.Attrs()
-	// of its organized attributes; tables with none are omitted.
+	// tableAttrs[i] lists, per live lake table, the positions in
+	// org.Attrs() of its organized attributes; tables with none are
+	// omitted. tables counts the live tables (the Eq 6 denominator).
 	tableAttrs [][]int
 	tables     int
 
@@ -181,6 +182,10 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 
 	idx := org.attrIndex()
 	for _, t := range org.Lake.Tables {
+		if t.Removed {
+			continue
+		}
+		ev.tables++
 		var positions []int
 		for _, a := range t.Attrs {
 			if p, ok := idx[a]; ok {
@@ -191,7 +196,6 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 			ev.tableAttrs = append(ev.tableAttrs, positions)
 		}
 	}
-	ev.tables = len(org.Lake.Tables)
 
 	ev.queryNorm = make([]float64, len(ev.queries))
 	for q := range ev.queries {
@@ -228,17 +232,14 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 	parallelForWorkers(nq, wk, func(w, lo, hi int) {
 		probs := ev.ws[w].probs
 		for q := lo; q < hi; q++ {
-			org.reachProbsInto(ev.queries[q].Topic, ev.queryNorm[q], nil, ev.reach[q], probs)
-			ev.leafProb[q] = org.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], nil, ev.reach[q], probs)
+			org.reachProbsInto(ev.queries[q].Topic, ev.queryNorm[q], ev.reach[q], probs)
+			ev.leafProb[q] = org.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.reach[q], probs)
 		}
 	})
 	ev.eff = ev.computeEff()
 	metricEvaluatorBuilds.Inc()
 	return ev, nil
 }
-
-// Queries returns the evaluation probes (exposed for experiments).
-func (ev *Evaluator) Queries() []Query { return ev.queries }
 
 // Approximate reports whether the evaluator runs in representative mode
 // (fewer queries than organized attributes).
@@ -259,6 +260,8 @@ func (ev *Evaluator) Effectiveness() float64 { return ev.eff }
 
 // AttrProb returns the (possibly representative-approximated) discovery
 // probability of the attribute at position i of org.Attrs().
+//
+//lakelint:ignore deadexport -- per-query probe the evaluator parity gates compare bit for bit
 func (ev *Evaluator) AttrProb(i int) float64 { return ev.leafProb[ev.repOf[i]] }
 
 // computeEff evaluates Eq 6 from the cached leaf probabilities.
@@ -485,7 +488,7 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 				}
 			}
 			if ev.leafDirty[q] {
-				ev.leafNew[q] = o.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], nil, ev.reach[q], probs)
+				ev.leafNew[q] = o.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.reach[q], probs)
 			}
 		}
 	})

@@ -75,7 +75,7 @@ func applyRandomOp(o *Org, rng *rand.Rand) (*ChangeSet, *UndoLog, bool) {
 			for _, ts := range o.TagStates() {
 				if o.CanAddParent(ts, sid) {
 					tid := ts
-					cands = append(cands, candidate{func() *UndoLog { return o.AddLeafParentOp(tid, sid) }})
+					cands = append(cands, candidate{func() *UndoLog { return o.addLeafParentOp(tid, sid) }})
 					break
 				}
 			}
@@ -198,7 +198,7 @@ func TestRepresentativeSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(o.Attrs())
-	queries := ev.Queries()
+	queries := ev.queries
 	if len(queries) >= n || len(queries) < 1 {
 		t.Fatalf("rep count = %d over %d attrs", len(queries), n)
 	}

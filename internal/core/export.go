@@ -57,16 +57,6 @@ func (o *Org) Export() *ExportedOrg {
 	return out
 }
 
-// WriteJSON serializes the organization structure to w.
-func (o *Org) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(o.Export()); err != nil {
-		return fmt.Errorf("core: export: %w", err)
-	}
-	return nil
-}
-
 // Metrics summarizes an organization's shape for reports and ablations.
 type Metrics struct {
 	// States by kind (live only).

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 )
 
@@ -70,7 +71,7 @@ func TestExportSkipsDeleted(t *testing.T) {
 func TestWriteJSONRoundTrips(t *testing.T) {
 	o := clusteredOrg(t)
 	var buf bytes.Buffer
-	if err := o.WriteJSON(&buf); err != nil {
+	if err := writeOrgJSON(o, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var ex ExportedOrg
@@ -136,4 +137,12 @@ func TestMultiDimExportImport(t *testing.T) {
 	if _, err := ImportMultiDim(l, empty); err == nil {
 		t.Error("empty multidim accepted")
 	}
+}
+
+// writeOrgJSON serializes one organization's structure as indented
+// JSON, the input format of ReadOrg.
+func writeOrgJSON(o *Org, w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(o.Export())
 }

@@ -154,8 +154,10 @@ func Import(l *lake.Lake, ex *ExportedOrg) (*Org, error) {
 	return o, nil
 }
 
-// ReadOrg deserializes an organization written by WriteJSON and
+// ReadOrg deserializes an organization encoded as JSON from Export and
 // reattaches it to the lake.
+//
+//lakelint:ignore deadexport -- JSON organization decoder kept behind FuzzReadOrg
 func ReadOrg(l *lake.Lake, r io.Reader) (*Org, error) {
 	var ex ExportedOrg
 	if err := json.NewDecoder(r).Decode(&ex); err != nil {

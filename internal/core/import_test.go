@@ -21,7 +21,7 @@ func TestImportRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := o.WriteJSON(&buf); err != nil {
+	if err := writeOrgJSON(o, &buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadOrg(o.Lake, &buf)

@@ -142,3 +142,30 @@ func BenchmarkTransitionsInto(b *testing.B) {
 		o.transitionsInto(adj, states[i%len(states)], topic, norm, probs)
 	}
 }
+
+// BenchmarkReachProbsInto measures one reach sweep (Eq 2–4) for one
+// query with caller-owned scratch.
+func BenchmarkReachProbsInto(b *testing.B) {
+	o := benchOrg(b)
+	_, topic := benchStatesAndTopic(b, o)
+	norm := vector.Norm(topic)
+	reach, probs := o.newScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.reachProbsInto(topic, norm, reach, probs)
+	}
+}
+
+// BenchmarkDiscoveryProbInto measures the full discovery-probability
+// path for one attribute: reach sweep plus leaf softmax.
+func BenchmarkDiscoveryProbInto(b *testing.B) {
+	o := benchOrg(b)
+	attrs := o.Attrs()
+	reach, probs := o.newScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.discoveryProbInto(attrs[i%len(attrs)], reach, probs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lakenav/internal/lake"
 	"lakenav/internal/synth"
 	"lakenav/vector"
 )
@@ -59,8 +60,8 @@ func assertKernelMatchesNaive(t *testing.T, o *Org, step int) {
 				}
 			}
 		}
-		gotReach := o.ReachProbs(topic)
-		wantReach := naiveReachProbs(o, nil, topic)
+		gotReach := o.reachProbs(topic)
+		wantReach := naiveReachProbs(o, topic)
 		for id := range wantReach {
 			if math.Abs(gotReach[id]-wantReach[id]) > tol {
 				t.Fatalf("step %d state %d: kernel reach %v != naive %v",
@@ -72,12 +73,12 @@ func assertKernelMatchesNaive(t *testing.T, o *Org, step int) {
 	probs := o.AttrDiscoveryProbs()
 	for i, a := range o.Attrs() {
 		leaf := o.State(o.Leaf(a))
-		want := naiveLeafProb(o, nil, a, leaf.topic, naiveReachProbs(o, nil, leaf.topic))
+		want := naiveLeafProb(o, a, leaf.topic, naiveReachProbs(o, leaf.topic))
 		if math.Abs(probs[i]-want) > tol {
 			t.Fatalf("step %d attr %d: kernel P(A|O) %v != naive %v", step, i, probs[i], want)
 		}
 	}
-	if got, want := o.Effectiveness(), naiveEffectiveness(o, nil); math.Abs(got-want) > tol {
+	if got, want := o.Effectiveness(), naiveEffectiveness(o); math.Abs(got-want) > tol {
 		t.Fatalf("step %d: kernel effectiveness %v != naive %v", step, got, want)
 	}
 }
@@ -195,7 +196,7 @@ func TestReevaluateMatchesReference(t *testing.T) {
 			if !ok {
 				break
 			}
-			if got, want := ev.Reevaluate(cs), naiveEffectiveness(o, nil); math.Abs(got-want) > tol {
+			if got, want := ev.Reevaluate(cs), naiveEffectiveness(o); math.Abs(got-want) > tol {
 				t.Fatalf("seed %d step %d: Reevaluate %v != reference %v", seed, step, got, want)
 			}
 			if step%3 == 2 {
@@ -206,7 +207,7 @@ func TestReevaluateMatchesReference(t *testing.T) {
 			} else if err := ev.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := ev.Effectiveness(), naiveEffectiveness(o, nil); math.Abs(got-want) > tol {
+			if got, want := ev.Effectiveness(), naiveEffectiveness(o); math.Abs(got-want) > tol {
 				t.Fatalf("seed %d step %d: resolved eff %v != reference %v", seed, step, got, want)
 			}
 		}
@@ -265,4 +266,113 @@ func TestEvaluatorParallelReevaluateRace(t *testing.T) {
 	if d := math.Abs(ev.Effectiveness() - fresh.Effectiveness()); d > 1e-9 {
 		t.Fatalf("post-storm eff %v != fresh %v", ev.Effectiveness(), fresh.Effectiveness())
 	}
+}
+
+// Eq 6 divides by the lake's live tables: after a batch that tombstones
+// tables, the exact kernel, the incremental evaluator, the
+// one-dimensional multi-dimensional form and the reference all agree.
+func TestEffectivenessSkipsTombstones(t *testing.T) {
+	const tol = 1e-12
+	l := testLake(t)
+	o, err := NewFlat(l, BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyBatch(t, l, o, []lake.TableChange{
+		{Name: "mills", Tags: []string{"grain"}, Attrs: []lake.AttrSpec{
+			{Name: "mill", Values: []string{"graind", "graine"}},
+		}},
+	}, []string{"urban", "inspections"})
+	ev, err := NewEvaluator(o, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := naiveEffectiveness(o)
+	for name, got := range map[string]float64{
+		"Org":       o.Effectiveness(),
+		"Evaluator": ev.Effectiveness(),
+		"MultiDim":  (&MultiDim{Lake: l, Orgs: []*Org{o}}).Effectiveness(),
+	} {
+		if math.Abs(got-want) > tol {
+			t.Errorf("%s effectiveness %v != reference %v", name, got, want)
+		}
+	}
+}
+
+// tombstonedLake is a small seeded TagCloud lake with every fifth table
+// removed, so table iteration must skip tombstones.
+func tombstonedLake(t *testing.T, seed int64) *lake.Lake {
+	t.Helper()
+	cfg := synth.SmallTagCloudConfig()
+	cfg.Tags = 16
+	cfg.Attributes = 90
+	cfg.MaxValues = 60
+	cfg.Dim = 16
+	cfg.SuperTopics = 4
+	cfg.Seed = seed
+	tc, err := synth.GenerateTagCloud(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var remove []string
+	for i, tb := range tc.Lake.Tables {
+		if i%5 == 2 {
+			remove = append(remove, tb.Name)
+		}
+	}
+	if _, err := tc.Lake.ApplyChanges(nil, remove); err != nil {
+		t.Fatal(err)
+	}
+	return tc.Lake
+}
+
+// Table discovery against the reference: Org.TableProb is Eq 5,
+// MultiDim.TableProb is Eq 8 and MultiDim.Effectiveness is its mean
+// over the live tables, on lakes with tombstones and K = 1, 2, 3.
+func TestTableProbMatchesReference(t *testing.T) {
+	const tol = 1e-12
+	for _, seed := range []int64{3, 11, 29} {
+		l := tombstonedLake(t, seed)
+		for k := 1; k <= 3; k++ {
+			m, _, err := BuildMultiDim(l, MultiDimConfig{K: k, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d, o := range m.Orgs {
+				probs, ref := o.AttrDiscoveryProbs(), naiveAttrProbs(o)
+				for _, tb := range l.Tables {
+					if got, want := o.TableProb(tb, probs), naiveTableProb(tb, ref); math.Abs(got-want) > tol {
+						t.Fatalf("seed %d K=%d dim %d table %s: Eq 5 %v != reference %v", seed, k, d, tb.Name, got, want)
+					}
+				}
+			}
+			probs, ref := m.AttrProbs(), naiveMultiDimAttrProbs(m)
+			for _, tb := range l.Tables {
+				if got, want := m.TableProb(tb, probs), naiveTableProb(tb, ref); math.Abs(got-want) > tol {
+					t.Fatalf("seed %d K=%d table %s: Eq 8 %v != reference %v", seed, k, tb.Name, got, want)
+				}
+			}
+			if got, want := m.Effectiveness(), naiveMeanTableProb(l, ref); math.Abs(got-want) > tol {
+				t.Fatalf("seed %d K=%d: MultiDim effectiveness %v != reference %v", seed, k, got, want)
+			}
+		}
+	}
+}
+
+// reachProbs runs the Eq 2–4 sweep into fresh scratch.
+func (o *Org) reachProbs(topic vector.Vector) []float64 {
+	reach, probs := o.newScratch()
+	return o.reachProbsInto(topic, vector.Norm(topic), reach, probs)
+}
+
+// leafProb is Definition 1 under topic, given reach from reachProbs.
+func (o *Org) leafProb(a lake.AttrID, topic vector.Vector, reach []float64) float64 {
+	probs := make([]float64, o.adjacency().maxChildren)
+	return o.leafProbInto(a, topic, vector.Norm(topic), reach, probs)
+}
+
+// discoveryProb is P(A|O) into fresh scratch.
+func (o *Org) discoveryProb(a lake.AttrID) float64 {
+	reach, probs := o.newScratch()
+	return o.discoveryProbInto(a, reach, probs)
 }

@@ -191,7 +191,7 @@ func TestLabels(t *testing.T) {
 		t.Errorf("leaf label = %q", got)
 	}
 	// Tag state labels are the tag.
-	if got := o.Label(o.TagState("fishery")); got != "fishery" {
+	if got := o.Label(o.tagStateID("fishery")); got != "fishery" {
 		t.Errorf("tag label = %q", got)
 	}
 	// Interior labels contain up to two tags.

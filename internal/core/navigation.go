@@ -55,12 +55,11 @@ func (o *Org) transitionsInto(a *adjSnapshot, s StateID, topic vector.Vector, to
 // (len(o.States), zeroed here) with P(s|X, O) using probs as the
 // transition scratch (cap ≥ adjacency().maxChildren) and returns reach.
 // One topological sweep pushes each state's reach mass to its children
-// through the transition softmax, blended with fb's observations when fb
-// is non-nil (Sec 2.4). Only interior states propagate — leaves are
-// terminal and tag states' children are leaves.
+// through the transition softmax. Only interior states propagate —
+// leaves are terminal and tag states' children are leaves.
 //
 //lakelint:hotpath
-func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, fb *Feedback, reach, probs []float64) []float64 {
+func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, reach, probs []float64) []float64 {
 	a := o.adjacency()
 	reach = reach[:len(o.States)]
 	for i := range reach {
@@ -73,12 +72,8 @@ func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, fb *Feedbac
 		if a.kinds[id] != interior || reach[id] == 0 {
 			continue
 		}
-		children := a.childrenOf(id)
 		p := o.transitionsInto(a, id, topic, topicNorm, probs)
-		if fb != nil {
-			fb.blend(id, children, p)
-		}
-		for i, c := range children {
+		for i, c := range a.childrenOf(id) {
 			if a.kinds[c] != leaf {
 				reach[c] += reach[id] * p[i]
 			}
@@ -89,13 +84,13 @@ func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, fb *Feedbac
 
 // leafProbInto is Definition 1's leaf probability: the discovery
 // probability of attribute a under query topic, given reach from
-// reachProbsInto over the same topic and fb — the reach mass of a's
+// reachProbsInto over the same topic — the reach mass of a's
 // tag-state parents times the leaf-level transition probabilities.
 // probs is the caller-owned transition scratch (cap ≥
 // adjacency().maxChildren).
 //
 //lakelint:hotpath
-func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, fb *Feedback, reach, probs []float64) float64 {
+func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, reach, probs []float64) float64 {
 	leaf, ok := o.leafOf[a]
 	if !ok {
 		return 0
@@ -106,12 +101,8 @@ func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64
 		if reach[t] == 0 {
 			continue
 		}
-		children := adj.childrenOf(StateID(t))
 		tp := o.transitionsInto(adj, StateID(t), topic, topicNorm, probs)
-		if fb != nil {
-			fb.blend(StateID(t), children, tp)
-		}
-		for i, c := range children {
+		for i, c := range adj.childrenOf(StateID(t)) {
 			if StateID(c) == leaf {
 				p += reach[t] * tp[i]
 				break
@@ -131,108 +122,55 @@ func (o *Org) newScratch() (reach, probs []float64) {
 // parallel to s.Children, for callers outside the optimizer (navigation
 // UIs, the user-study simulator).
 func (o *Org) TransitionProbs(s StateID, topic vector.Vector) []float64 {
-	return o.transitionProbs(s, topic, nil)
-}
-
-// transitionProbs is TransitionProbs, blended with fb when non-nil.
-func (o *Org) transitionProbs(s StateID, topic vector.Vector, fb *Feedback) []float64 {
 	a := o.adjacency()
 	children := a.childrenOf(s)
 	if len(children) == 0 {
 		return nil
 	}
-	p := o.transitionsInto(a, s, topic, vector.Norm(topic), make([]float64, len(children)))
-	if fb != nil {
-		fb.blend(s, children, p)
-	}
-	return p
+	return o.transitionsInto(a, s, topic, vector.Norm(topic), make([]float64, len(children)))
 }
 
-// ReachProbs computes P(s|X, O) (Eq 2–4) for every live non-leaf state
-// reachable from the root, indexed by StateID (leaves and unreachable
-// states hold 0).
-//
-// Leaf reach is intentionally not computed here: only the query
-// attribute's own leaf is ever needed, and tag states can have very
-// many leaf children (the paper notes the algorithm has no control over
-// the lowest-level branching factor); use LeafProb for it.
-func (o *Org) ReachProbs(topic vector.Vector) []float64 {
-	return o.reachProbs(topic, nil)
-}
-
-// reachProbs is ReachProbs, blended with fb when non-nil.
-func (o *Org) reachProbs(topic vector.Vector, fb *Feedback) []float64 {
-	reach, probs := o.newScratch()
-	return o.reachProbsInto(topic, vector.Norm(topic), fb, reach, probs)
-}
-
-// LeafProb returns the discovery probability of attribute a under query
-// topic, given reach probabilities from ReachProbs over the same topic:
-// the reach mass of a's tag-state parents times the leaf-level
-// transition probabilities (Definition 1).
-func (o *Org) LeafProb(a lake.AttrID, topic vector.Vector, reach []float64) float64 {
-	return o.leafProb(a, topic, reach, nil)
-}
-
-// leafProb is LeafProb, blended with fb when non-nil.
-func (o *Org) leafProb(a lake.AttrID, topic vector.Vector, reach []float64, fb *Feedback) float64 {
-	probs := make([]float64, o.adjacency().maxChildren)
-	return o.leafProbInto(a, topic, vector.Norm(topic), fb, reach, probs)
-}
-
-// discoveryProbInto is P(A|O) under fb (nil for the pure model): one
-// reach sweep and one leaf evaluation under a's own topic, into
-// caller-owned scratch.
-func (o *Org) discoveryProbInto(a lake.AttrID, fb *Feedback, reach, probs []float64) float64 {
+// discoveryProbInto is P(A|O): one reach sweep and one leaf evaluation
+// under a's own topic, into caller-owned scratch.
+func (o *Org) discoveryProbInto(a lake.AttrID, reach, probs []float64) float64 {
 	leaf, ok := o.leafOf[a]
 	if !ok {
 		return 0
 	}
 	topic, norm := o.States[leaf].topic, o.States[leaf].topicNorm
-	o.reachProbsInto(topic, norm, fb, reach, probs)
-	return o.leafProbInto(a, topic, norm, fb, reach, probs)
-}
-
-// DiscoveryProb returns P(A|O): the probability that a user whose query
-// topic is attribute a's own topic vector reaches a's leaf. This is the
-// exact quantity the organization problem maximizes the table-level
-// aggregate of (Definitions 1–3).
-func (o *Org) DiscoveryProb(a lake.AttrID) float64 {
-	reach, probs := o.newScratch()
-	return o.discoveryProbInto(a, nil, reach, probs)
+	o.reachProbsInto(topic, norm, reach, probs)
+	return o.leafProbInto(a, topic, norm, reach, probs)
 }
 
 // DiscoveryProbs returns, for every organized attribute (parallel to
 // Attrs()), the probability that a session navigating under the given
 // query topic reaches the attribute's leaf: one reach sweep shared by
 // every leaf evaluation, with the topic norm computed once. This is the
-// serving-path form of discovery evaluation — DiscoveryProb answers it
-// for an attribute's own topic, this answers it for an arbitrary query.
+// serving-path form of discovery evaluation — AttrDiscoveryProbs answers
+// it for each attribute's own topic, this answers it for an arbitrary
+// query.
 func (o *Org) DiscoveryProbs(topic vector.Vector) []float64 {
 	norm := vector.Norm(topic)
 	reach, probs := o.newScratch()
-	o.reachProbsInto(topic, norm, nil, reach, probs)
+	o.reachProbsInto(topic, norm, reach, probs)
 	out := make([]float64, len(o.attrs))
 	for i, a := range o.attrs {
-		out[i] = o.leafProbInto(a, topic, norm, nil, reach, probs)
+		out[i] = o.leafProbInto(a, topic, norm, reach, probs)
 	}
 	return out
 }
 
 // AttrDiscoveryProbs returns P(A|O) for every organized attribute,
-// parallel to Attrs(). This is the exact (non-approximate, non-pruned)
-// evaluation; the optimizer uses the incremental evaluator instead.
+// parallel to Attrs(): the probability that a user whose query topic is
+// the attribute's own topic vector reaches its leaf (Definitions 1–3).
+// This is the exact (non-approximate, non-pruned)
+// evaluation; the optimizer uses the incremental evaluator instead. One
+// reach row and one transition buffer serve every attribute.
 func (o *Org) AttrDiscoveryProbs() []float64 {
-	return o.attrDiscoveryProbs(nil)
-}
-
-// attrDiscoveryProbs is AttrDiscoveryProbs, blended with fb when
-// non-nil; one reach row and one transition buffer serve every attribute.
-func (o *Org) attrDiscoveryProbs(fb *Feedback) []float64 {
 	reach, probs := o.newScratch()
 	out := make([]float64, len(o.attrs))
 	for i, a := range o.attrs {
-		out[i] = o.discoveryProbInto(a, fb, reach, probs)
+		out[i] = o.discoveryProbInto(a, reach, probs)
 	}
 	return out
 }
@@ -277,25 +215,26 @@ func (o *Org) buildAttrIndex() {
 	}
 }
 
-// Effectiveness returns P(T|O) averaged over the lake's tables (Eq 6),
-// computed exactly. Tables with no organized attribute contribute 0,
-// matching the paper's observation that single-attribute, single-tag
-// tables stay hard to discover.
+// Effectiveness returns P(T|O) averaged over the lake's live tables
+// (Eq 6), computed exactly. Tables with no organized attribute
+// contribute 0, matching the paper's observation that single-attribute,
+// single-tag tables stay hard to discover; tombstoned tables are not
+// part of the lake and do not count.
 func (o *Org) Effectiveness() float64 {
-	return o.effectiveness(nil)
-}
-
-// effectiveness is Eq 6 under fb (nil for the pure model).
-func (o *Org) effectiveness(fb *Feedback) float64 {
-	if len(o.Lake.Tables) == 0 {
+	probs := o.AttrDiscoveryProbs()
+	var sum float64
+	live := 0
+	for _, t := range o.Lake.Tables {
+		if t.Removed {
+			continue
+		}
+		sum += o.TableProb(t, probs)
+		live++
+	}
+	if live == 0 {
 		return 0
 	}
-	probs := o.attrDiscoveryProbs(fb)
-	var sum float64
-	for _, t := range o.Lake.Tables {
-		sum += o.TableProb(t, probs)
-	}
-	return sum / float64(len(o.Lake.Tables))
+	return sum / float64(live)
 }
 
 // Walk simulates one navigation session: starting at the root, sample a

@@ -41,7 +41,7 @@ func TestTagReachConservation(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		topic := randomTopic(rng, tc.Lake.Dim())
-		reach := o.ReachProbs(topic)
+		reach := o.reachProbs(topic)
 		// Sum over tag states weighted by the number of their incoming
 		// mass... in a DAG a tag state may receive mass through several
 		// parents; total inflow to the tag level is conserved only in
@@ -65,7 +65,7 @@ func TestTagReachConservation(t *testing.T) {
 	check("initial")
 	// Tree invariant before any DAG-forming ops: tag reach sums to 1.
 	topic := randomTopic(rng, tc.Lake.Dim())
-	reach := o.ReachProbs(topic)
+	reach := o.reachProbs(topic)
 	var tagSum float64
 	for _, ts := range o.TagStates() {
 		tagSum += reach[ts]
@@ -157,7 +157,7 @@ func TestLeafOpsKeepValidProbabilities(t *testing.T) {
 		if target < 0 {
 			continue
 		}
-		o.AddLeafParentOp(target, leaf)
+		o.addLeafParentOp(target, leaf)
 		applied++
 		for i, p := range o.AttrDiscoveryProbs() {
 			if p < 0 || p > 1 {

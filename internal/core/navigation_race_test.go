@@ -52,7 +52,7 @@ func TestAttrIndexPrecomputedOnImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := o.WriteJSON(&buf); err != nil {
+	if err := writeOrgJSON(o, &buf); err != nil {
 		t.Fatal(err)
 	}
 	imported, err := ReadOrg(l, &buf)

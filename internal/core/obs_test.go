@@ -145,7 +145,7 @@ func TestProgressStampsDimensionAndRestart(t *testing.T) {
 	}
 
 	restarts := map[int]bool{}
-	_, _, err = OptimizeRestartsContext(context.Background(), func() (*Org, error) {
+	_, _, err = optimizeRestartsContext(context.Background(), func() (*Org, error) {
 		o, err := NewClustered(tc.Lake, BuildConfig{})
 		return o, err
 	}, OptimizeConfig{

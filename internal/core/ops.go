@@ -190,19 +190,6 @@ func (o *Org) eliminate(u *UndoLog, e StateID) {
 	u.record(o, aDelete, e, -1)
 }
 
-// AddLeafParentOp links tag state t as an additional parent of leaf.
-// This is Example 4's move: the attribute becomes reachable through a
-// second, semantically related tag. t's domain gains the attribute and
-// the change propagates to t's ancestors.
-func (o *Org) AddLeafParentOp(t, leaf StateID) *UndoLog {
-	if o.States[leaf].Kind != KindLeaf || !o.CanAddParent(t, leaf) {
-		panic(fmt.Sprintf("core: invalid AddLeafParent(%d, %d)", t, leaf))
-	}
-	u := &UndoLog{}
-	u.record(o, aLink, t, leaf)
-	return u
-}
-
 // CanRemoveLeafParent reports whether the t → leaf edge can be dropped:
 // it exists and leaf keeps at least one other parent.
 func (o *Org) CanRemoveLeafParent(t, leaf StateID) bool {

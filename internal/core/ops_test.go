@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"lakenav/vector"
@@ -89,7 +90,7 @@ func pickInterior(t *testing.T, o *Org) StateID {
 func TestAddParentOpMaintainsInclusion(t *testing.T) {
 	o := clusteredOrg(t)
 	// Find a tag state and an interior state that is not its parent.
-	ts := o.TagState("fishery")
+	ts := o.tagStateID("fishery")
 	var n StateID = -1
 	for _, s := range o.States {
 		if s.Kind == KindInterior && o.CanAddParent(s.ID, ts) {
@@ -124,7 +125,7 @@ func TestAddParentOpMaintainsInclusion(t *testing.T) {
 
 func TestAddParentUndoExact(t *testing.T) {
 	o := clusteredOrg(t)
-	ts := o.TagState("grain")
+	ts := o.tagStateID("grain")
 	var n StateID = -1
 	for _, s := range o.States {
 		if s.Kind == KindInterior && o.CanAddParent(s.ID, ts) {
@@ -146,7 +147,7 @@ func TestAddParentUndoExact(t *testing.T) {
 
 func TestCanAddParentRules(t *testing.T) {
 	o := clusteredOrg(t)
-	ts := o.TagState("fishery")
+	ts := o.tagStateID("fishery")
 	leaf := o.Leaf(o.Attrs()[0])
 	root := o.Root
 
@@ -154,7 +155,7 @@ func TestCanAddParentRules(t *testing.T) {
 		t.Error("self-parent allowed")
 	}
 	// Tag state cannot parent a tag state.
-	if o.CanAddParent(ts, o.TagState("grain")) {
+	if o.CanAddParent(ts, o.tagStateID("grain")) {
 		t.Error("tag-state parent of tag state allowed")
 	}
 	// Leaf cannot be a parent at all.
@@ -259,7 +260,7 @@ func TestDeleteParentUndoExact(t *testing.T) {
 
 func TestCanDeleteParentRules(t *testing.T) {
 	o := clusteredOrg(t)
-	ts := o.TagState("fishery")
+	ts := o.tagStateID("fishery")
 	leaf := o.State(ts).Children[0]
 	// Root cannot be eliminated.
 	rootChild := o.State(o.Root).Children[0]
@@ -290,13 +291,13 @@ func TestAddLeafParentOp(t *testing.T) {
 	if product == -1 {
 		t.Fatal("product leaf missing")
 	}
-	city := o.TagState("city")
+	city := o.tagStateID("city")
 	if !o.CanAddParent(city, product) {
 		t.Fatal("CanAddParent(city, product) false")
 	}
 	before := o.State(city).DomainSize()
 	want := snapshotOrg(o)
-	u := o.AddLeafParentOp(city, product)
+	u := o.addLeafParentOp(city, product)
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestRemoveLeafParentOp(t *testing.T) {
 
 func TestChangeSetRecordsOps(t *testing.T) {
 	o := clusteredOrg(t)
-	ts := o.TagState("grain")
+	ts := o.tagStateID("grain")
 	var n StateID = -1
 	for _, s := range o.States {
 		if s.Kind == KindInterior && o.CanAddParent(s.ID, ts) {
@@ -468,4 +469,15 @@ func TestOpSequenceStaysValid(t *testing.T) {
 	if applied == 0 {
 		t.Fatal("stress test applied no operations")
 	}
+}
+
+// addLeafParentOp links tag state t as an additional parent of leaf
+// (Example 4's move), so tests can build DAG-shaped organizations.
+func (o *Org) addLeafParentOp(t, leaf StateID) *UndoLog {
+	if o.States[leaf].Kind != KindLeaf || !o.CanAddParent(t, leaf) {
+		panic(fmt.Sprintf("core: invalid AddLeafParent(%d, %d)", t, leaf))
+	}
+	u := &UndoLog{}
+	u.record(o, aLink, t, leaf)
+	return u
 }

@@ -746,29 +746,8 @@ func RestartCheckpointPath(base string, r int) string {
 	return fmt.Sprintf("%s.r%d", base, r)
 }
 
-// OptimizeRestartsContext runs the local search restarts times with
-// different seeds, each on a fresh copy of the initial organization
-// built by build, and returns the most effective result. Greedy
-// acceptance makes individual runs cheap but local; independent
-// restarts are the standard remedy. Cancellation degrades gracefully:
-// the in-flight restart stops at its next iteration boundary, later
-// restarts are skipped, and the best organization found so far is
-// returned with stats.Truncated set — never an error. When
-// cfg.Checkpoint is set and restarts > 1, each restart snapshots to its
-// own derived path (RestartCheckpointPath), so concurrent progress
-// files never collide.
-func OptimizeRestartsContext(ctx context.Context, build func() (*Org, error), cfg OptimizeConfig, restarts int) (*Org, *OptimizeStats, error) {
-	return optimizeRestarts(ctx, cfg, restarts, func(rc OptimizeConfig) (*Org, *OptimizeStats, error) {
-		org, err := build()
-		if err != nil {
-			return nil, nil, err
-		}
-		return OptimizeContext(ctx, org, rc)
-	})
-}
-
-// optimizeRestarts is the restart loop behind OptimizeRestartsContext
-// and multi-dimensional builds: restart r calls search with cfg's
+// optimizeRestarts is the restart loop of multi-dimensional builds:
+// restart r calls search with cfg's
 // derived seed, progress stamp and checkpoint path, and the most
 // effective result wins.
 func optimizeRestarts(ctx context.Context, cfg OptimizeConfig, restarts int, search func(OptimizeConfig) (*Org, *OptimizeStats, error)) (*Org, *OptimizeStats, error) {

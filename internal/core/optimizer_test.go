@@ -147,7 +147,7 @@ func TestOptimizeRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func() (*Org, error) { return NewClustered(tc.Lake, BuildConfig{}) }
-	org, stats, err := OptimizeRestartsContext(context.Background(), build, OptimizeConfig{MaxIterations: 40, RepFraction: 0.1, Seed: 1}, 3)
+	org, stats, err := optimizeRestartsContext(context.Background(), build, OptimizeConfig{MaxIterations: 40, RepFraction: 0.1, Seed: 1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,14 @@ func TestOptimizeRestarts(t *testing.T) {
 		t.Errorf("restarts best %v below single %v", stats.FinalEff, st.FinalEff)
 	}
 	// restarts < 1 clamps.
-	if _, _, err := OptimizeRestartsContext(context.Background(), build, OptimizeConfig{MaxIterations: 10}, 0); err != nil {
+	if _, _, err := optimizeRestartsContext(context.Background(), build, OptimizeConfig{MaxIterations: 10}, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestOptimizeRestartsBuildError(t *testing.T) {
 	bad := func() (*Org, error) { return nil, errBuild }
-	if _, _, err := OptimizeRestartsContext(context.Background(), bad, OptimizeConfig{}, 2); err == nil {
+	if _, _, err := optimizeRestartsContext(context.Background(), bad, OptimizeConfig{}, 2); err == nil {
 		t.Error("build error swallowed")
 	}
 }

@@ -106,9 +106,6 @@ func (s *State) Deleted() bool { return s.deleted }
 // Topic returns the state's topic vector μ_s.
 func (s *State) Topic() vector.Vector { return s.topic }
 
-// TopicNorm returns the cached L2 norm of the state's topic vector.
-func (s *State) TopicNorm() float64 { return s.topicNorm }
-
 // setTopic installs a new topic vector and its cached norm. All topic
 // writes go through here so the norm can never go stale. Arena-backed
 // states store the values in the Org's contiguous block and keep topic
@@ -220,15 +217,6 @@ func (o *Org) Attrs() []lake.AttrID { return o.attrs }
 // organized.
 func (o *Org) Leaf(a lake.AttrID) StateID {
 	if id, ok := o.leafOf[a]; ok {
-		return id
-	}
-	return -1
-}
-
-// TagState returns the tag state of tag, or -1 if the tag is not
-// organized.
-func (o *Org) TagState(tag string) StateID {
-	if id, ok := o.tagState[tag]; ok {
 		return id
 	}
 	return -1

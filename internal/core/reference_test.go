@@ -11,9 +11,7 @@ import (
 // oracle every fast path in this package is differentially tested
 // against. They walk the *State pointer graph and call vector.Cosine
 // (which recomputes both norms on every call), sharing nothing with the
-// CSR/arena kernels of navigation.go. A nil *Feedback selects the pure
-// similarity model (Eq 1); a non-nil one blends its observations into
-// every transition (Sec 2.4).
+// CSR/arena kernels of navigation.go.
 
 // naiveChildTransitions is Eq 1: a softmax over the children of s with
 // logit (γ/|ch(s)|)·cos(μ_c, μ_X), parallel to s.Children.
@@ -42,37 +40,9 @@ func naiveChildTransitions(o *Org, s StateID, topic vector.Vector) []float64 {
 	return probs
 }
 
-// naiveBlendedTransitions is the Sec 2.4 Dirichlet blend of Eq 1:
-// (α·P(c|s) + n(s→c)) / (α + Σ_c n(s→c)), with the row total summed
-// from the counts rather than read from Feedback's cached totals.
-func naiveBlendedTransitions(f *Feedback, s StateID, topic vector.Vector) []float64 {
-	probs := naiveChildTransitions(f.org, s, topic)
-	row := f.counts[s]
-	if len(row) == 0 {
-		return probs
-	}
-	children := f.org.States[s].Children
-	var total float64
-	for _, c := range children {
-		total += row[c]
-	}
-	for i, c := range children {
-		probs[i] = (f.prior*probs[i] + row[c]) / (f.prior + total)
-	}
-	return probs
-}
-
-// naiveTransitions dispatches between the pure and the blended model.
-func naiveTransitions(o *Org, f *Feedback, s StateID, topic vector.Vector) []float64 {
-	if f == nil {
-		return naiveChildTransitions(o, s, topic)
-	}
-	return naiveBlendedTransitions(f, s, topic)
-}
-
 // naiveReachProbs is Eq 2–4: reach mass pushed from the root through
 // every interior state's transitions, in topological order.
-func naiveReachProbs(o *Org, f *Feedback, topic vector.Vector) []float64 {
+func naiveReachProbs(o *Org, topic vector.Vector) []float64 {
 	reach := make([]float64, len(o.States))
 	reach[o.Root] = 1
 	for _, id := range o.Topo() {
@@ -80,7 +50,7 @@ func naiveReachProbs(o *Org, f *Feedback, topic vector.Vector) []float64 {
 		if s.Kind == KindLeaf || reach[id] == 0 || s.Kind == KindTag {
 			continue
 		}
-		probs := naiveTransitions(o, f, id, topic)
+		probs := naiveChildTransitions(o, id, topic)
 		for i, c := range s.Children {
 			if o.States[c].Kind != KindLeaf {
 				reach[c] += reach[id] * probs[i]
@@ -92,7 +62,7 @@ func naiveReachProbs(o *Org, f *Feedback, topic vector.Vector) []float64 {
 
 // naiveLeafProb is Definition 1: the reach of a's tag-state parents
 // times their transition into a's leaf.
-func naiveLeafProb(o *Org, f *Feedback, a lake.AttrID, topic vector.Vector, reach []float64) float64 {
+func naiveLeafProb(o *Org, a lake.AttrID, topic vector.Vector, reach []float64) float64 {
 	leaf, ok := o.leafOf[a]
 	if !ok {
 		return 0
@@ -102,7 +72,7 @@ func naiveLeafProb(o *Org, f *Feedback, a lake.AttrID, topic vector.Vector, reac
 		if reach[t] == 0 {
 			continue
 		}
-		probs := naiveTransitions(o, f, t, topic)
+		probs := naiveChildTransitions(o, t, topic)
 		for i, c := range o.States[t].Children {
 			if c == leaf {
 				p += reach[t] * probs[i]
@@ -113,9 +83,9 @@ func naiveLeafProb(o *Org, f *Feedback, a lake.AttrID, topic vector.Vector, reac
 	return p
 }
 
-// naiveEffectiveness is Eq 6: P(T|O) = 1 − Π(1 − P(A|O)) over each
-// table's organized attributes, averaged over the lake's tables.
-func naiveEffectiveness(o *Org, f *Feedback) float64 {
+// naiveAttrProbs is P(A|O) for every organized attribute: Definition 1
+// under the attribute's own topic.
+func naiveAttrProbs(o *Org) map[lake.AttrID]float64 {
 	probs := make(map[lake.AttrID]float64, len(o.attrs))
 	for _, a := range o.attrs {
 		leaf, ok := o.leafOf[a]
@@ -123,20 +93,63 @@ func naiveEffectiveness(o *Org, f *Feedback) float64 {
 			continue
 		}
 		topic := o.States[leaf].topic
-		probs[a] = naiveLeafProb(o, f, a, topic, naiveReachProbs(o, f, topic))
+		probs[a] = naiveLeafProb(o, a, topic, naiveReachProbs(o, topic))
 	}
-	if len(o.Lake.Tables) == 0 {
+	return probs
+}
+
+// naiveTableProb is Eq 5 (and, given P(A|M), Eq 8): P(T) = 1 − Π(1 −
+// P(A)) over the table's attributes with a discovery probability.
+func naiveTableProb(t *lake.Table, probs map[lake.AttrID]float64) float64 {
+	fail := 1.0
+	for _, a := range t.Attrs {
+		if p, ok := probs[a]; ok {
+			fail *= 1 - p
+		}
+	}
+	return 1 - fail
+}
+
+// naiveMeanTableProb averages naiveTableProb over the lake's live
+// tables; tombstoned tables are not part of the lake.
+func naiveMeanTableProb(l *lake.Lake, probs map[lake.AttrID]float64) float64 {
+	var sum float64
+	live := 0
+	for _, t := range l.Tables {
+		if t.Removed {
+			continue
+		}
+		sum += naiveTableProb(t, probs)
+		live++
+	}
+	if live == 0 {
 		return 0
 	}
-	var sum float64
-	for _, t := range o.Lake.Tables {
-		fail := 1.0
-		for _, a := range t.Attrs {
-			if p, ok := probs[a]; ok {
-				fail *= 1 - p
+	return sum / float64(live)
+}
+
+// naiveEffectiveness is Eq 6: P(T|O) averaged over the lake's live
+// tables.
+func naiveEffectiveness(o *Org) float64 {
+	return naiveMeanTableProb(o.Lake, naiveAttrProbs(o))
+}
+
+// naiveMultiDimAttrProbs is the per-attribute form of Eq 8: P(A|M) =
+// 1 − Π_i (1 − P(A|O_i)) over the dimensions that organize A.
+func naiveMultiDimAttrProbs(m *MultiDim) map[lake.AttrID]float64 {
+	fail := make(map[lake.AttrID]float64)
+	for _, o := range m.Orgs {
+		for a, p := range naiveAttrProbs(o) {
+			f, ok := fail[a]
+			if !ok {
+				f = 1
 			}
+			fail[a] = f * (1 - p)
 		}
-		sum += 1 - fail
 	}
-	return sum / float64(len(o.Lake.Tables))
+	out := make(map[lake.AttrID]float64, len(fail))
+	for a, f := range fail {
+		out[a] = 1 - f
+	}
+	return out
 }

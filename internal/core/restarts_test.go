@@ -37,7 +37,7 @@ func TestOptimizeRestartsContextCancelMidRestart(t *testing.T) {
 		Seed:          1,
 		Probe:         faultinject.CancelAtIteration(cancel, 5),
 	}
-	org, stats, err := OptimizeRestartsContext(ctx, build, cfg, 4)
+	org, stats, err := optimizeRestartsContext(ctx, build, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestOptimizeRestartsContextKeepsCompletedBest(t *testing.T) {
 	base := OptimizeConfig{MaxIterations: 40, RepFraction: 0.1, Seed: 1}
 
 	// Reference: the first two restarts, uncanceled.
-	ref, refStats, err := OptimizeRestartsContext(context.Background(),
+	ref, refStats, err := optimizeRestartsContext(context.Background(),
 		func() (*Org, error) { return NewClustered(tc.Lake, BuildConfig{}) }, base, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestOptimizeRestartsContextKeepsCompletedBest(t *testing.T) {
 		}
 		return NewClustered(tc.Lake, BuildConfig{})
 	}
-	org, stats, err := OptimizeRestartsContext(ctx, build, base, 4)
+	org, stats, err := optimizeRestartsContext(ctx, build, base, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRestartCheckpointsDoNotCollide(t *testing.T) {
 		Seed:          11,
 		Checkpoint:    &CheckpointConfig{Path: base, EveryAccepted: 1},
 	}
-	_, stats, err := OptimizeRestartsContext(context.Background(),
+	_, stats, err := optimizeRestartsContext(context.Background(),
 		func() (*Org, error) { return NewClustered(tc.Lake, BuildConfig{}) }, cfg, restarts)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestSingleRestartKeepsBasePath(t *testing.T) {
 		Seed:          11,
 		Checkpoint:    &CheckpointConfig{Path: base, EveryAccepted: 1},
 	}
-	_, _, err := OptimizeRestartsContext(context.Background(),
+	_, _, err := optimizeRestartsContext(context.Background(),
 		func() (*Org, error) { return NewClustered(tc.Lake, BuildConfig{}) }, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -277,4 +277,16 @@ func TestMultiDimResumeMultiRestart(t *testing.T) {
 	if mR.Fingerprint() != mU.Fingerprint() {
 		t.Error("resumed multi-restart build differs from the uninterrupted one")
 	}
+}
+
+// optimizeRestartsContext runs the restart loop over fresh copies of
+// the organization build returns, keeping the most effective result.
+func optimizeRestartsContext(ctx context.Context, build func() (*Org, error), cfg OptimizeConfig, restarts int) (*Org, *OptimizeStats, error) {
+	return optimizeRestarts(ctx, cfg, restarts, func(rc OptimizeConfig) (*Org, *OptimizeStats, error) {
+		org, err := build()
+		if err != nil {
+			return nil, nil, err
+		}
+		return OptimizeContext(ctx, org, rc)
+	})
 }

@@ -132,9 +132,6 @@ func NewStore(dim int) *Store {
 // Dim returns the embedding dimension.
 func (s *Store) Dim() int { return s.dim }
 
-// Len returns the vocabulary size.
-func (s *Store) Len() int { return len(s.words) }
-
 // Add inserts or replaces the embedding for word. The vector is cloned.
 func (s *Store) Add(word string, v vector.Vector) {
 	if len(v) != s.dim {
@@ -163,10 +160,6 @@ func (s *Store) Has(word string) bool {
 	_, ok := s.index[word]
 	return ok
 }
-
-// Words returns the vocabulary in insertion order. The returned slice
-// must not be modified.
-func (s *Store) Words() []string { return s.words }
 
 // Neighbor is a word together with its cosine similarity to a query.
 type Neighbor struct {

@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,8 +100,8 @@ func TestStoreAddLookup(t *testing.T) {
 	s := NewStore(2)
 	s.Add("a", vector.Vector{1, 0})
 	s.Add("b", vector.Vector{0, 1})
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.words) != 2 {
+		t.Fatalf("Len = %d, want 2", len(s.words))
 	}
 	v, ok := s.Lookup("a")
 	if !ok || !vector.Equal(v, vector.Vector{1, 0}, 0) {
@@ -111,8 +112,8 @@ func TestStoreAddLookup(t *testing.T) {
 	}
 	// Replacement keeps length.
 	s.Add("a", vector.Vector{0.5, 0.5})
-	if s.Len() != 2 {
-		t.Errorf("Len after replace = %d, want 2", s.Len())
+	if len(s.words) != 2 {
+		t.Errorf("Len after replace = %d, want 2", len(s.words))
 	}
 	v, _ = s.Lookup("a")
 	if !vector.Equal(v, vector.Vector{0.5, 0.5}, 0) {
@@ -231,34 +232,20 @@ func TestTopicSpaceTopicWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	topic := ts.Topics()[0]
-	nn := ts.TopicWords(topic, 10)
+	nn := ts.Store().NearestWord(topic, 10, true)
 	if len(nn) != 10 {
-		t.Fatalf("TopicWords returned %d, want 10", len(nn))
+		t.Fatalf("NearestWord returned %d, want 10", len(nn))
 	}
 	// The nearest words to a centroid should overwhelmingly be its own
 	// topic's vocabulary.
 	own := 0
 	for _, n := range nn {
-		if ts.TopicOf(n.Word) == topic {
+		if strings.HasPrefix(n.Word, topic+"_w") {
 			own++
 		}
 	}
 	if own < 9 {
 		t.Errorf("only %d/10 nearest words belong to the topic", own)
-	}
-}
-
-func TestTopicSpaceTopicOf(t *testing.T) {
-	cfg := TopicSpaceConfig{Dim: 16, Topics: 3, WordsPerTopic: 4, Sigma: 0.3, MaxCentroidCosine: 0.6, Seed: 9}
-	ts, err := NewTopicSpace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ts.TopicOf(TopicWordName(1, 2)); got != TopicName(1) {
-		t.Errorf("TopicOf = %q, want %q", got, TopicName(1))
-	}
-	if got := ts.TopicOf("unknown"); got != "" {
-		t.Errorf("TopicOf(unknown) = %q, want empty", got)
 	}
 }
 
@@ -294,7 +281,7 @@ func TestTopicSpaceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range a.Store().Words() {
+	for _, w := range a.Store().words {
 		va, _ := a.Lookup(w)
 		vb, ok := b.Lookup(w)
 		if !ok || !vector.Equal(va, vb, 0) {

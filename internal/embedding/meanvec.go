@@ -22,15 +22,6 @@ type CoverageStats struct {
 	EmbeddedTokens int
 }
 
-// ValueCoverage returns the fraction of values with at least one embedded
-// token, or 0 when no values were seen.
-func (c CoverageStats) ValueCoverage() float64 {
-	if c.Values == 0 {
-		return 0
-	}
-	return float64(c.Embedded) / float64(c.Values)
-}
-
 // TokenCoverage returns the fraction of tokens found in the vocabulary,
 // or 0 when no tokens were seen.
 func (c CoverageStats) TokenCoverage() float64 {

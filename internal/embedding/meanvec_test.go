@@ -46,9 +46,6 @@ func TestMeanVector(t *testing.T) {
 	if stats.Values != 3 || stats.Embedded != 2 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if got := stats.ValueCoverage(); got < 0.66 || got > 0.67 {
-		t.Errorf("ValueCoverage = %v, want 2/3", got)
-	}
 	if got := stats.TokenCoverage(); got < 0.66 || got > 0.67 {
 		t.Errorf("TokenCoverage = %v, want 2/3", got)
 	}
@@ -66,7 +63,7 @@ func TestMeanVectorNoCoverage(t *testing.T) {
 	if stats.Embedded != 0 {
 		t.Errorf("Embedded = %d, want 0", stats.Embedded)
 	}
-	if stats.ValueCoverage() != 0 || stats.TokenCoverage() != 0 {
+	if stats.Embedded != 0 || stats.TokenCoverage() != 0 {
 		t.Error("coverage should be 0")
 	}
 }
@@ -86,7 +83,7 @@ func TestMeanVectorMultiTokenValue(t *testing.T) {
 
 func TestCoverageStatsZero(t *testing.T) {
 	var c CoverageStats
-	if c.ValueCoverage() != 0 || c.TokenCoverage() != 0 {
+	if c.TokenCoverage() != 0 {
 		t.Error("zero stats should report zero coverage")
 	}
 }

@@ -18,9 +18,6 @@ import (
 type TopicSpace struct {
 	store  *Store
 	topics []string
-	// centroid index of each topic word, for ground-truth queries.
-	topicOf map[string]string
-	sigma   float64
 }
 
 // TopicSpaceConfig controls synthetic topic-space generation.
@@ -58,20 +55,6 @@ type TopicSpaceConfig struct {
 	Seed int64
 }
 
-// DefaultTopicSpaceConfig mirrors the TagCloud benchmark's scale: 365
-// topics with tight vocabularies in a space where unrelated topics are
-// nearly orthogonal.
-func DefaultTopicSpaceConfig() TopicSpaceConfig {
-	return TopicSpaceConfig{
-		Dim:               64,
-		Topics:            365,
-		WordsPerTopic:     1000,
-		Sigma:             0.25,
-		MaxCentroidCosine: 0.5,
-		Seed:              1,
-	}
-}
-
 // NewTopicSpace generates a topic space from cfg.
 func NewTopicSpace(cfg TopicSpaceConfig) (*TopicSpace, error) {
 	if cfg.Dim <= 0 || cfg.Topics <= 0 || cfg.WordsPerTopic <= 0 {
@@ -82,9 +65,7 @@ func NewTopicSpace(cfg TopicSpaceConfig) (*TopicSpace, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ts := &TopicSpace{
-		store:   NewStore(cfg.Dim),
-		topicOf: make(map[string]string),
-		sigma:   cfg.Sigma,
+		store: NewStore(cfg.Dim),
 	}
 
 	// Family directions for correlated centroid generation.
@@ -141,7 +122,6 @@ func NewTopicSpace(cfg TopicSpaceConfig) (*TopicSpace, error) {
 		centroids = append(centroids, c)
 		ts.topics = append(ts.topics, name)
 		ts.store.Add(name, c)
-		ts.topicOf[name] = name
 
 		for w := 0; w < cfg.WordsPerTopic; w++ {
 			word := TopicWordName(t, w)
@@ -155,7 +135,6 @@ func NewTopicSpace(cfg TopicSpaceConfig) (*TopicSpace, error) {
 			// still distinguishing its words.
 			v = vector.Normalize(v)
 			ts.store.Add(word, v)
-			ts.topicOf[word] = name
 		}
 	}
 	return ts, nil
@@ -180,15 +159,3 @@ func (ts *TopicSpace) Lookup(word string) (vector.Vector, bool) { return ts.stor
 // Topics returns the planted topic names in generation order. The
 // returned slice must not be modified.
 func (ts *TopicSpace) Topics() []string { return ts.topics }
-
-// TopicOf returns the planted topic a vocabulary word belongs to, or ""
-// if the word is not part of the space. Topic centroids belong to
-// themselves.
-func (ts *TopicSpace) TopicOf(word string) string { return ts.topicOf[word] }
-
-// TopicWords returns the k vocabulary words most similar to the named
-// topic's centroid (excluding the centroid word itself), mirroring the
-// benchmark's "k most similar words to the tag" attribute construction.
-func (ts *TopicSpace) TopicWords(topic string, k int) []Neighbor {
-	return ts.store.NearestWord(topic, k, true)
-}

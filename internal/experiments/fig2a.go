@@ -28,6 +28,8 @@ type Fig2aResult struct {
 }
 
 // Get returns the named series, or nil.
+//
+//lakelint:ignore deadexport -- series lookup shared by the Figure 2(a) test and benchmark
 func (r *Fig2aResult) Get(name string) *OrgSeries {
 	for i := range r.Series {
 		if r.Series[i].Name == name {

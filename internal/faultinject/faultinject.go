@@ -17,6 +17,8 @@ import (
 // CancelAtIteration returns an optimizer Probe (see
 // core.OptimizeConfig.Probe) that cancels at iteration k, simulating a
 // deploy or crash landing mid-search.
+//
+//lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 func CancelAtIteration(cancel context.CancelFunc, k int) func(int) {
 	return func(iteration int) {
 		if iteration >= k {
@@ -28,6 +30,8 @@ func CancelAtIteration(cancel context.CancelFunc, k int) func(int) {
 // CancelWhen returns a Probe that cancels as soon as cond reports true,
 // for faults keyed on observable side effects (e.g. "a checkpoint file
 // exists") rather than iteration counts.
+//
+//lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 func CancelWhen(cancel context.CancelFunc, cond func() bool) func(int) {
 	return func(int) {
 		if cond() {
@@ -39,6 +43,8 @@ func CancelWhen(cancel context.CancelFunc, cond func() bool) func(int) {
 // TruncateFile tears a file down to its first keep bytes in place,
 // simulating a crash mid-write on a non-atomic writer. It returns the
 // number of bytes removed.
+//
+//lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 func TruncateFile(path string, keep int64) (int64, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -58,6 +64,8 @@ func TruncateFile(path string, keep int64) (int64, error) {
 
 // TornCopy writes the first fraction (0..1) of src's bytes to dst — a
 // torn file as a crashed copy or partial download would leave it.
+//
+//lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 func TornCopy(src, dst string, fraction float64) error {
 	data, err := os.ReadFile(src)
 	if err != nil {
@@ -79,6 +87,8 @@ func TornCopy(src, dst string, fraction float64) error {
 // CorruptByte flips every bit of the byte at offset off in place,
 // simulating silent media corruption (the kind a CRC exists to catch)
 // rather than a torn write.
+//
+//lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 func CorruptByte(path string, off int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -96,6 +106,8 @@ func CorruptByte(path string, off int64) error {
 
 // SlowReader delays every Read by Delay, simulating a saturated or
 // failing disk / network volume.
+//
+//lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 type SlowReader struct {
 	R     io.Reader
 	Delay time.Duration
@@ -110,6 +122,8 @@ func (s *SlowReader) Read(p []byte) (int, error) {
 // FailingReader reads normally for the first N bytes and then returns
 // Err (io.ErrUnexpectedEOF when nil), simulating an I/O error
 // mid-stream.
+//
+//lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 type FailingReader struct {
 	R    io.Reader
 	N    int64
@@ -145,6 +159,8 @@ func (f *FailingReader) err() error {
 // disk that fills mid-write. The short write reports how many of the
 // offending call's bytes still fit, the way a real ENOSPC surfaces
 // through an os.File.
+//
+//lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 type FailingWriter struct {
 	W       io.Writer
 	N       int64

@@ -72,9 +72,6 @@ func (r *Ring) Place(key string) string {
 	return r.points[i].shard
 }
 
-// Shards returns the sorted shard ids the ring was built from.
-func (r *Ring) Shards() []string { return r.ids }
-
 // NavKey is the placement key for navigation traffic: every query
 // against one (lake, dimension) pair lands on one shard, so that
 // shard's serve-layer LRU owns the whole dimension's working set.

@@ -161,44 +161,6 @@ func (s *Session) Neighborhood(dim int, state core.StateID, limit int) ([]lake.T
 	return out, nil
 }
 
-// PathTo returns one shortest root-to-state path in the given dimension
-// (for breadcrumb rendering after a jump).
-func (s *Session) PathTo(dim int, state core.StateID) ([]core.StateID, error) {
-	if dim < 0 || dim >= len(s.orgs.Orgs) {
-		return nil, fmt.Errorf("hybrid: dimension %d out of range", dim)
-	}
-	org := s.orgs.Orgs[dim]
-	// BFS from the root over children.
-	type link struct {
-		id   core.StateID
-		prev int
-	}
-	frontier := []link{{org.Root, -1}}
-	visited := map[core.StateID]bool{org.Root: true}
-	for i := 0; i < len(frontier); i++ {
-		cur := frontier[i]
-		if cur.id == state {
-			// Reconstruct.
-			var rev []core.StateID
-			for j := i; j != -1; j = frontier[j].prev {
-				rev = append(rev, frontier[j].id)
-			}
-			out := make([]core.StateID, len(rev))
-			for k := range rev {
-				out[k] = rev[len(rev)-1-k]
-			}
-			return out, nil
-		}
-		for _, c := range org.State(cur.id).Children {
-			if !visited[c] {
-				visited[c] = true
-				frontier = append(frontier, link{c, i})
-			}
-		}
-	}
-	return nil, fmt.Errorf("hybrid: state %d unreachable in dimension %d", state, dim)
-}
-
 // RelatedQueries suggests follow-up keyword queries from a navigation
 // state: the state's most frequent tags become search terms — turning
 // navigation context back into the search modality.

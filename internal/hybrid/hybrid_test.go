@@ -110,43 +110,6 @@ func TestNeighborhoodOpensSerendipitySet(t *testing.T) {
 	}
 }
 
-func TestPathTo(t *testing.T) {
-	s, _ := buildSession(t)
-	hits := s.Search("cropa", 5)
-	if len(hits) == 0 || len(hits[0].Jumps) == 0 {
-		t.Fatal("no crop hit with jumps")
-	}
-	jp := hits[0].Jumps[0]
-	path, err := s.PathTo(jp.Dim, jp.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	org := sOrg(s, jp.Dim)
-	if path[0] != org.Root {
-		t.Error("path does not start at root")
-	}
-	if path[len(path)-1] != jp.State {
-		t.Error("path does not end at the jump state")
-	}
-	// Consecutive states are parent→child.
-	for i := 1; i < len(path); i++ {
-		found := false
-		for _, c := range org.State(path[i-1]).Children {
-			if c == path[i] {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("path step %d not an edge", i)
-		}
-	}
-	if _, err := s.PathTo(99, jp.State); err == nil {
-		t.Error("bad dimension accepted")
-	}
-}
-
-func sOrg(s *Session, dim int) *core.Org { return s.orgs.Orgs[dim] }
-
 func TestRelatedQueries(t *testing.T) {
 	s, _ := buildSession(t)
 	hits := s.Search("fisha", 5)

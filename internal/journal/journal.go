@@ -238,17 +238,6 @@ func (w *Writer) Append(b Batch) error {
 	return nil
 }
 
-// Count returns the number of batches committed to the journal,
-// recovered ones included.
-func (w *Writer) Count() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.count
-}
-
-// Path returns the journal file path.
-func (w *Writer) Path() string { return w.path }
-
 // Close closes the underlying file. The writer is unusable afterwards.
 // The lock covers only the handle swap, not the Close syscall: any
 // in-flight Append holds the lock until its write completes, so by the

@@ -80,8 +80,8 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Append(extra); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != len(batches)+1 {
-		t.Errorf("count %d, want %d", w.Count(), len(batches)+1)
+	if w.count != len(batches)+1 {
+		t.Errorf("count %d, want %d", w.count, len(batches)+1)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -348,7 +348,10 @@ func TestConcurrentAppendReplay(t *testing.T) {
 				return
 			default:
 			}
-			if c := w.Count(); c < 0 || c > len(batches) {
+			w.mu.Lock()
+			c := w.count
+			w.mu.Unlock()
+			if c < 0 || c > len(batches) {
 				t.Errorf("count %d out of range", c)
 				return
 			}

@@ -74,18 +74,6 @@ func (l *Lake) SaveFileBin(path string) error {
 	return nil
 }
 
-// DecodeBin decodes a binary lake container. It rebuilds the lake
-// through the same AddTable + Validate path ReadJSON uses, so both
-// formats produce identical lakes from identical content.
-func DecodeBin(data []byte) (*Lake, error) {
-	c, err := binfmt.New(data)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	return decodeBinLake(c)
-}
-
 // loadFileBin mmaps and decodes a binary lake file.
 func loadFileBin(path string) (*Lake, error) {
 	c, err := binfmt.Open(path)

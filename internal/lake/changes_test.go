@@ -45,12 +45,12 @@ func TestApplyChangesRemove(t *testing.T) {
 	if len(l.Tables) != 3 || !l.Tables[1].Removed {
 		t.Fatal("tombstone missing")
 	}
-	if got := l.TagAttrs("housing"); len(got) != 0 {
+	if got := l.tagAttrs["housing"]; len(got) != 0 {
 		t.Fatalf("data(housing) = %v after removal", got)
 	}
 	// data(city) keeps the surviving attributes in original order.
 	want := []AttrID{l.Tables[0].Attrs[0], l.Tables[0].Attrs[1], l.Tables[2].Attrs[0]}
-	if got := l.TagAttrs("city"); !reflect.DeepEqual(got, want) {
+	if got := l.tagAttrs["city"]; !reflect.DeepEqual(got, want) {
 		t.Fatalf("data(city) = %v, want %v", got, want)
 	}
 	if err := l.Validate(); err != nil {
@@ -137,7 +137,7 @@ func TestCloneIsolation(t *testing.T) {
 	c := l.Clone()
 
 	wantStats := ComputeStats(c)
-	wantCity := append([]AttrID(nil), c.TagAttrs("city")...)
+	wantCity := append([]AttrID(nil), c.tagAttrs["city"]...)
 
 	sum, err := l.ApplyChanges([]TableChange{
 		{Name: "transit", Tags: []string{"city", "transit"},
@@ -153,7 +153,7 @@ func TestCloneIsolation(t *testing.T) {
 	if got := ComputeStats(c); !reflect.DeepEqual(got, wantStats) {
 		t.Fatalf("clone stats drifted:\n got %+v\nwant %+v", got, wantStats)
 	}
-	if got := c.TagAttrs("city"); !reflect.DeepEqual(got, wantCity) {
+	if got := c.tagAttrs["city"]; !reflect.DeepEqual(got, wantCity) {
 		t.Fatalf("clone data(city) drifted: %v vs %v", got, wantCity)
 	}
 	if _, ok := c.TableByName("crimes"); !ok {

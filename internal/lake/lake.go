@@ -12,7 +12,6 @@ package lake
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -175,27 +174,12 @@ func (l *Lake) Table(id TableID) *Table { return l.Tables[id] }
 // be modified.
 func (l *Lake) Tags() []string { return l.tags }
 
-// TagAttrs returns data(t): the attributes associated with tag, in
-// insertion order. The returned slice must not be modified.
-func (l *Lake) TagAttrs(tag string) []AttrID { return l.tagAttrs[tag] }
-
 // TextTagAttrs returns the text attributes associated with tag.
 func (l *Lake) TextTagAttrs(tag string) []AttrID {
 	var out []AttrID
 	for _, id := range l.tagAttrs[tag] {
 		if l.Attrs[id].Text {
 			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// TextAttrs returns the IDs of all live text attributes.
-func (l *Lake) TextAttrs() []AttrID {
-	var out []AttrID
-	for _, a := range l.Attrs {
-		if a.Text && !a.Removed {
-			out = append(out, a.ID)
 		}
 	}
 	return out
@@ -325,18 +309,4 @@ func (l *Lake) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortedTags returns the tags sorted by descending |data(t)| and then
-// name, the order used when picking representative labels.
-func (l *Lake) SortedTags() []string {
-	out := append([]string(nil), l.tags...)
-	sort.Slice(out, func(i, j int) bool {
-		ni, nj := len(l.tagAttrs[out[i]]), len(l.tagAttrs[out[j]])
-		if ni != nj {
-			return ni > nj
-		}
-		return out[i] < out[j]
-	})
-	return out
 }

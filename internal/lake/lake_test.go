@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -68,11 +69,11 @@ func TestAddTableDedupsTags(t *testing.T) {
 
 func TestTagAttrs(t *testing.T) {
 	l := buildTestLake(t)
-	ocean := l.TagAttrs("ocean")
+	ocean := l.tagAttrs["ocean"]
 	if len(ocean) != 2 {
 		t.Fatalf("data(ocean) = %v, want both fisheries attrs", ocean)
 	}
-	if got := l.TagAttrs("nonexistent"); got != nil {
+	if got := l.tagAttrs["nonexistent"]; got != nil {
 		t.Errorf("data(nonexistent) = %v", got)
 	}
 	// Text-only filter drops the numeric count column.
@@ -157,12 +158,12 @@ func TestTagTopicPanicsBeforeCompute(t *testing.T) {
 func TestAddTag(t *testing.T) {
 	l := buildTestLake(t)
 	l.AddTag(1, "metropolitan")
-	if got := l.TagAttrs("metropolitan"); len(got) != 1 {
+	if got := l.tagAttrs["metropolitan"]; len(got) != 1 {
 		t.Fatalf("data(metropolitan) = %v", got)
 	}
 	// Idempotent.
 	l.AddTag(1, "metropolitan")
-	if got := l.TagAttrs("metropolitan"); len(got) != 1 {
+	if got := l.tagAttrs["metropolitan"]; len(got) != 1 {
 		t.Errorf("AddTag not idempotent: %v", got)
 	}
 	if err := l.Validate(); err != nil {
@@ -182,22 +183,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	l.Attrs[0].Table = 1
 	if err := l.Validate(); err == nil {
 		t.Error("corrupted back-reference accepted")
-	}
-}
-
-func TestSortedTags(t *testing.T) {
-	l := buildTestLake(t)
-	tags := l.SortedTags()
-	if len(tags) != 3 {
-		t.Fatalf("tags = %v", tags)
-	}
-	// ocean and food each tag 2 attrs; city tags 1 → city last.
-	if tags[2] != "city" {
-		t.Errorf("SortedTags = %v, want city last", tags)
-	}
-	// Ties broken by name.
-	if tags[0] != "food" || tags[1] != "ocean" {
-		t.Errorf("tie order = %v", tags[:2])
 	}
 }
 
@@ -234,7 +219,8 @@ func TestComputeTopicsWithHashedModel(t *testing.T) {
 		if a.EmbCount == 0 {
 			t.Errorf("attr %s not embedded under full-coverage model", a.Name)
 		}
-		if !vector.IsFinite(a.Topic) {
+		// Any NaN or Inf component makes the norm NaN or Inf.
+		if n := vector.Norm(a.Topic); math.IsNaN(n) || math.IsInf(n, 0) {
 			t.Errorf("attr %s topic not finite", a.Name)
 		}
 	}
@@ -245,7 +231,7 @@ func TestAssociateTag(t *testing.T) {
 	// Per-attribute association: only the species attr, not its
 	// siblings.
 	l.AssociateTag(0, "seafood")
-	if got := l.TagAttrs("seafood"); len(got) != 1 || got[0] != 0 {
+	if got := l.tagAttrs["seafood"]; len(got) != 1 || got[0] != 0 {
 		t.Fatalf("data(seafood) = %v", got)
 	}
 	tags := l.AttrTags(0)
@@ -260,7 +246,7 @@ func TestAssociateTag(t *testing.T) {
 	}
 	// Idempotent.
 	l.AssociateTag(0, "seafood")
-	if got := l.TagAttrs("seafood"); len(got) != 1 {
+	if got := l.tagAttrs["seafood"]; len(got) != 1 {
 		t.Errorf("AssociateTag not idempotent: %v", got)
 	}
 	if err := l.Validate(); err != nil {

@@ -264,8 +264,10 @@ func TestComputeTopicsLooksUpEachDistinctTokenOnce(t *testing.T) {
 
 		// Repeated ids in an incremental call still cost one lookup per word.
 		ids := []lake.AttrID{}
-		for _, id := range s.Lake.TextAttrs()[:10] {
-			ids = append(ids, id, id)
+		for _, a := range s.Lake.Attrs {
+			if a.Text && len(ids) < 20 {
+				ids = append(ids, a.ID, a.ID)
+			}
 		}
 		c = newCountingModel(s.Space)
 		withProcs(procs, func() {

@@ -195,10 +195,10 @@ func TestServedSuggestionsAreCached(t *testing.T) {
 		t.Fatal("default server has no cache")
 	}
 	first := get(t, s.handleSuggest, "/api/suggest?q=salmon")
-	before := s.cache.Len()
+	before := serveCounterValue(t, s, "serve.cache.hits_total")
 	second := get(t, s.handleSuggest, "/api/suggest?q=salmon")
-	if s.cache.Len() != before {
-		t.Errorf("repeat query grew the cache: %d -> %d", before, s.cache.Len())
+	if got := serveCounterValue(t, s, "serve.cache.hits_total"); got <= before {
+		t.Errorf("repeat query missed the cache (hits %d -> %d)", before, got)
 	}
 	if first.Body.String() != second.Body.String() {
 		t.Error("cached response differs from the original")

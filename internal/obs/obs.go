@@ -9,17 +9,14 @@
 // monitoring signals only: nothing in this package may influence the
 // results of the code it observes (see DESIGN.md §9 for the rules).
 //
-// Export, by contrast, is cold-path: Registry.WriteJSON snapshots the
-// registered metrics into one deterministic-layout JSON object and is
+// Export, by contrast, is cold-path: Registry.Snapshot copies the
+// registered metrics into one JSON-ready value and is
 // free to allocate.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -111,9 +108,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -272,33 +266,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names returns every registered metric name, sorted (exposed for
-// tests and debugging).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.floatGauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// WriteJSON writes the registry snapshot as one indented JSON object.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

@@ -90,9 +90,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Histogram("h", []float64{1}) != r.Histogram("h", []float64{5, 6}) {
 		t.Error("same-name histograms differ")
 	}
-	names := r.Names()
-	if len(names) != 4 {
-		t.Errorf("names = %v", names)
+	if n := len(r.counters) + len(r.gauges) + len(r.floatGauges) + len(r.histograms); n != 4 {
+		t.Errorf("registered %d metrics, want 4", n)
 	}
 }
 
@@ -103,13 +102,13 @@ func TestRegistryWriteJSON(t *testing.T) {
 	r.FloatGauge("build.best_eff").Set(0.5)
 	r.Histogram("http.latency_seconds./api/node", []float64{0.01, 0.1}).Observe(0.05)
 
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.Bytes())
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("export is not valid JSON: %v\n%s", err, data)
 	}
 	if snap.Counters["http.requests./api/node"] != 3 {
 		t.Errorf("counters = %v", snap.Counters)
@@ -140,8 +139,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Errorf("count = %d, want %d", h.Count(), workers*per)
+	if h.count.Load() != workers*per {
+		t.Errorf("count = %d, want %d", h.count.Load(), workers*per)
 	}
 	if h.Sum() != workers*per {
 		t.Errorf("sum = %v, want %d", h.Sum(), workers*per)

@@ -71,13 +71,6 @@ func NewCache(capacity int) *Cache {
 	return &Cache{cap: capacity, ll: list.New(), m: make(map[cacheKey]*list.Element)}
 }
 
-// Len returns the number of entries currently held (any generation).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // get returns the value cached under key for the given generation. An
 // entry from another generation is removed and reported as a miss; a
 // topicHash collision (stored topic differs from the request topic) is

@@ -24,8 +24,8 @@ func TestCacheHitMissAndLRUEviction(t *testing.T) {
 	}
 	// "a" is now most recently used; inserting "c" must evict "b".
 	c.put(1, tkey("c"), topic, "vc")
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if len(c.m) != 2 {
+		t.Fatalf("Len = %d, want 2", len(c.m))
 	}
 	if _, ok := c.get(1, tkey("b"), topic); ok {
 		t.Error("b survived eviction; LRU order wrong")
@@ -47,8 +47,8 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	if _, ok := c.get(2, tkey("a"), topic); ok {
 		t.Fatal("stale-generation entry served")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entry not removed; Len = %d", c.Len())
+	if len(c.m) != 0 {
+		t.Fatalf("stale entry not removed; Len = %d", len(c.m))
 	}
 
 	// A put from the new generation reclaims the key.
@@ -67,8 +67,8 @@ func TestCachePutOverwritesInPlace(t *testing.T) {
 	topic := vector.Vector{0.25}
 	c.put(1, tkey("a"), topic, "v1")
 	c.put(2, tkey("a"), topic, "v2")
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (in-place overwrite)", c.Len())
+	if len(c.m) != 1 {
+		t.Fatalf("Len = %d, want 1 (in-place overwrite)", len(c.m))
 	}
 	if v, ok := c.get(2, tkey("a"), topic); !ok || v != "v2" {
 		t.Fatalf("get = %v, %v", v, ok)

@@ -80,16 +80,6 @@ func (h *History) Get(seq int) (*Generation, bool) {
 	return nil, false
 }
 
-// Latest returns the newest retained generation, or nil when empty.
-func (h *History) Latest() *Generation {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.gens) == 0 {
-		return nil
-	}
-	return h.gens[len(h.gens)-1]
-}
-
 // SetCurrent records which retained generation is being served (after a
 // rollback the current generation is not the newest one).
 func (h *History) SetCurrent(seq int) {

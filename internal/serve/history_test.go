@@ -13,14 +13,14 @@ func gen(seq int) *Generation {
 
 func TestHistoryRetainsLastN(t *testing.T) {
 	h := NewHistory(3)
-	if h.Latest() != nil {
-		t.Fatal("empty history has a latest generation")
+	if len(h.List()) != 0 {
+		t.Fatal("empty history lists a generation")
 	}
 	for i := 0; i <= 5; i++ {
 		h.Add(gen(i))
 	}
-	if g := h.Latest(); g == nil || g.Seq != 5 {
-		t.Fatalf("latest = %+v", g)
+	if g, ok := h.Get(5); !ok || g.Hash != "h5" {
+		t.Fatalf("newest generation = %+v, %v", g, ok)
 	}
 	if _, ok := h.Get(2); ok {
 		t.Fatal("evicted generation still retained")
@@ -60,10 +60,7 @@ func TestHistoryRollbackCurrent(t *testing.T) {
 	}
 	// A new generation becomes current again.
 	h.Add(gen(4))
-	if g := h.Latest(); g.Seq != 4 {
-		t.Fatalf("latest = %+v", g)
-	}
-	if list := h.List(); !list[0].Current {
+	if list := h.List(); list[0].Seq != 4 || !list[0].Current {
 		t.Fatal("new generation not current after rollback")
 	}
 }
@@ -88,7 +85,6 @@ func TestHistoryConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				h.Add(gen(w*100 + i))
 				h.List()
-				h.Latest()
 				h.Get(w * 100)
 			}
 		}()

@@ -195,17 +195,28 @@ func TestMannWhitneyProperties(t *testing.T) {
 	}
 }
 
+// zipfPMF returns P(k) for k in [1, n], read off the sampler's CDF.
+func zipfPMF(z *Zipf, k int) float64 {
+	if k < 1 || k > z.n {
+		return 0
+	}
+	if k == 1 {
+		return z.cdf[0]
+	}
+	return z.cdf[k-1] - z.cdf[k-2]
+}
+
 func TestZipfBasics(t *testing.T) {
 	z, err := NewZipf(10, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.N() != 10 {
-		t.Errorf("N = %d", z.N())
+	if z.n != 10 {
+		t.Errorf("n = %d", z.n)
 	}
 	var total float64
 	for k := 1; k <= 10; k++ {
-		p := z.PMF(k)
+		p := zipfPMF(z, k)
 		if p <= 0 {
 			t.Errorf("PMF(%d) = %v", k, p)
 		}
@@ -214,12 +225,12 @@ func TestZipfBasics(t *testing.T) {
 	if !approx(total, 1, 1e-9) {
 		t.Errorf("PMF total = %v", total)
 	}
-	if z.PMF(0) != 0 || z.PMF(11) != 0 {
+	if zipfPMF(z, 0) != 0 || zipfPMF(z, 11) != 0 {
 		t.Error("PMF outside support should be 0")
 	}
 	// Monotone decreasing.
 	for k := 2; k <= 10; k++ {
-		if z.PMF(k) > z.PMF(k-1) {
+		if zipfPMF(z, k) > zipfPMF(z, k-1) {
 			t.Errorf("PMF not decreasing at %d", k)
 		}
 	}
@@ -254,23 +265,9 @@ func TestZipfSampleDistribution(t *testing.T) {
 	}
 	for k := 1; k <= 5; k++ {
 		got := float64(counts[k]) / n
-		want := z.PMF(k)
+		want := zipfPMF(z, k)
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("empirical P(%d) = %v, want %v", k, got, want)
-		}
-	}
-}
-
-func TestZipfSampleRange(t *testing.T) {
-	z, err := NewZipf(41, 1.5) // supports [10, 50]
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 1000; i++ {
-		v := z.SampleRange(rng, 10)
-		if v < 10 || v > 50 {
-			t.Fatalf("SampleRange out of bounds: %d", v)
 		}
 	}
 }

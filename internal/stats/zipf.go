@@ -12,7 +12,7 @@ import (
 // attributes per table follow Zipfian distributions", Sec 4.1).
 //
 // Unlike math/rand.Zipf, this sampler supports any exponent s > 0
-// (rand.Zipf requires s > 1) and exposes the PMF for tests.
+// (rand.Zipf requires s > 1).
 type Zipf struct {
 	n   int
 	s   float64
@@ -55,24 +55,3 @@ func (z *Zipf) Sample(rng *rand.Rand) int {
 	}
 	return lo + 1
 }
-
-// SampleRange draws a value in [min, max] by rescaling a Zipf(max-min+1)
-// draw: min+0 is the most likely outcome. It panics if z was not built
-// over max-min+1 outcomes.
-func (z *Zipf) SampleRange(rng *rand.Rand, min int) int {
-	return min + z.Sample(rng) - 1
-}
-
-// PMF returns P(k) for k in [1, n].
-func (z *Zipf) PMF(k int) float64 {
-	if k < 1 || k > z.n {
-		return 0
-	}
-	if k == 1 {
-		return z.cdf[0]
-	}
-	return z.cdf[k-1] - z.cdf[k-2]
-}
-
-// N returns the number of outcomes.
-func (z *Zipf) N() int { return z.n }

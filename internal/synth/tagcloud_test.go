@@ -52,7 +52,7 @@ func TestTagCloudOneTagPerAttribute(t *testing.T) {
 func TestTagCloudEveryTagPopulated(t *testing.T) {
 	tc := smallTagCloud(t)
 	for _, tag := range tc.Lake.Tags() {
-		if len(tc.Lake.TagAttrs(tag)) == 0 {
+		if len(tc.Lake.TextTagAttrs(tag)) == 0 {
 			t.Errorf("tag %q has no attributes", tag)
 		}
 	}

@@ -63,9 +63,6 @@ func (x *Index) Add(doc Doc, fields ...string) int {
 	return idx
 }
 
-// Len returns the number of indexed documents.
-func (x *Index) Len() int { return len(x.docs) }
-
 // Result is one ranked hit.
 type Result struct {
 	Doc   Doc

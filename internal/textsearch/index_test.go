@@ -139,8 +139,8 @@ func TestIndexLake(t *testing.T) {
 	l.AddTable("transit", []string{"city"},
 		lake.AttrSpec{Name: "route", Values: []string{"blue line", "red line"}})
 	x := IndexLake(l)
-	if x.Len() != 2 {
-		t.Fatalf("Len = %d", x.Len())
+	if len(x.docs) != 2 {
+		t.Fatalf("Len = %d", len(x.docs))
 	}
 	// Match on a value.
 	res := x.Search("harbour", 5)

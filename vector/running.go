@@ -20,15 +20,6 @@ func NewRunning(dim int) *Running {
 	return &Running{sum: New(dim)}
 }
 
-// RunningOf returns an accumulator pre-loaded with vs.
-func RunningOf(dim int, vs ...Vector) *Running {
-	r := NewRunning(dim)
-	for _, v := range vs {
-		r.Add(v)
-	}
-	return r
-}
-
 // Add includes v in the population.
 func (r *Running) Add(v Vector) {
 	if len(v) != len(r.sum) {
@@ -71,11 +62,6 @@ func (r *Running) RemoveWeighted(sum Vector, count int) {
 	r.count -= count
 }
 
-// Merge includes the population of other into r. Other is unmodified.
-func (r *Running) Merge(other *Running) {
-	r.AddWeighted(other.sum, other.count)
-}
-
 // Count returns the number of vectors in the population.
 func (r *Running) Count() int { return r.count }
 
@@ -90,19 +76,3 @@ func (r *Running) Mean() (Vector, bool) {
 	}
 	return Scale(r.sum, 1/float64(r.count)), true
 }
-
-// Clone returns an independent copy of r.
-func (r *Running) Clone() *Running {
-	return &Running{sum: r.sum.Clone(), count: r.count}
-}
-
-// Reset empties the accumulator, keeping its dimension.
-func (r *Running) Reset() {
-	for i := range r.sum {
-		r.sum[i] = 0
-	}
-	r.count = 0
-}
-
-// Dim returns the dimensionality of the accumulated vectors.
-func (r *Running) Dim() int { return len(r.sum) }

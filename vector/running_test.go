@@ -37,9 +37,11 @@ func TestRunningAdd(t *testing.T) {
 }
 
 func TestRunningMerge(t *testing.T) {
-	a := RunningOf(2, Vector{1, 1}, Vector{3, 3})
-	b := RunningOf(2, Vector{5, 5})
-	a.Merge(b)
+	a, b := NewRunning(2), NewRunning(2)
+	a.Add(Vector{1, 1})
+	a.Add(Vector{3, 3})
+	b.Add(Vector{5, 5})
+	a.AddWeighted(b.Sum(), b.Count())
 	m, _ := a.Mean()
 	if !Equal(m, Vector{3, 3}, 1e-12) {
 		t.Errorf("merged mean = %v, want {3,3}", m)
@@ -49,27 +51,7 @@ func TestRunningMerge(t *testing.T) {
 	}
 	// b unchanged.
 	if b.Count() != 1 {
-		t.Errorf("Merge mutated source: count = %d", b.Count())
-	}
-}
-
-func TestRunningCloneIsIndependent(t *testing.T) {
-	a := RunningOf(1, Vector{2})
-	c := a.Clone()
-	c.Add(Vector{100})
-	if a.Count() != 1 {
-		t.Error("Clone shares state with original")
-	}
-}
-
-func TestRunningReset(t *testing.T) {
-	r := RunningOf(2, Vector{9, 9})
-	r.Reset()
-	if r.Count() != 0 || !Equal(r.Sum(), Vector{0, 0}, 0) {
-		t.Error("Reset did not clear accumulator")
-	}
-	if r.Dim() != 2 {
-		t.Errorf("Reset changed dim to %d", r.Dim())
+		t.Errorf("merge mutated source: count = %d", b.Count())
 	}
 }
 
@@ -82,7 +64,8 @@ func TestRunningAddWeightedNegativePanics(t *testing.T) {
 	NewRunning(1).AddWeighted(Vector{1}, -1)
 }
 
-// Property: merging any split of a population gives the same mean as
+// Property: merging any split of a population (AddWeighted of one
+// part's sum and count into the other) gives the same mean as
 // accumulating the whole population at once.
 func TestRunningMergeEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
@@ -100,7 +83,7 @@ func TestRunningMergeEquivalence(t *testing.T) {
 				right.Add(v)
 			}
 		}
-		left.Merge(right)
+		left.AddWeighted(right.Sum(), right.Count())
 		wm, _ := whole.Mean()
 		lm, _ := left.Mean()
 		return whole.Count() == left.Count() && Equal(wm, lm, 1e-9)

@@ -1,5 +1,5 @@
 // Package vector provides the dense-vector primitives used throughout
-// lakenav: dot products, cosine similarity, norms, means, and running
+// lakenav: dot products, cosine similarity, norms, and running
 // (incremental) means.
 //
 // Topic vectors in the navigation model (Nargesian et al., SIGMOD 2020,
@@ -9,17 +9,12 @@
 package vector
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
 
 // Vector is a dense vector of float64 components.
 type Vector []float64
-
-// ErrDimensionMismatch is returned (or caused) when two vectors of
-// different lengths are combined.
-var ErrDimensionMismatch = errors.New("vector: dimension mismatch")
 
 // New returns a zero vector with dim components.
 func New(dim int) Vector {
@@ -32,9 +27,6 @@ func (v Vector) Clone() Vector {
 	copy(out, v)
 	return out
 }
-
-// Dim returns the number of components.
-func (v Vector) Dim() int { return len(v) }
 
 // Dot returns the inner product of a and b.
 // It panics if the dimensions differ.
@@ -85,49 +77,6 @@ func CosineNorms(a, b Vector, na, nb float64) float64 {
 	return c
 }
 
-// AngularDistance returns the angle in radians between a and b,
-// i.e. acos(Cosine(a, b)), in [0, pi].
-func AngularDistance(a, b Vector) float64 {
-	return math.Acos(Cosine(a, b))
-}
-
-// Euclidean returns the Euclidean distance between a and b.
-func Euclidean(a, b Vector) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vector: Euclidean dimension mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, x := range a {
-		d := x - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// Add returns a + b as a new vector.
-func Add(a, b Vector) Vector {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vector: Add dimension mismatch %d != %d", len(a), len(b)))
-	}
-	out := make(Vector, len(a))
-	for i, x := range a {
-		out[i] = x + b[i]
-	}
-	return out
-}
-
-// Sub returns a - b as a new vector.
-func Sub(a, b Vector) Vector {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vector: Sub dimension mismatch %d != %d", len(a), len(b)))
-	}
-	out := make(Vector, len(a))
-	for i, x := range a {
-		out[i] = x - b[i]
-	}
-	return out
-}
-
 // Scale returns v scaled by k as a new vector.
 func Scale(v Vector, k float64) Vector {
 	out := make(Vector, len(v))
@@ -157,37 +106,16 @@ func Normalize(v Vector) Vector {
 	return Scale(v, 1/n)
 }
 
-// Mean returns the component-wise sample mean of vs.
-// It returns the zero value and false when vs is empty.
-func Mean(vs []Vector) (Vector, bool) {
-	if len(vs) == 0 {
-		return nil, false
-	}
-	sum := New(len(vs[0]))
-	for _, v := range vs {
-		AddInPlace(sum, v)
-	}
-	return Scale(sum, 1/float64(len(vs))), true
-}
-
 // Equal reports whether a and b have identical dimensions and all
 // components within tol of each other.
+//
+//lakelint:ignore deadexport -- the tolerance comparison the vector, embedding and core tests share
 func Equal(a, b Vector, tol float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i, x := range a {
 		if math.Abs(x-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// IsFinite reports whether every component of v is finite (no NaN, no Inf).
-func IsFinite(v Vector) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return false
 		}
 	}
