@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"lakenav/internal/ann"
 	"lakenav/internal/cluster"
 	"lakenav/internal/core"
 	"lakenav/internal/experiments"
@@ -353,24 +352,6 @@ func BenchmarkKMedoids(b *testing.B) {
 		if _, err := cluster.KMedoidsVectors(vecs, 4, rng, 50); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkLSHSimilar measures the θ-similar attribute lookup behind
-// success probability.
-func BenchmarkLSHSimilar(b *testing.B) {
-	tc := ablationLake(b)
-	idx := ann.New(ann.DefaultConfig(tc.Lake.Dim()))
-	var topics []vector.Vector
-	for _, a := range tc.Lake.Attrs {
-		if a.Text && a.EmbCount > 0 {
-			idx.Add(a.Topic)
-			topics = append(topics, a.Topic)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Similar(topics[i%len(topics)], 0.9)
 	}
 }
 

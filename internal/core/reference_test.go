@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"lakenav/internal/lake"
 	"lakenav/vector"
@@ -126,6 +127,41 @@ func naiveMeanTableProb(l *lake.Lake, probs map[lake.AttrID]float64) float64 {
 		return 0
 	}
 	return sum / float64(live)
+}
+
+// naiveSuccess is the Sec 4.2 measure: an attribute's success is 1 −
+// Π(1 − P(A_j)) over every live embeddable text attribute A_j within
+// cosine θ of it (itself included), and tables compose those successes
+// like Eq 5. Tombstoned tables keep a 0 in PerTable and are left out of
+// Sorted and Mean.
+func naiveSuccess(l *lake.Lake, probs map[lake.AttrID]float64, theta float64) *SuccessResult {
+	var attrs []*lake.Attribute
+	for _, a := range l.Attrs {
+		if !a.Removed && a.Text && a.EmbCount > 0 {
+			attrs = append(attrs, a)
+		}
+	}
+	success := make(map[lake.AttrID]float64, len(attrs))
+	for _, a := range attrs {
+		fail := 1.0
+		for _, b := range attrs {
+			if vector.Cosine(a.Topic, b.Topic) >= theta {
+				fail *= 1 - probs[b.ID]
+			}
+		}
+		success[a.ID] = 1 - fail
+	}
+	res := &SuccessResult{PerTable: make([]float64, len(l.Tables))}
+	for ti, t := range l.Tables {
+		if t.Removed {
+			continue
+		}
+		res.PerTable[ti] = naiveTableProb(t, success)
+		res.Sorted = append(res.Sorted, res.PerTable[ti])
+	}
+	sort.Float64s(res.Sorted)
+	res.Mean = naiveMeanTableProb(l, success)
+	return res
 }
 
 // naiveEffectiveness is Eq 6: P(T|O) averaged over the lake's live

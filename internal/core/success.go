@@ -3,8 +3,8 @@ package core
 import (
 	"sort"
 
-	"lakenav/internal/ann"
 	"lakenav/internal/lake"
+	"lakenav/vector"
 )
 
 // The evaluation measure of Sec 4.2: a navigation is successful if it
@@ -42,59 +42,66 @@ func AttrProbMap(o *Org) map[lake.AttrID]float64 {
 
 // EvaluateSuccess computes the success probability of every table in
 // the lake under the given per-attribute discovery probabilities.
-// Attributes similar to a query attribute are found with an LSH index
-// over topic vectors (candidates verified exactly, so there are no
-// false positives; near-duplicate attributes at θ = 0.9 hash together
-// with high probability).
+// Similar sets are exact: each live embeddable text attribute scans all
+// the others, so the cost is O(|𝒜|²·dim) with O(|𝒜|) memory. Each row
+// multiplies its factors in ascending attribute order and writes only
+// its own slot, so the result is bit-identical at any GOMAXPROCS.
+// Tombstoned tables keep a 0 in PerTable but are left out of Sorted and
+// Mean.
 func EvaluateSuccess(l *lake.Lake, attrProbs map[lake.AttrID]float64, theta float64) *SuccessResult {
 	if theta <= 0 || theta > 1 {
 		theta = DefaultTheta
 	}
-	// Index every embeddable text attribute: similarity is defined over
-	// 𝒜, not just organized attributes.
-	var ids []lake.AttrID
-	idx := ann.New(ann.DefaultConfig(l.Dim()))
+	// Similarity is defined over 𝒜, not just organized attributes.
+	var (
+		ids    []lake.AttrID
+		topics []vector.Vector
+		norms  []float64
+		probs  []float64
+	)
 	for _, a := range l.Attrs {
-		if !a.Text || a.EmbCount == 0 {
+		if a.Removed || !a.Text || a.EmbCount == 0 {
 			continue
 		}
-		idx.Add(a.Topic)
 		ids = append(ids, a.ID)
+		topics = append(topics, a.Topic)
+		norms = append(norms, vector.Norm(a.Topic))
+		probs = append(probs, attrProbs[a.ID])
 	}
 
-	// Success per attribute.
-	attrSuccess := make(map[lake.AttrID]float64, len(ids))
-	for i, id := range ids {
-		_ = i
-		fail := 1.0
-		for _, m := range idx.Similar(l.Attr(id).Topic, theta) {
-			fail *= 1 - attrProbs[ids[m.ID]]
+	// Success per attribute, indexed by AttrID; attributes outside 𝒜
+	// keep 0 and so leave a table's product unchanged.
+	attrSuccess := make([]float64, len(l.Attrs))
+	ParallelFor(len(ids), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fail := 1.0
+			for j, t := range topics {
+				if vector.CosineNorms(topics[i], t, norms[i], norms[j]) >= theta {
+					fail *= 1 - probs[j]
+				}
+			}
+			attrSuccess[ids[i]] = 1 - fail
 		}
-		attrSuccess[id] = 1 - fail
-	}
+	})
 
 	// Success per table (Sec 4.2's table success probability).
 	res := &SuccessResult{PerTable: make([]float64, len(l.Tables))}
 	var sum float64
-	live := 0
 	for ti, t := range l.Tables {
 		if t.Removed {
 			continue
 		}
-		live++
 		fail := 1.0
 		for _, a := range t.Attrs {
-			if s, ok := attrSuccess[a]; ok {
-				fail *= 1 - s
-			}
+			fail *= 1 - attrSuccess[a]
 		}
 		res.PerTable[ti] = 1 - fail
+		res.Sorted = append(res.Sorted, res.PerTable[ti])
 		sum += res.PerTable[ti]
 	}
-	res.Sorted = append([]float64(nil), res.PerTable...)
 	sort.Float64s(res.Sorted)
-	if live > 0 {
-		res.Mean = sum / float64(live)
+	if len(res.Sorted) > 0 {
+		res.Mean = sum / float64(len(res.Sorted))
 	}
 	return res
 }
