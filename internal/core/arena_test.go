@@ -92,7 +92,8 @@ func TestArenaRebindAfterGrowth(t *testing.T) {
 
 // TestKernelHotPathZeroAllocs pins the arena kernels at zero per-call
 // allocations with caller-provided scratch — the property that lets
-// evaluator workers run without malloc/GC contention.
+// evaluator workers run without malloc/GC contention — without a cosine
+// memo row and with one (both the store and the reuse path).
 func TestKernelHotPathZeroAllocs(t *testing.T) {
 	o := kernelTestOrg(t, 31)
 	adj := o.adjacency()
@@ -103,20 +104,44 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 	attr := o.Attrs()[1]
 
 	if n := testing.AllocsPerRun(100, func() {
-		o.transitionsInto(adj, o.Root, topic, norm, probs)
+		o.transitionsInto(adj, o.Root, topic, norm, nil, probs)
 	}); n != 0 {
 		t.Errorf("transitionsInto allocates %.1f per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		o.reachProbsInto(topic, norm, reach, probs)
+		o.reachProbsInto(topic, norm, nil, reach, probs)
 	}); n != 0 {
 		t.Errorf("reachProbsInto allocates %.1f per call, want 0", n)
 	}
-	o.reachProbsInto(topic, norm, reach, probs)
+	o.reachProbsInto(topic, norm, nil, reach, probs)
 	if n := testing.AllocsPerRun(100, func() {
-		o.leafProbInto(attr, topic, norm, reach, probs)
+		o.leafProbInto(attr, topic, norm, nil, reach, probs)
 	}); n != 0 {
 		t.Errorf("leafProbInto allocates %.1f per call, want 0", n)
+	}
+
+	sims := make([]float64, len(o.States))
+	if n := testing.AllocsPerRun(100, func() {
+		fillNaN(sims)
+		o.transitionsInto(adj, o.Root, topic, norm, sims, probs)
+	}); n != 0 {
+		t.Errorf("transitionsInto storing into a memo row allocates %.1f per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		fillNaN(sims)
+		o.reachProbsInto(topic, norm, sims, reach, probs)
+	}); n != 0 {
+		t.Errorf("reachProbsInto storing into a memo row allocates %.1f per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		o.reachProbsInto(topic, norm, sims, reach, probs)
+	}); n != 0 {
+		t.Errorf("reachProbsInto reusing a memo row allocates %.1f per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		o.leafProbInto(attr, topic, norm, sims, reach, probs)
+	}); n != 0 {
+		t.Errorf("leafProbInto with a memo row allocates %.1f per call, want 0", n)
 	}
 }
 

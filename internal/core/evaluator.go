@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -25,10 +26,12 @@ type Query struct {
 
 // Evaluator computes and incrementally maintains the organization
 // effectiveness P(T|O) (Eq 6) across search operations. It caches, per
-// query, the reach probability of every non-leaf state and the query
-// leaf's discovery probability, and after an operation re-evaluates only
-// the states downstream of the change (the paper's pruning), counting
-// how much work that saved for the Figure 3 experiment.
+// query, the reach probability of every non-leaf state, the query
+// leaf's discovery probability and the cosine of every state it has
+// scored, and after an operation re-evaluates only the states
+// downstream of the change (the paper's pruning) and only the cosines of
+// states whose topic moved, counting how much work that saved for the
+// Figure 3 experiment.
 type Evaluator struct {
 	org     *Org
 	queries []Query
@@ -54,6 +57,15 @@ type Evaluator struct {
 	// reach[q][stateID]: P(state | query topic) for non-leaf states.
 	// Rows are capped views into reachFlat.
 	reach [][]float64
+	// simFlat and sims are the per-query cosine memo, laid out like
+	// reachFlat and reach: sims[q][stateID] is cos(μ_state, Topic_q), or
+	// NaN until the kernel next needs it (see transitionsInto). Only the
+	// worker that owns query q touches row q. Reevaluate and Rollback
+	// reset the cells of topicChanged, the states whose topic the last
+	// operation moved.
+	simFlat      []float64
+	sims         [][]float64
+	topicChanged []StateID
 	// leafProb[q]: discovery probability of the query's own leaf.
 	leafProb []float64
 	// leafDirty and leafNew are per-query scratch for the parallel leaf
@@ -219,6 +231,11 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 	for q := range ev.reach {
 		ev.reach[q] = ev.reachFlat[q*ev.nStates : (q+1)*ev.nStates : (q+1)*ev.nStates]
 	}
+	ev.simFlat = make([]float64, nq*ev.nStates)
+	ev.sims = make([][]float64, nq)
+	for q := range ev.sims {
+		ev.sims[q] = ev.simFlat[q*ev.nStates : (q+1)*ev.nStates : (q+1)*ev.nStates]
+	}
 	ev.leafProb = make([]float64, nq)
 	ev.leafDirty = make([]bool, nq)
 	ev.leafNew = make([]float64, nq)
@@ -232,8 +249,9 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 	parallelForWorkers(nq, wk, func(w, lo, hi int) {
 		probs := ev.ws[w].probs
 		for q := lo; q < hi; q++ {
-			org.reachProbsInto(ev.queries[q].Topic, ev.queryNorm[q], ev.reach[q], probs)
-			ev.leafProb[q] = org.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.reach[q], probs)
+			fillNaN(ev.sims[q])
+			org.reachProbsInto(ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], ev.reach[q], probs)
+			ev.leafProb[q] = org.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], ev.reach[q], probs)
 		}
 	})
 	ev.eff = ev.computeEff()
@@ -330,7 +348,9 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 			changedOut[id] = true
 		}
 	}
+	ev.topicChanged = ev.topicChanged[:0]
 	for id := range cs.TopicChanged {
+		ev.topicChanged = append(ev.topicChanged, id)
 		if o.States[id].deleted {
 			continue
 		}
@@ -449,10 +469,11 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 		trans := ev.ws[w].trans[:transLen]
 		for q := lo; q < hi; q++ {
 			topic, topicNorm := ev.queries[q].Topic, ev.queryNorm[q]
-			reach := ev.reach[q]
+			reach, sims := ev.reach[q], ev.sims[q]
 			saved := ev.savedReach[q*perQuery : (q+1)*perQuery]
+			ev.invalidateSims(q)
 			for pi, p := range ev.planParents {
-				o.transitionsInto(adj, p, topic, topicNorm, trans[ev.planParentOff[pi]:ev.planParentOff[pi+1]])
+				o.transitionsInto(adj, p, topic, topicNorm, sims, trans[ev.planParentOff[pi]:ev.planParentOff[pi+1]])
 			}
 			for i, id := range affectedTopo {
 				saved[i] = savedCell{q, id, reach[id]}
@@ -488,7 +509,7 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 				}
 			}
 			if ev.leafDirty[q] {
-				ev.leafNew[q] = o.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.reach[q], probs)
+				ev.leafNew[q] = o.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], ev.reach[q], probs)
 			}
 		}
 	})
@@ -554,9 +575,17 @@ func (ev *Evaluator) Commit() error {
 // Rollback restores the cached state from before the last Reevaluate.
 // The organization itself must be restored separately (Org.Undo). Like
 // Commit it reports misuse as an error value.
+//
+// The cosine memo is invalidated, not restored: Org.Undo recomputes the
+// moved topics through the vector.Running accumulators, which need not
+// reproduce the pre-operation bits, so a saved cosine could differ from
+// the one the kernel computes against the restored arena.
 func (ev *Evaluator) Rollback() error {
 	if !ev.pending {
 		return fmt.Errorf("core: Rollback without a pending Reevaluate")
+	}
+	for q := range ev.sims {
+		ev.invalidateSims(q)
 	}
 	for i := len(ev.savedReach) - 1; i >= 0; i-- {
 		c := ev.savedReach[i]
@@ -570,6 +599,16 @@ func (ev *Evaluator) Rollback() error {
 	ev.pending = false
 	ev.releaseSavedReach()
 	return nil
+}
+
+// invalidateSims resets query q's memo cells for the states whose topic
+// the last operation moved.
+func (ev *Evaluator) invalidateSims(q int) {
+	sims := ev.sims[q]
+	nan := math.NaN()
+	for _, id := range ev.topicChanged {
+		sims[id] = nan
+	}
 }
 
 // TotalStates returns the number of live non-leaf states (the

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"lakenav/vector"
 )
 
 func exactEvaluator(t *testing.T, o *Org) *Evaluator {
@@ -124,6 +126,74 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 		}
 		if err := o.Validate(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+}
+
+// The evaluator's cosine memo stays coherent with the arena: through
+// random candidate operations resolved by Reevaluate+Rollback (with
+// Org.Undo) or Reevaluate+Commit, in exact and approximate mode, every
+// memo cell that holds a value equals a fresh CosineNorms against the
+// state's current topic, and the cached results match a newly built
+// evaluator. Dropping either invalidation (Reevaluate's or Rollback's)
+// leaves a cell holding a cosine of a topic that moved.
+func TestEvaluatorSimMemoCoherent(t *testing.T) {
+	const tol = 1e-12
+	for _, frac := range []float64{0, 0.2} {
+		o := kernelTestOrg(t, 5)
+		newEv := func() *Evaluator {
+			ev, err := NewEvaluatorWorkers(o, frac, rand.New(rand.NewSource(3)), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ev
+		}
+		ev := newEv()
+		check := func(stage string, step int) {
+			t.Helper()
+			ar := o.arena
+			for q, query := range ev.queries {
+				for id, sim := range ev.sims[q] {
+					if math.IsNaN(sim) {
+						continue
+					}
+					off := id * ar.dim
+					if want := vector.CosineNorms(ar.vecs[off:off+ar.dim], query.Topic, ar.norms[id], ev.queryNorm[q]); sim != want {
+						t.Fatalf("frac %v step %d %s: query %d state %d memo %v != fresh cosine %v", frac, step, stage, q, id, sim, want)
+					}
+				}
+			}
+			fresh := newEv()
+			if got, want := ev.Effectiveness(), fresh.Effectiveness(); math.Abs(got-want) > tol {
+				t.Fatalf("frac %v step %d %s: eff %v != fresh %v", frac, step, stage, got, want)
+			}
+			for i := range o.Attrs() {
+				if got, want := ev.AttrProb(i), fresh.AttrProb(i); math.Abs(got-want) > tol {
+					t.Fatalf("frac %v step %d %s: attr %d prob %v != fresh %v", frac, step, stage, i, got, want)
+				}
+			}
+		}
+		check("construction", -1)
+		rng := rand.New(rand.NewSource(41))
+		for step := 0; step < 24; step++ {
+			cs, u, ok := applyRandomOp(o, rng)
+			if !ok {
+				break
+			}
+			ev.Reevaluate(cs)
+			check("reevaluate", step)
+			if rng.Intn(2) == 0 {
+				o.Undo(u)
+				if err := ev.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+				check("rollback", step)
+			} else {
+				if err := ev.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				check("commit", step)
+			}
 		}
 	}
 }

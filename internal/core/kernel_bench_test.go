@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"lakenav/internal/synth"
@@ -12,14 +13,28 @@ import (
 // End-to-end construction and serving cost is measured by
 // `bash cmd/lakebench/run.sh`, not here.
 
-func benchOrg(b *testing.B) *Org {
+// benchDims are the topic widths every benchmark here runs at, as
+// dim=N sub-benchmarks: 64 is the default model's width (lakenav's
+// NewHashed(64, …)) and every lakebench workload's, the production hot
+// path; 300 is the pretrained-embedding width the paper navigates
+// (fastText), where per-cosine vector work weighs the most.
+var benchDims = []int{64, 300}
+
+// forBenchDims runs fn as one sub-benchmark per width in benchDims, on
+// a clustered organization over the same seeded lake at that width.
+func forBenchDims(b *testing.B, fn func(b *testing.B, o *Org)) {
+	for _, dim := range benchDims {
+		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
+			fn(b, benchOrg(b, dim))
+		})
+	}
+}
+
+func benchOrg(b *testing.B, dim int) *Org {
 	b.Helper()
 	cfg := synth.SmallTagCloudConfig()
 	cfg.Seed = 11
-	// Pretrained-embedding width (the paper navigates fastText vectors):
-	// the kernel's win is norm elision, so the benchmark must run at the
-	// vector width the production hot path actually sees.
-	cfg.Dim = 300
+	cfg.Dim = dim
 	tc, err := synth.GenerateTagCloud(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -65,21 +80,23 @@ func benchToggleOp(b *testing.B, o *Org) (StateID, StateID) {
 }
 
 func benchReevaluate(b *testing.B, workers int) {
-	o := benchOrg(b)
-	ev, err := NewEvaluatorWorkers(o, 0, nil, workers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, s := benchToggleOp(b, o)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs := o.BeginChanges()
-		u := o.AddParentOp(n, s)
-		o.EndChanges()
-		ev.Reevaluate(cs)
-		o.Undo(u)
-		ev.Rollback()
-	}
+	forBenchDims(b, func(b *testing.B, o *Org) {
+		ev, err := NewEvaluatorWorkers(o, 0, nil, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, s := benchToggleOp(b, o)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cs := o.BeginChanges()
+			u := o.AddParentOp(n, s)
+			o.EndChanges()
+			ev.Reevaluate(cs)
+			o.Undo(u)
+			ev.Rollback()
+		}
+	})
 }
 
 // BenchmarkReevaluate measures one pruned incremental re-evaluation on
@@ -94,78 +111,70 @@ func BenchmarkReevaluateSerial(b *testing.B) { benchReevaluate(b, 1) }
 // Serial on a machine with at least four cores.
 func BenchmarkReevaluateW4(b *testing.B) { benchReevaluate(b, 4) }
 
+func benchNewEvaluator(b *testing.B, workers int) {
+	forBenchDims(b, func(b *testing.B, o *Org) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewEvaluatorWorkers(o, 0, nil, workers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkNewEvaluator measures evaluator construction (a full reach
 // sweep per query) with the default worker pool.
-func BenchmarkNewEvaluator(b *testing.B) {
-	o := benchOrg(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewEvaluatorWorkers(o, 0, nil, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkNewEvaluator(b *testing.B) { benchNewEvaluator(b, 0) }
 
 // BenchmarkNewEvaluatorSerial is construction on a single worker.
-func BenchmarkNewEvaluatorSerial(b *testing.B) {
-	o := benchOrg(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewEvaluatorWorkers(o, 0, nil, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkNewEvaluatorSerial(b *testing.B) { benchNewEvaluator(b, 1) }
 
 // BenchmarkNewEvaluatorW4 is construction pinned to four workers.
-func BenchmarkNewEvaluatorW4(b *testing.B) {
-	o := benchOrg(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewEvaluatorWorkers(o, 0, nil, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkNewEvaluatorW4(b *testing.B) { benchNewEvaluator(b, 4) }
 
 // BenchmarkTransitionsInto measures the zero-allocation arena kernel
-// with caller-owned scratch; -benchmem must report 0 allocs/op.
+// with caller-owned scratch and no cosine memo; -benchmem must report
+// 0 allocs/op.
 func BenchmarkTransitionsInto(b *testing.B) {
-	o := benchOrg(b)
-	states, topic := benchStatesAndTopic(b, o)
-	norm := vector.Norm(topic)
-	adj := o.adjacency()
-	probs := make([]float64, adj.maxChildren)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.transitionsInto(adj, states[i%len(states)], topic, norm, probs)
-	}
+	forBenchDims(b, func(b *testing.B, o *Org) {
+		states, topic := benchStatesAndTopic(b, o)
+		norm := vector.Norm(topic)
+		adj := o.adjacency()
+		probs := make([]float64, adj.maxChildren)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o.transitionsInto(adj, states[i%len(states)], topic, norm, nil, probs)
+		}
+	})
 }
 
 // BenchmarkReachProbsInto measures one reach sweep (Eq 2–4) for one
-// query with caller-owned scratch.
+// query with caller-owned scratch and no cosine memo.
 func BenchmarkReachProbsInto(b *testing.B) {
-	o := benchOrg(b)
-	_, topic := benchStatesAndTopic(b, o)
-	norm := vector.Norm(topic)
-	reach, probs := o.newScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.reachProbsInto(topic, norm, reach, probs)
-	}
+	forBenchDims(b, func(b *testing.B, o *Org) {
+		_, topic := benchStatesAndTopic(b, o)
+		norm := vector.Norm(topic)
+		reach, probs := o.newScratch()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o.reachProbsInto(topic, norm, nil, reach, probs)
+		}
+	})
 }
 
 // BenchmarkDiscoveryProbInto measures the full discovery-probability
 // path for one attribute: reach sweep plus leaf softmax.
 func BenchmarkDiscoveryProbInto(b *testing.B) {
-	o := benchOrg(b)
-	attrs := o.Attrs()
-	reach, probs := o.newScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.discoveryProbInto(attrs[i%len(attrs)], reach, probs)
-	}
+	forBenchDims(b, func(b *testing.B, o *Org) {
+		attrs := o.Attrs()
+		reach, probs := o.newScratch()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o.discoveryProbInto(attrs[i%len(attrs)], reach, probs)
+		}
+	})
 }

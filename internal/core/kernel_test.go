@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -359,16 +360,88 @@ func TestTableProbMatchesReference(t *testing.T) {
 	}
 }
 
+// Arbitrary-topic discovery against the reference: Org.DiscoveryProbs,
+// which shares one reach sweep and one cosine memo row across every
+// attribute, matches Definition 1 evaluated naively per attribute under
+// the same topic — for random unit topics, the zero topic and means of
+// two attribute topics, on fresh organizations (one over a lake with
+// tombstoned tables) and after a random operation/undo storm.
+func TestDiscoveryProbsMatchesReference(t *testing.T) {
+	const tol = 1e-12
+	type namedOrg struct {
+		name string
+		o    *Org
+	}
+	var orgs []namedOrg
+	for _, seed := range []int64{1, 7, 13} {
+		orgs = append(orgs, namedOrg{fmt.Sprintf("kernel-%d", seed), kernelTestOrg(t, seed)})
+	}
+	tomb, err := NewClustered(tombstonedLake(t, 3), BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orgs = append(orgs, namedOrg{"tombstoned-3", tomb})
+
+	for oi, no := range orgs {
+		name, o := no.name, no.o
+		rng := rand.New(rand.NewSource(int64(oi+1) * 97))
+		attrs := o.Attrs()
+		dim := len(o.State(o.Leaf(attrs[0])).topic)
+		var topics []vector.Vector
+		for i := 0; i < 3; i++ {
+			v := make(vector.Vector, dim)
+			for j := range v {
+				v[j] = rng.NormFloat64()
+			}
+			topics = append(topics, vector.Scale(v, 1/vector.Norm(v)))
+		}
+		topics = append(topics, make(vector.Vector, dim))
+		for i := 0; i < 3; i++ {
+			a := o.State(o.Leaf(attrs[rng.Intn(len(attrs))])).topic
+			b := o.State(o.Leaf(attrs[rng.Intn(len(attrs))])).topic
+			mean := make(vector.Vector, dim)
+			for j := range mean {
+				mean[j] = (a[j] + b[j]) / 2
+			}
+			topics = append(topics, mean)
+		}
+
+		check := func(stage string) {
+			t.Helper()
+			for ti, topic := range topics {
+				got := o.DiscoveryProbs(topic)
+				reach := naiveReachProbs(o, topic)
+				for i, a := range attrs {
+					if want := naiveLeafProb(o, a, topic, reach); math.Abs(got[i]-want) > tol {
+						t.Fatalf("%s %s topic %d attr %d: DiscoveryProbs %v != reference %v", name, stage, ti, i, got[i], want)
+					}
+				}
+			}
+		}
+		check("fresh")
+		for step := 0; step < 12; step++ {
+			_, u, ok := applyRandomOp(o, rng)
+			if !ok {
+				break
+			}
+			if step%3 == 2 {
+				o.Undo(u)
+			}
+		}
+		check("after op/undo storm")
+	}
+}
+
 // reachProbs runs the Eq 2–4 sweep into fresh scratch.
 func (o *Org) reachProbs(topic vector.Vector) []float64 {
 	reach, probs := o.newScratch()
-	return o.reachProbsInto(topic, vector.Norm(topic), reach, probs)
+	return o.reachProbsInto(topic, vector.Norm(topic), nil, reach, probs)
 }
 
 // leafProb is Definition 1 under topic, given reach from reachProbs.
 func (o *Org) leafProb(a lake.AttrID, topic vector.Vector, reach []float64) float64 {
 	probs := make([]float64, o.adjacency().maxChildren)
-	return o.leafProbInto(a, topic, vector.Norm(topic), reach, probs)
+	return o.leafProbInto(a, topic, vector.Norm(topic), nil, reach, probs)
 }
 
 // discoveryProb is P(A|O) into fresh scratch.

@@ -22,8 +22,15 @@ import (
 // what lets evaluator workers scale with cores instead of stalling on
 // cache misses.
 //
+// sims, when non-nil, is a cosine memo row for this topic indexed by
+// StateID (len ≥ len(o.States)): a NaN cell is computed from the arena
+// and stored, any other cell is reused as cos(μ_c, μ_X). The caller
+// owns its coherence — a cell must be reset to NaN whenever the state's
+// topic changes. A nil row computes every cosine. Either way the logit
+// is the same product of the same values, so results are bit-identical.
+//
 //lakelint:hotpath
-func (o *Org) transitionsInto(a *adjSnapshot, s StateID, topic vector.Vector, topicNorm float64, probs []float64) []float64 {
+func (o *Org) transitionsInto(a *adjSnapshot, s StateID, topic vector.Vector, topicNorm float64, sims, probs []float64) []float64 {
 	children := a.childrenOf(s)
 	if len(children) == 0 {
 		return nil
@@ -34,8 +41,17 @@ func (o *Org) transitionsInto(a *adjSnapshot, s StateID, topic vector.Vector, to
 	ar := o.arena
 	dim := ar.dim
 	for i, c := range children {
-		off := int(c) * dim
-		probs[i] = scale * vector.CosineNorms(ar.vecs[off:off+dim], topic, ar.norms[c], topicNorm)
+		var sim float64
+		if sims != nil && !math.IsNaN(sims[c]) {
+			sim = sims[c]
+		} else {
+			off := int(c) * dim
+			sim = vector.CosineNorms(ar.vecs[off:off+dim], topic, ar.norms[c], topicNorm)
+			if sims != nil {
+				sims[c] = sim
+			}
+		}
+		probs[i] = scale * sim
 		if probs[i] > maxLogit {
 			maxLogit = probs[i]
 		}
@@ -51,15 +67,25 @@ func (o *Org) transitionsInto(a *adjSnapshot, s StateID, topic vector.Vector, to
 	return probs
 }
 
+// fillNaN marks every cell of a cosine memo row as not yet computed.
+func fillNaN(sims []float64) {
+	nan := math.NaN()
+	for i := range sims {
+		sims[i] = nan
+	}
+}
+
 // reachProbsInto is the Eq 2–4 reach sweep: it fills reach
 // (len(o.States), zeroed here) with P(s|X, O) using probs as the
-// transition scratch (cap ≥ adjacency().maxChildren) and returns reach.
+// transition scratch (cap ≥ adjacency().maxChildren) and sims as the
+// topic's cosine memo row (nil for none; see transitionsInto), and
+// returns reach.
 // One topological sweep pushes each state's reach mass to its children
 // through the transition softmax. Only interior states propagate —
 // leaves are terminal and tag states' children are leaves.
 //
 //lakelint:hotpath
-func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, reach, probs []float64) []float64 {
+func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, sims, reach, probs []float64) []float64 {
 	a := o.adjacency()
 	reach = reach[:len(o.States)]
 	for i := range reach {
@@ -72,7 +98,7 @@ func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, reach, prob
 		if a.kinds[id] != interior || reach[id] == 0 {
 			continue
 		}
-		p := o.transitionsInto(a, id, topic, topicNorm, probs)
+		p := o.transitionsInto(a, id, topic, topicNorm, sims, probs)
 		for i, c := range a.childrenOf(id) {
 			if a.kinds[c] != leaf {
 				reach[c] += reach[id] * p[i]
@@ -87,10 +113,10 @@ func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, reach, prob
 // reachProbsInto over the same topic — the reach mass of a's
 // tag-state parents times the leaf-level transition probabilities.
 // probs is the caller-owned transition scratch (cap ≥
-// adjacency().maxChildren).
+// adjacency().maxChildren); sims is the topic's cosine memo row, or nil.
 //
 //lakelint:hotpath
-func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, reach, probs []float64) float64 {
+func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, sims, reach, probs []float64) float64 {
 	leaf, ok := o.leafOf[a]
 	if !ok {
 		return 0
@@ -101,7 +127,7 @@ func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64
 		if reach[t] == 0 {
 			continue
 		}
-		tp := o.transitionsInto(adj, StateID(t), topic, topicNorm, probs)
+		tp := o.transitionsInto(adj, StateID(t), topic, topicNorm, sims, probs)
 		for i, c := range adj.childrenOf(StateID(t)) {
 			if StateID(c) == leaf {
 				p += reach[t] * tp[i]
@@ -127,7 +153,7 @@ func (o *Org) TransitionProbs(s StateID, topic vector.Vector) []float64 {
 	if len(children) == 0 {
 		return nil
 	}
-	return o.transitionsInto(a, s, topic, vector.Norm(topic), make([]float64, len(children)))
+	return o.transitionsInto(a, s, topic, vector.Norm(topic), nil, make([]float64, len(children)))
 }
 
 // discoveryProbInto is P(A|O): one reach sweep and one leaf evaluation
@@ -138,24 +164,28 @@ func (o *Org) discoveryProbInto(a lake.AttrID, reach, probs []float64) float64 {
 		return 0
 	}
 	topic, norm := o.States[leaf].topic, o.States[leaf].topicNorm
-	o.reachProbsInto(topic, norm, reach, probs)
-	return o.leafProbInto(a, topic, norm, reach, probs)
+	o.reachProbsInto(topic, norm, nil, reach, probs)
+	return o.leafProbInto(a, topic, norm, nil, reach, probs)
 }
 
 // DiscoveryProbs returns, for every organized attribute (parallel to
 // Attrs()), the probability that a session navigating under the given
 // query topic reaches the attribute's leaf: one reach sweep shared by
-// every leaf evaluation, with the topic norm computed once. This is the
+// every leaf evaluation, with the topic norm computed once and one
+// request-local cosine memo row, so a tag state's children are scored
+// once per request rather than once per attribute under it. This is the
 // serving-path form of discovery evaluation — AttrDiscoveryProbs answers
 // it for each attribute's own topic, this answers it for an arbitrary
 // query.
 func (o *Org) DiscoveryProbs(topic vector.Vector) []float64 {
 	norm := vector.Norm(topic)
 	reach, probs := o.newScratch()
-	o.reachProbsInto(topic, norm, reach, probs)
+	sims := make([]float64, len(o.States))
+	fillNaN(sims)
+	o.reachProbsInto(topic, norm, sims, reach, probs)
 	out := make([]float64, len(o.attrs))
 	for i, a := range o.attrs {
-		out[i] = o.leafProbInto(a, topic, norm, reach, probs)
+		out[i] = o.leafProbInto(a, topic, norm, sims, reach, probs)
 	}
 	return out
 }
@@ -252,7 +282,7 @@ func (o *Org) Walk(topic vector.Vector, rng *rand.Rand) []StateID {
 		if len(children) == 0 {
 			return path
 		}
-		probs := o.transitionsInto(a, cur, topic, topicNorm, scratch)
+		probs := o.transitionsInto(a, cur, topic, topicNorm, nil, scratch)
 		var next StateID
 		if rng == nil {
 			best, bp := 0, -1.0
