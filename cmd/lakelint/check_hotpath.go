@@ -7,12 +7,13 @@ import (
 )
 
 // hotpath is the compile-time complement to the AllocsPerRun pins: a
-// function marked //lakelint:hotpath (the three *Into evaluator kernels
-// and the serve cache hit path) must stay free of the constructs that
-// allocate or box on every call — map/slice composite literals, make of
-// a map/slice/chan, closure literals, append (growth is the caller's
-// job, via preallocated scratch), fmt calls, and interface boxing of
-// concrete values (assignments, call arguments, returns). The kernels
+// function marked //lakelint:hotpath (the three *Into navigation
+// kernels, the evaluator's transition-memo helpers and the serve cache
+// hit path) must stay free of the constructs that allocate or box on
+// every call — map/slice composite literals, make of a map/slice/chan,
+// closure literals, append (growth is the caller's job, via
+// preallocated scratch), fmt calls, and interface boxing of concrete
+// values (assignments, call arguments, returns). The kernels
 // that the paper's navigation loop spends its time in must not regress
 // from zero allocations by way of an innocent-looking edit.
 //
@@ -27,11 +28,15 @@ var hotpathCheck = &Check{
 }
 
 // hotpathRequiredCore are the internal/core functions that must carry
-// the annotation (the zero-alloc evaluator kernels of PR 7).
+// the annotation: the zero-alloc navigation kernels and the evaluator's
+// transition-memo read/fill helpers.
 var hotpathRequiredCore = map[string]bool{
-	"Org.transitionsInto": true,
-	"Org.reachProbsInto":  true,
-	"Org.leafProbInto":    true,
+	"Org.transitionsInto":     true,
+	"Org.reachProbsInto":      true,
+	"Org.leafProbInto":        true,
+	"Evaluator.transRow":      true,
+	"Evaluator.reachFromPlan": true,
+	"Evaluator.leafProbMemo":  true,
 }
 
 // hotpathRequiredServe are the internal/serve functions that must carry

@@ -11,8 +11,9 @@ import "fmt"
 //
 // The snapshot is a cache owned by Org, rebuilt lazily by adjacency()
 // and dropped by invalidate() alongside topo/levels. Like Topo it must
-// be warmed serially before concurrent readers fork (the evaluator and
-// serve layers already warm Topo, which warms this).
+// be warmed serially before concurrent readers fork: the serve layer
+// and evaluator construction warm Topo, which warms this, and
+// Reevaluate calls adjacency() itself.
 //
 //lakelint:immutable
 type adjSnapshot struct {

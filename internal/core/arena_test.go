@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -93,7 +94,8 @@ func TestArenaRebindAfterGrowth(t *testing.T) {
 // TestKernelHotPathZeroAllocs pins the arena kernels at zero per-call
 // allocations with caller-provided scratch — the property that lets
 // evaluator workers run without malloc/GC contention — without a cosine
-// memo row and with one (both the store and the reuse path).
+// memo row and with one (both the store and the reuse path), and the
+// evaluator's transition-memo helpers reading and refilling rows.
 func TestKernelHotPathZeroAllocs(t *testing.T) {
 	o := kernelTestOrg(t, 31)
 	adj := o.adjacency()
@@ -115,7 +117,7 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 	}
 	o.reachProbsInto(topic, norm, nil, reach, probs)
 	if n := testing.AllocsPerRun(100, func() {
-		o.leafProbInto(attr, topic, norm, nil, reach, probs)
+		o.leafProbInto(attr, topic, norm, nil, nil, reach, probs)
 	}); n != 0 {
 		t.Errorf("leafProbInto allocates %.1f per call, want 0", n)
 	}
@@ -139,9 +141,62 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 		t.Errorf("reachProbsInto reusing a memo row allocates %.1f per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		o.leafProbInto(attr, topic, norm, sims, reach, probs)
+		o.leafProbInto(attr, topic, norm, sims, nil, reach, probs)
 	}); n != 0 {
 		t.Errorf("leafProbInto with a memo row allocates %.1f per call, want 0", n)
+	}
+	trans := make([]float64, len(adj.children))
+	if n := testing.AllocsPerRun(100, func() {
+		fillNaN(trans)
+		o.leafProbInto(attr, topic, norm, sims, trans, reach, probs)
+	}); n != 0 {
+		t.Errorf("leafProbInto filling a transition row allocates %.1f per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		o.leafProbInto(attr, topic, norm, sims, trans, reach, probs)
+	}); n != 0 {
+		t.Errorf("leafProbInto reusing a transition row allocates %.1f per call, want 0", n)
+	}
+
+	// The evaluator's transition-memo helpers, on the plan of a pending
+	// re-evaluation: reading rows the sweep filled, and refilling rows
+	// marked stale.
+	ev, err := NewEvaluatorWorkers(o, 0, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, s := toggleAddParent(t, o)
+	cs := o.BeginChanges()
+	u := o.AddParentOp(np, s)
+	o.EndChanges()
+	ev.Reevaluate(cs)
+	opAdj := o.adjacency()
+	if len(ev.affectedTopo) == 0 {
+		t.Fatal("the operation affected no state")
+	}
+	markPlanStale := func() {
+		for _, p := range ev.planPairParent {
+			ev.trans[p][0] = math.NaN()
+		}
+		for _, p := range opAdj.parentsOf(ev.queryLeaf[0]) {
+			ev.trans[p][0] = math.NaN()
+		}
+	}
+	for _, fill := range []bool{false, true} {
+		if n := testing.AllocsPerRun(100, func() {
+			if fill {
+				markPlanStale()
+			}
+			ev.transRow(opAdj, StateID(ev.planPairParent[0]), 0)
+			ev.reachFromPlan(opAdj, 0, 0)
+			ev.leafProbMemo(opAdj, 0)
+		}); n != 0 {
+			t.Errorf("transition-memo helpers (refill %v) allocate %.1f per call, want 0", fill, n)
+		}
+	}
+	o.Undo(u)
+	if err := ev.Rollback(); err != nil {
+		t.Fatal(err)
 	}
 }
 

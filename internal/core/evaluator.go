@@ -27,16 +27,20 @@ type Query struct {
 // Evaluator computes and incrementally maintains the organization
 // effectiveness P(T|O) (Eq 6) across search operations. It caches, per
 // query, the reach probability of every non-leaf state, the query
-// leaf's discovery probability and the cosine of every state it has
-// scored, and after an operation re-evaluates only the states
-// downstream of the change (the paper's pruning) and only the cosines of
-// states whose topic moved, counting how much work that saved for the
-// Figure 3 experiment.
+// leaf's discovery probability, the cosine of every state it has scored
+// and the Eq 1 distribution of every parent it has expanded. After an
+// operation it re-evaluates only the states downstream of the change
+// (the paper's pruning), only the cosines of states whose topic moved
+// and only the distributions the operation changed, counting how much
+// work that saved for the Figure 3 experiment.
 type Evaluator struct {
 	org     *Org
 	queries []Query
 	// repOf maps each position in org.Attrs() to its query index.
 	repOf []int
+	// queryLeaf[q] is the leaf state of query q's attribute, or -1.
+	// Operations never replace a leaf, so it is fixed.
+	queryLeaf []StateID
 	// workers bounds the goroutine pool for the per-query loops. Results
 	// are identical for every value (each query owns its reach row and
 	// reductions happen in query order); it only trades latency for CPU.
@@ -66,6 +70,17 @@ type Evaluator struct {
 	simFlat      []float64
 	sims         [][]float64
 	topicChanged []StateID
+	// trans is the per-query Eq 1 transition memo, one slot per state.
+	// With fan = len(States[p].Children), row q of slot trans[p] is
+	// trans[p][q*fan:(q+1)*fan]: p's distribution over its children
+	// under query q, stale while its first cell is NaN (see transRow).
+	// Slots are carved from one block at construction; markStale
+	// reallocates a slot whose fan-out outgrew it. Only the worker that
+	// owns query q fills row q; marking rows stale is serial.
+	trans [][]float64
+	// staleOut lists the slots the last Reevaluate marked stale, so
+	// Rollback can mark them again.
+	staleOut []StateID
 	// leafProb[q]: discovery probability of the query's own leaf.
 	leafProb []float64
 	// leafDirty and leafNew are per-query scratch for the parallel leaf
@@ -92,51 +107,35 @@ type Evaluator struct {
 	// race an initialization.
 	repLeaves map[StateID]bool
 
-	// ws holds one scratch slot per worker; worker w (and only worker w)
-	// uses ws[w], sized serially by ensureScratch before any fork.
-	ws []evalScratch
-
-	// Reevaluate plan scratch, rebuilt serially per call and read-only
-	// inside the worker sweep (see Reevaluate).
-	affectedTopo   []StateID
-	planParents    []StateID
-	planParentOff  []int32
+	// Reevaluate's per-call sets and plan, rebuilt serially per call and
+	// read-only inside the worker sweep. A state is in a set while its
+	// stamp in the set's table equals gen, so no call clears a table or
+	// builds a map. changedOut lists the states whose outgoing
+	// distribution changed (outGen); affected lists the non-leaf states
+	// downstream of them, whose reach is stale (affGen, which the
+	// eliminated states join after ordering); staleGen dedupes
+	// markStale. stack and indeg are the walk's and the ordering's
+	// scratch.
+	gen          uint64
+	outGen       []uint64
+	affGen       []uint64
+	staleGen     []uint64
+	changedOut   []StateID
+	affected     []StateID
+	stack        []StateID
+	indeg        []int32
+	affectedTopo []StateID
+	// For affected state affectedTopo[i], pairs planPairStart[i] up to
+	// planPairStart[i+1] name its parents in adjacency order
+	// (planPairParent) and its position among each parent's children
+	// (planPairIdx), resolved once per call instead of once per query.
 	planPairStart  []int32
 	planPairParent []int32
 	planPairIdx    []int32
-	parentSlot     []int32
-	parentSlotGen  []uint64
-	planGen        uint64
 
 	// Instrumentation for Figure 3.
 	LastStatesVisited int
 	LastAttrsVisited  int
-}
-
-// evalScratch is one worker's private buffers for the zero-allocation
-// kernels: probs holds one transition distribution (cap ≥ the widest
-// fan-out), trans holds the flat per-plan transition table Reevaluate
-// fills per query.
-type evalScratch struct {
-	probs []float64
-	trans []float64
-}
-
-// ensureScratch guarantees scratch slots 0..workers-1 exist with the
-// required capacities. It runs serially before worker forks; workers
-// never resize their slot.
-func (ev *Evaluator) ensureScratch(workers, probsLen, transLen int) {
-	for len(ev.ws) < workers {
-		ev.ws = append(ev.ws, evalScratch{})
-	}
-	for w := 0; w < workers; w++ {
-		if cap(ev.ws[w].probs) < probsLen {
-			ev.ws[w].probs = make([]float64, probsLen)
-		}
-		if cap(ev.ws[w].trans) < transLen {
-			ev.ws[w].trans = make([]float64, transLen)
-		}
-	}
 }
 
 // checkFresh fails loudly when the organization grew states after this
@@ -218,8 +217,11 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 	// (IsRepresentativeLeaf) read an immutable map instead of racing a
 	// lazy first-call initialization.
 	ev.repLeaves = make(map[StateID]bool, len(ev.queries))
-	for _, q := range ev.queries {
-		if leaf := org.Leaf(q.Attr); leaf >= 0 {
+	ev.queryLeaf = make([]StateID, len(ev.queries))
+	for q, query := range ev.queries {
+		leaf := org.Leaf(query.Attr)
+		ev.queryLeaf[q] = leaf
+		if leaf >= 0 {
 			ev.repLeaves[leaf] = true
 		}
 	}
@@ -236,27 +238,60 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 	for q := range ev.sims {
 		ev.sims[q] = ev.simFlat[q*ev.nStates : (q+1)*ev.nStates : (q+1)*ev.nStates]
 	}
+	ev.initTrans()
 	ev.leafProb = make([]float64, nq)
 	ev.leafDirty = make([]bool, nq)
 	ev.leafNew = make([]float64, nq)
+	ev.outGen = make([]uint64, ev.nStates)
+	ev.affGen = make([]uint64, ev.nStates)
+	ev.staleGen = make([]uint64, ev.nStates)
+	ev.indeg = make([]int32, ev.nStates)
 	// Warm the caches the workers share read-only (topo order and the
 	// CSR adjacency snapshot); computing them lazily inside the pool
 	// would race.
 	org.Topo()
 	adj := org.adjacency()
 	wk := scaleWorkers(nq*ev.nStates, ev.workers)
-	ev.ensureScratch(wk, adj.maxChildren, 0)
 	parallelForWorkers(nq, wk, func(w, lo, hi int) {
-		probs := ev.ws[w].probs
+		probs := make([]float64, adj.maxChildren)
 		for q := lo; q < hi; q++ {
 			fillNaN(ev.sims[q])
 			org.reachProbsInto(ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], ev.reach[q], probs)
-			ev.leafProb[q] = org.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], ev.reach[q], probs)
+			ev.leafProb[q] = ev.leafProbMemo(adj, q)
 		}
 	})
 	ev.eff = ev.computeEff()
 	metricEvaluatorBuilds.Inc()
 	return ev, nil
+}
+
+// initTrans carves every state's transition-memo slot, nq rows of its
+// current fan-out, from one block and marks every row stale.
+func (ev *Evaluator) initTrans() {
+	nq := len(ev.queries)
+	total := 0
+	for _, s := range ev.org.States {
+		total += nq * len(s.Children)
+	}
+	block := make([]float64, total)
+	ev.trans = make([][]float64, ev.nStates)
+	off := 0
+	for id, s := range ev.org.States {
+		fan := len(s.Children)
+		n := nq * fan
+		ev.trans[id] = block[off : off+n : off+n]
+		off += n
+		markRowsStale(ev.trans[id], fan)
+	}
+}
+
+// markRowsStale puts NaN in the first cell of every fan-cell row of a
+// transition-memo slot.
+func markRowsStale(slot []float64, fan int) {
+	nan := math.NaN()
+	for c := 0; c < len(slot); c += fan {
+		slot[c] = nan
+	}
 }
 
 // Approximate reports whether the evaluator runs in representative mode
@@ -340,99 +375,100 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 	}
 	ev.checkFresh("Reevaluate")
 	o := ev.org
+	// Rebuilding the CSR snapshot here, serially, also warms it for the
+	// workers below.
+	adj := o.adjacency()
+	ev.gen++
+	gen := ev.gen
 
-	// States whose outgoing transition distributions changed.
-	changedOut := make(map[StateID]bool)
+	// Mark stale, for every query, the transition rows the operation
+	// changed: those of every state whose child list changed — deleted
+	// and eliminated states included, since Org.Undo revives them — and
+	// of every parent of a state whose topic moved (softmax denominators
+	// are shared across siblings).
+	ev.staleOut = ev.staleOut[:0]
 	for id := range cs.ChildrenChanged {
-		if !o.States[id].deleted && o.States[id].Kind != KindLeaf {
-			changedOut[id] = true
+		if ev.markStale(id) {
+			ev.staleOut = append(ev.staleOut, id)
 		}
 	}
 	ev.topicChanged = ev.topicChanged[:0]
 	for id := range cs.TopicChanged {
 		ev.topicChanged = append(ev.topicChanged, id)
-		if o.States[id].deleted {
-			continue
-		}
 		for _, p := range o.States[id].Parents {
-			if !o.States[p].deleted {
-				changedOut[p] = true
+			if ev.markStale(p) {
+				ev.staleOut = append(ev.staleOut, p)
 			}
+		}
+	}
+
+	// States whose outgoing transition distributions changed: the live
+	// non-leaf members of the stale set.
+	ev.changedOut = ev.changedOut[:0]
+	for _, id := range ev.staleOut {
+		if s := o.States[id]; !s.deleted && s.Kind != KindLeaf {
+			ev.outGen[id] = gen
+			ev.changedOut = append(ev.changedOut, id)
 		}
 	}
 
 	// Affected: non-leaf states strictly downstream of any changed-out
 	// state — their reach probabilities are stale.
-	affected := make(map[StateID]bool)
-	var stack []StateID
-	for id := range changedOut {
-		for _, c := range o.States[id].Children {
-			if o.States[c].Kind != KindLeaf && !affected[c] {
-				affected[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
+	ev.affected = ev.affected[:0]
+	stack := append(ev.stack[:0], ev.changedOut...)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range o.States[id].Children {
-			if o.States[c].Kind != KindLeaf && !affected[c] {
-				affected[c] = true
-				stack = append(stack, c)
+		for _, c := range adj.childrenOf(id) {
+			if adj.kinds[c] != uint8(KindLeaf) && ev.affGen[c] != gen {
+				ev.affGen[c] = gen
+				ev.affected = append(ev.affected, StateID(c))
+				stack = append(stack, StateID(c))
 			}
 		}
 	}
+	ev.stack = stack
 
-	// Order the affected states topologically. Topo() also warms the CSR
-	// adjacency snapshot the workers read.
-	topo := o.Topo()
-	adj := o.adjacency()
+	// Order the affected states by Kahn's algorithm over the affected
+	// subgraph. Reach needs only every affected parent finished first,
+	// and each state sums over its parents in adjacency order, so any
+	// valid order gives the same bits.
+	for _, id := range ev.affected {
+		n := int32(0)
+		for _, p := range adj.parentsOf(id) {
+			if ev.affGen[p] == gen {
+				n++
+			}
+		}
+		ev.indeg[id] = n
+	}
 	ev.affectedTopo = ev.affectedTopo[:0]
-	for _, id := range topo {
-		if affected[id] {
+	for _, id := range ev.affected {
+		if ev.indeg[id] == 0 {
 			ev.affectedTopo = append(ev.affectedTopo, id)
 		}
 	}
-	affectedTopo := ev.affectedTopo
-	// Eliminated states fall out of Topo; zero their reach explicitly.
-	for _, e := range cs.Eliminated {
-		affected[e] = true
+	for head := 0; head < len(ev.affectedTopo); head++ {
+		for _, c := range adj.childrenOf(ev.affectedTopo[head]) {
+			if ev.affGen[c] == gen {
+				if ev.indeg[c]--; ev.indeg[c] == 0 {
+					ev.affectedTopo = append(ev.affectedTopo, StateID(c))
+				}
+			}
+		}
 	}
+	if len(ev.affectedTopo) != len(ev.affected) {
+		panic(fmt.Sprintf("core: cycle among affected states (%d of %d ordered)", len(ev.affectedTopo), len(ev.affected)))
+	}
+	affectedTopo := ev.affectedTopo
 
-	// Build the transition plan, serially: the distinct parents of the
-	// affected states in first-encounter order, each with an offset into
-	// a flat per-worker transition table sized by its fan-out, and per
-	// affected state the (parent, table index) pairs its reach sums
-	// over, with the child's position within the parent's children
-	// resolved once here instead of rescanned per query. The sweep below
-	// then computes every distinct parent's transition distribution
-	// exactly once per query — same distributions, same summation order
-	// as the old per-query lazy cache, without its per-parent map and
-	// slice allocations.
-	ev.planParents = ev.planParents[:0]
-	ev.planParentOff = append(ev.planParentOff[:0], 0)
+	// The (parent, child position) pairs each affected state's reach
+	// sums over, resolved serially once instead of rescanned per query.
 	ev.planPairStart = append(ev.planPairStart[:0], 0)
 	ev.planPairParent = ev.planPairParent[:0]
 	ev.planPairIdx = ev.planPairIdx[:0]
-	if ev.parentSlot == nil {
-		ev.parentSlot = make([]int32, ev.nStates)
-		ev.parentSlotGen = make([]uint64, ev.nStates)
-	}
-	ev.planGen++
 	for _, id := range affectedTopo {
 		for _, p := range adj.parentsOf(id) {
-			var slot int32
-			if ev.parentSlotGen[p] == ev.planGen {
-				slot = ev.parentSlot[p]
-			} else {
-				slot = int32(len(ev.planParents))
-				ev.parentSlot[p] = slot
-				ev.parentSlotGen[p] = ev.planGen
-				ev.planParents = append(ev.planParents, StateID(p))
-				ev.planParentOff = append(ev.planParentOff,
-					ev.planParentOff[slot]+int32(len(adj.childrenOf(StateID(p)))))
-			}
 			ci := int32(-1)
 			for i, c := range adj.childrenOf(StateID(p)) {
 				if StateID(c) == id {
@@ -441,21 +477,36 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 				}
 			}
 			ev.planPairParent = append(ev.planPairParent, p)
-			ev.planPairIdx = append(ev.planPairIdx, ev.planParentOff[slot]+ci)
+			ev.planPairIdx = append(ev.planPairIdx, ci)
 		}
 		ev.planPairStart = append(ev.planPairStart, int32(len(ev.planPairParent)))
 	}
-	transLen := int(ev.planParentOff[len(ev.planParentOff)-1])
+
+	// Eliminated states are not ordered; zero their reach explicitly.
+	// Figure 3 counts them as visited.
+	visited := len(ev.affected)
+	for _, e := range cs.Eliminated {
+		if ev.affGen[e] != gen {
+			ev.affGen[e] = gen
+			visited++
+		}
+	}
+	for _, id := range ev.changedOut {
+		if ev.affGen[id] != gen {
+			visited++
+		}
+	}
 
 	ev.savedLeafProb = ev.savedLeafProb[:0]
 	ev.savedEff = ev.eff
 	ev.pending = true
 
-	// Each query q owns row ev.reach[q] and the fixed-size segment
-	// [q*perQuery, (q+1)*perQuery) of the rollback log — every query
-	// saves exactly one cell per affected state plus one per eliminated
-	// state — so the parallel sweep is race-free and the log layout is
-	// identical to the serial one, independent of worker count.
+	// Each query q owns row ev.reach[q], its transition-memo rows and
+	// the fixed-size segment [q*perQuery, (q+1)*perQuery) of the
+	// rollback log — every query saves exactly one cell per affected
+	// state plus one per eliminated state — so the parallel sweep is
+	// race-free and the log layout is identical to the serial one,
+	// independent of worker count.
 	perQuery := len(affectedTopo) + len(cs.Eliminated)
 	need := len(ev.queries) * perQuery
 	if cap(ev.savedReach) < need {
@@ -464,24 +515,14 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 		ev.savedReach = ev.savedReach[:need]
 	}
 	workers := scaleWorkers(len(ev.queries)*(perQuery+1), ev.workers)
-	ev.ensureScratch(workers, adj.maxChildren, transLen)
-	parallelForWorkers(len(ev.queries), workers, func(w, lo, hi int) {
-		trans := ev.ws[w].trans[:transLen]
+	parallelForWorkers(len(ev.queries), workers, func(_, lo, hi int) {
 		for q := lo; q < hi; q++ {
-			topic, topicNorm := ev.queries[q].Topic, ev.queryNorm[q]
-			reach, sims := ev.reach[q], ev.sims[q]
+			reach := ev.reach[q]
 			saved := ev.savedReach[q*perQuery : (q+1)*perQuery]
 			ev.invalidateSims(q)
-			for pi, p := range ev.planParents {
-				o.transitionsInto(adj, p, topic, topicNorm, sims, trans[ev.planParentOff[pi]:ev.planParentOff[pi+1]])
-			}
 			for i, id := range affectedTopo {
 				saved[i] = savedCell{q, id, reach[id]}
-				var r float64
-				for k := ev.planPairStart[i]; k < ev.planPairStart[i+1]; k++ {
-					r += reach[ev.planPairParent[k]] * trans[ev.planPairIdx[k]]
-				}
-				reach[id] = r
+				reach[id] = ev.reachFromPlan(adj, q, i)
 			}
 			for i, e := range cs.Eliminated {
 				saved[len(affectedTopo)+i] = savedCell{q, e, reach[e]}
@@ -494,22 +535,21 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 	// an affected or transition-changed tag state. The workers only fill
 	// per-query scratch; the dirty results are folded into the cache (and
 	// the rollback log) serially in query order below.
-	parallelForWorkers(len(ev.queries), workers, func(w, lo, hi int) {
-		probs := ev.ws[w].probs
+	parallelForWorkers(len(ev.queries), workers, func(_, lo, hi int) {
 		for q := lo; q < hi; q++ {
 			ev.leafDirty[q] = false
-			leaf := o.Leaf(ev.queries[q].Attr)
+			leaf := ev.queryLeaf[q]
 			if leaf < 0 {
 				continue
 			}
 			for _, t := range adj.parentsOf(leaf) {
-				if affected[StateID(t)] || changedOut[StateID(t)] {
+				if ev.affGen[t] == gen || ev.outGen[t] == gen {
 					ev.leafDirty[q] = true
 					break
 				}
 			}
 			if ev.leafDirty[q] {
-				ev.leafNew[q] = o.leafProbInto(ev.queries[q].Attr, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], ev.reach[q], probs)
+				ev.leafNew[q] = ev.leafProbMemo(adj, q)
 			}
 		}
 	})
@@ -528,12 +568,6 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 		attrsVisited++
 	}
 
-	visited := len(affected)
-	for id := range changedOut {
-		if !affected[id] {
-			visited++
-		}
-	}
 	ev.LastStatesVisited = visited
 	ev.LastAttrsVisited = attrsVisited
 	metricReevaluates.Inc()
@@ -541,6 +575,88 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 	metricLeafEvals.Add(uint64(attrsVisited))
 	ev.eff = ev.computeEff()
 	return ev.eff
+}
+
+// markStale marks every query's transition-memo row of state id stale,
+// first resizing the slot to id's current fan-out (reallocating it, with
+// growth slack, when the fan-out outgrew it). It reports false, doing
+// nothing, when id was already marked under the current generation.
+// Serial only: it may replace the slot the workers index.
+func (ev *Evaluator) markStale(id StateID) bool {
+	if ev.staleGen[id] == ev.gen {
+		return false
+	}
+	ev.staleGen[id] = ev.gen
+	fan := len(ev.org.States[id].Children)
+	n := len(ev.queries) * fan
+	slot := ev.trans[id]
+	if cap(slot) < n {
+		slot = make([]float64, n, n+n/2)
+	}
+	ev.trans[id] = slot[:n]
+	markRowsStale(ev.trans[id], fan)
+	return true
+}
+
+// transRow returns query q's transition-memo row of state p — p's Eq 1
+// distribution over its children, parallel to adj.childrenOf(p) —
+// filling it through transitionsInto first if it is stale. p must have
+// children. Only the worker that owns query q may call it.
+//
+//lakelint:hotpath
+func (ev *Evaluator) transRow(adj *adjSnapshot, p StateID, q int) []float64 {
+	fan := int(adj.childStart[p+1] - adj.childStart[p])
+	row := ev.trans[p][q*fan : (q+1)*fan]
+	if math.IsNaN(row[0]) {
+		ev.org.transitionsInto(adj, p, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], row)
+	}
+	return row
+}
+
+// reachFromPlan is Eq 2–4 for affected state affectedTopo[i] under query
+// q: the reach of each parent times the parent's memoized transition
+// probability into it, summed in adjacency parent order. A parent with
+// zero reach adds exactly zero, so it is skipped and its row is not
+// filled.
+//
+//lakelint:hotpath
+func (ev *Evaluator) reachFromPlan(adj *adjSnapshot, q, i int) float64 {
+	reach := ev.reach[q]
+	var r float64
+	for k := ev.planPairStart[i]; k < ev.planPairStart[i+1]; k++ {
+		p := ev.planPairParent[k]
+		if reach[p] != 0 {
+			r += reach[p] * ev.transRow(adj, StateID(p), q)[ev.planPairIdx[k]]
+		}
+	}
+	return r
+}
+
+// leafProbMemo is leafProbInto for query q's own leaf, reading its tag
+// parents' distributions from the transition memo: the same products of
+// the same values in the same order, so the same bits.
+//
+//lakelint:hotpath
+func (ev *Evaluator) leafProbMemo(adj *adjSnapshot, q int) float64 {
+	leaf := ev.queryLeaf[q]
+	if leaf < 0 {
+		return 0
+	}
+	reach := ev.reach[q]
+	var p float64
+	for _, t := range adj.parentsOf(leaf) {
+		if reach[t] == 0 {
+			continue
+		}
+		row := ev.transRow(adj, StateID(t), q)
+		for i, c := range adj.childrenOf(StateID(t)) {
+			if StateID(c) == leaf {
+				p += reach[t] * row[i]
+				break
+			}
+		}
+	}
+	return p
 }
 
 // savedReachShrinkCap is the rollback-log capacity (in cells) above
@@ -573,19 +689,31 @@ func (ev *Evaluator) Commit() error {
 }
 
 // Rollback restores the cached state from before the last Reevaluate.
-// The organization itself must be restored separately (Org.Undo). Like
-// Commit it reports misuse as an error value.
+// The organization itself must be restored separately (Org.Undo), and
+// first. Like Commit it reports misuse as an error value.
 //
-// The cosine memo is invalidated, not restored: Org.Undo recomputes the
-// moved topics through the vector.Running accumulators, which need not
-// reproduce the pre-operation bits, so a saved cosine could differ from
-// the one the kernel computes against the restored arena.
+// The cosine and transition memos are invalidated, not restored:
+// Org.Undo recomputes the moved topics through the vector.Running
+// accumulators, which need not reproduce the pre-operation bits, so a
+// saved cosine or distribution could differ from the one the kernel
+// computes against the restored arena. The transition rows marked stale
+// are the ones Reevaluate marked, now sized by the restored fan-outs,
+// plus those of the restored parents of every moved topic.
 func (ev *Evaluator) Rollback() error {
 	if !ev.pending {
 		return fmt.Errorf("core: Rollback without a pending Reevaluate")
 	}
 	for q := range ev.sims {
 		ev.invalidateSims(q)
+	}
+	ev.gen++
+	for _, id := range ev.staleOut {
+		ev.markStale(id)
+	}
+	for _, id := range ev.topicChanged {
+		for _, p := range ev.org.States[id].Parents {
+			ev.markStale(p)
+		}
 	}
 	for i := len(ev.savedReach) - 1; i >= 0; i-- {
 		c := ev.savedReach[i]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lakenav/internal/synth"
 	"lakenav/vector"
 )
 
@@ -316,4 +317,160 @@ func TestCommitRollbackMisuseReturnsError(t *testing.T) {
 	if err := ev.Commit(); err != nil {
 		t.Errorf("Commit after Reevaluate: %v", err)
 	}
+}
+
+// The evaluator's transition memo stays coherent with the organization:
+// through random ADD_PARENT, DELETE_PARENT (with eliminations) and
+// leaf-parent operations resolved by Reevaluate+Rollback (with
+// Org.Undo) or Reevaluate+Commit, in exact and approximate mode, every
+// live state's slot is sized by its current fan-out, every row that is
+// not marked stale equals a fresh transitionsInto on the current
+// organization, and the cached results match a newly built evaluator.
+// Org.Undo re-appends restored edges, so a rolled-back state's children
+// can come back in another order: a row left unmarked by either
+// Reevaluate or Rollback — an eliminated state's included — is caught
+// here.
+func TestEvaluatorTransitionMemoCoherent(t *testing.T) {
+	const tol = 1e-12
+	for _, frac := range []float64{0, 0.2} {
+		o := kernelTestOrg(t, 5)
+		newEv := func() *Evaluator {
+			ev, err := NewEvaluatorWorkers(o, frac, rand.New(rand.NewSource(3)), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ev
+		}
+		ev := newEv()
+		checked := 0
+		check := func(stage string, step int) {
+			t.Helper()
+			adj := o.adjacency()
+			fresh := make([]float64, adj.maxChildren)
+			nq := len(ev.queries)
+			for id, s := range o.States {
+				if s.deleted || s.Kind == KindLeaf {
+					continue
+				}
+				fan := len(s.Children)
+				slot := ev.trans[id]
+				if len(slot) != nq*fan {
+					t.Fatalf("frac %v step %d %s: state %d slot holds %d cells, want %d queries × fan-out %d", frac, step, stage, id, len(slot), nq, fan)
+				}
+				for q, query := range ev.queries {
+					row := slot[q*fan : (q+1)*fan]
+					if fan == 0 || math.IsNaN(row[0]) {
+						continue
+					}
+					want := o.transitionsInto(adj, StateID(id), query.Topic, ev.queryNorm[q], nil, fresh)
+					for i := range row {
+						if row[i] != want[i] {
+							t.Fatalf("frac %v step %d %s: query %d state %d memo[%d] = %v, fresh transition %v", frac, step, stage, q, id, i, row[i], want[i])
+						}
+					}
+					checked++
+				}
+			}
+			fe := newEv()
+			if got, want := ev.Effectiveness(), fe.Effectiveness(); math.Abs(got-want) > tol {
+				t.Fatalf("frac %v step %d %s: eff %v != fresh %v", frac, step, stage, got, want)
+			}
+			for i := range o.Attrs() {
+				if got, want := ev.AttrProb(i), fe.AttrProb(i); math.Abs(got-want) > tol {
+					t.Fatalf("frac %v step %d %s: attr %d prob %v != fresh %v", frac, step, stage, i, got, want)
+				}
+			}
+		}
+		check("construction", -1)
+		rng := rand.New(rand.NewSource(43))
+		elimRollbacks := 0
+		for step := 0; step < 40; step++ {
+			cs, u, ok := applyRandomOp(o, rng)
+			if !ok {
+				break
+			}
+			ev.Reevaluate(cs)
+			check("reevaluate", step)
+			if rng.Intn(2) == 0 {
+				o.Undo(u)
+				if err := ev.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+				check("rollback", step)
+				if len(cs.Eliminated) > 0 {
+					elimRollbacks++
+				}
+			} else {
+				if err := ev.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				check("commit", step)
+			}
+		}
+		if elimRollbacks == 0 || checked == 0 {
+			t.Fatalf("frac %v: storm rolled back %d eliminations and checked %d rows; it must exercise both", frac, elimRollbacks, checked)
+		}
+	}
+}
+
+// One Reevaluate+Rollback on a single worker allocates a fixed handful
+// of objects (the two worker closures), however large the organization:
+// the per-call sets, the ordering and the plan live in evaluator-owned,
+// generation-stamped slices, and the transition memo grows only when a
+// fan-out outgrows its slot.
+func TestReevaluateAllocationsFlat(t *testing.T) {
+	soc := synth.SmallSocrataConfig()
+	soc.Tables = 240
+	socLake, err := synth.GenerateSocrata(soc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	socOrg, err := NewClustered(socLake.Lake, BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxAllocs = 2
+	for name, o := range map[string]*Org{"tagcloud": kernelTestOrg(t, 31), "socrata": socOrg} {
+		for _, frac := range []float64{0, 0.1} {
+			ev, err := NewEvaluatorWorkers(o, frac, rand.New(rand.NewSource(7)), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, s := toggleAddParent(t, o)
+			cs := o.BeginChanges()
+			u := o.AddParentOp(n, s)
+			o.EndChanges()
+			// The organization stays in its post-operation shape, so every
+			// run re-evaluates the same change from the same cached state.
+			allocs := testing.AllocsPerRun(20, func() {
+				ev.Reevaluate(cs)
+				if err := ev.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			o.Undo(u)
+			t.Logf("%s (%d states) frac %v: %.1f allocs per Reevaluate+Rollback", name, len(o.States), frac, allocs)
+			if allocs > maxAllocs {
+				t.Errorf("%s frac %v: Reevaluate+Rollback allocates %.1f objects, want at most %d", name, frac, allocs, maxAllocs)
+			}
+		}
+	}
+}
+
+// toggleAddParent finds a legal ADD_PARENT of a tag state, for tests
+// and benchmarks that apply and undo one operation repeatedly.
+func toggleAddParent(t testing.TB, o *Org) (StateID, StateID) {
+	t.Helper()
+	for _, st := range o.States {
+		if st.deleted || st.Kind != KindTag {
+			continue
+		}
+		for _, cand := range o.States {
+			if cand.Kind == KindInterior && !cand.deleted && o.CanAddParent(cand.ID, st.ID) {
+				return cand.ID, st.ID
+			}
+		}
+	}
+	t.Fatal("no legal AddParent on this organization")
+	return -1, -1
 }

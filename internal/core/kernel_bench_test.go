@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"lakenav/internal/synth"
@@ -62,39 +63,29 @@ func benchStatesAndTopic(b *testing.B, o *Org) ([]StateID, vector.Vector) {
 	return states, topic
 }
 
-// benchToggleOp finds a legal AddParent to toggle per iteration.
-func benchToggleOp(b *testing.B, o *Org) (StateID, StateID) {
-	b.Helper()
-	for _, st := range o.States {
-		if st.deleted || st.Kind != KindTag {
-			continue
-		}
-		for _, cand := range o.States {
-			if cand.Kind == KindInterior && !cand.deleted && o.CanAddParent(cand.ID, st.ID) {
-				return cand.ID, st.ID
-			}
-		}
-	}
-	b.Skip("no legal AddParent on this instance")
-	return -1, -1
-}
-
+// benchReevaluate times one ADD_PARENT toggled through Reevaluate,
+// Undo and Rollback, in exact mode (rep=0) and in the approximate mode
+// lakenav.DefaultConfig builds with (rep=0.1, Config.RepFraction).
 func benchReevaluate(b *testing.B, workers int) {
 	forBenchDims(b, func(b *testing.B, o *Org) {
-		ev, err := NewEvaluatorWorkers(o, 0, nil, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, s := benchToggleOp(b, o)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cs := o.BeginChanges()
-			u := o.AddParentOp(n, s)
-			o.EndChanges()
-			ev.Reevaluate(cs)
-			o.Undo(u)
-			ev.Rollback()
+		for _, rep := range []float64{0, 0.1} {
+			b.Run(fmt.Sprintf("rep=%g", rep), func(b *testing.B) {
+				ev, err := NewEvaluatorWorkers(o, rep, rand.New(rand.NewSource(7)), workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n, s := toggleAddParent(b, o)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cs := o.BeginChanges()
+					u := o.AddParentOp(n, s)
+					o.EndChanges()
+					ev.Reevaluate(cs)
+					o.Undo(u)
+					ev.Rollback()
+				}
+			})
 		}
 	})
 }

@@ -115,8 +115,16 @@ func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, sims, reach
 // probs is the caller-owned transition scratch (cap ≥
 // adjacency().maxChildren); sims is the topic's cosine memo row, or nil.
 //
+// trans, when non-nil, is the topic's transition memo indexed by CSR
+// child position (len ≥ len(adjacency().children)): tag state t's
+// distribution is trans[childStart[t]:childStart[t+1]], computed into
+// place when its first cell is NaN and reused otherwise. CSR positions
+// shift with every structural change, so a trans row is valid only
+// while the organization is not modified — within one request on a
+// serving snapshot. A nil trans computes every distribution into probs.
+//
 //lakelint:hotpath
-func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, sims, reach, probs []float64) float64 {
+func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, sims, trans, reach, probs []float64) float64 {
 	leaf, ok := o.leafOf[a]
 	if !ok {
 		return 0
@@ -127,7 +135,15 @@ func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64
 		if reach[t] == 0 {
 			continue
 		}
-		tp := o.transitionsInto(adj, StateID(t), topic, topicNorm, sims, probs)
+		var tp []float64
+		if trans != nil {
+			tp = trans[adj.childStart[t]:adj.childStart[t+1]]
+			if math.IsNaN(tp[0]) {
+				o.transitionsInto(adj, StateID(t), topic, topicNorm, sims, tp)
+			}
+		} else {
+			tp = o.transitionsInto(adj, StateID(t), topic, topicNorm, sims, probs)
+		}
 		for i, c := range adj.childrenOf(StateID(t)) {
 			if StateID(c) == leaf {
 				p += reach[t] * tp[i]
@@ -165,27 +181,29 @@ func (o *Org) discoveryProbInto(a lake.AttrID, reach, probs []float64) float64 {
 	}
 	topic, norm := o.States[leaf].topic, o.States[leaf].topicNorm
 	o.reachProbsInto(topic, norm, nil, reach, probs)
-	return o.leafProbInto(a, topic, norm, nil, reach, probs)
+	return o.leafProbInto(a, topic, norm, nil, nil, reach, probs)
 }
 
 // DiscoveryProbs returns, for every organized attribute (parallel to
 // Attrs()), the probability that a session navigating under the given
 // query topic reaches the attribute's leaf: one reach sweep shared by
-// every leaf evaluation, with the topic norm computed once and one
-// request-local cosine memo row, so a tag state's children are scored
-// once per request rather than once per attribute under it. This is the
-// serving-path form of discovery evaluation — AttrDiscoveryProbs answers
-// it for each attribute's own topic, this answers it for an arbitrary
-// query.
+// every leaf evaluation, with the topic norm computed once, one
+// request-local cosine memo row and one request-local transition memo
+// row (see leafProbInto), so a tag state's softmax runs once per request
+// rather than once per attribute under it. This is the serving-path form
+// of discovery evaluation — AttrDiscoveryProbs answers it for each
+// attribute's own topic, this answers it for an arbitrary query.
 func (o *Org) DiscoveryProbs(topic vector.Vector) []float64 {
 	norm := vector.Norm(topic)
 	reach, probs := o.newScratch()
 	sims := make([]float64, len(o.States))
 	fillNaN(sims)
+	trans := make([]float64, len(o.adjacency().children))
+	fillNaN(trans)
 	o.reachProbsInto(topic, norm, sims, reach, probs)
 	out := make([]float64, len(o.attrs))
 	for i, a := range o.attrs {
-		out[i] = o.leafProbInto(a, topic, norm, sims, reach, probs)
+		out[i] = o.leafProbInto(a, topic, norm, sims, trans, reach, probs)
 	}
 	return out
 }

@@ -25,6 +25,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"lakenav/vector"
 )
@@ -108,8 +109,17 @@ func (h *Hashed) Lookup(word string) (vector.Vector, bool) {
 			return nil, false
 		}
 	}
-	return gaussianUnit(rand.New(rand.NewSource(s)), h.dim), true
+	rng := lookupRands.Get().(*rand.Rand)
+	rng.Seed(s)
+	v := gaussianUnit(rng, h.dim)
+	lookupRands.Put(rng)
+	return v, true
 }
+
+// lookupRands recycles Lookup's generators: a math/rand source is a
+// 4.9 KB table, and Seed resets all of it, so a reseeded pooled
+// generator draws exactly what rand.New(rand.NewSource(s)) would.
+var lookupRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // Store is an explicit vocabulary: a map from word to embedding vector.
 // It is the in-memory equivalent of a pretrained embedding file and

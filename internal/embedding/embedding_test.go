@@ -3,6 +3,7 @@ package embedding
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +85,61 @@ func TestHashedPanicsOnBadConfig(t *testing.T) {
 			}()
 			fn()
 		})
+	}
+}
+
+// Lookup reuses pooled generators; reseeding one must draw exactly what
+// a fresh source seeded with the word's seed draws, whichever goroutine
+// held the generator before.
+func TestHashedLookupMatchesFreshSource(t *testing.T) {
+	const (
+		goroutines = 4
+		perG       = 1500
+		dim        = 64
+		seed       = 7
+	)
+	m := NewHashed(dim, seed, 1)
+	rng := rand.New(rand.NewSource(17))
+	words := make([]string, goroutines*perG)
+	for i := range words {
+		words[i] = randWord(rng)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(part []string) {
+			defer wg.Done()
+			for _, w := range part {
+				got, ok := m.Lookup(w)
+				want := gaussianUnit(rand.New(rand.NewSource(wordSeed(w, seed))), dim)
+				if !ok || !vector.Equal(got, want, 0) {
+					errs <- w
+					return
+				}
+			}
+		}(words[g*perG : (g+1)*perG])
+	}
+	wg.Wait()
+	close(errs)
+	for w := range errs {
+		t.Errorf("Lookup(%q) differs from a fresh source's vector", w)
+	}
+}
+
+// BenchmarkHashedLookup measures one embedding lookup at the default
+// model's width.
+func BenchmarkHashedLookup(b *testing.B) {
+	m := NewHashed(64, 7, 1)
+	rng := rand.New(rand.NewSource(5))
+	words := make([]string, 1024)
+	for i := range words {
+		words[i] = randWord(rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Lookup(words[i%len(words)])
 	}
 }
 
