@@ -184,7 +184,6 @@ func (o *Org) ApplyLakeBatch(sum *lake.ChangeSummary, tags []string) (*ChangeSet
 		}
 		s := o.newState(KindTag)
 		s.Tags = []string{tg}
-		s.support = make(map[lake.AttrID]int)
 		s.run = vector.NewRunning(l.Dim())
 		o.tagState[tg] = s.ID
 		o.noteTopicChanged(s.ID)

@@ -33,11 +33,14 @@ type topicArena struct {
 	dim   int
 	vecs  []float64
 	norms []float64
+	// scratch is a dim-length vector that State.refreshTopic computes a
+	// mean into before setTopic copies it into the state's slot.
+	scratch vector.Vector
 }
 
 // newTopicArena returns an empty arena for dim-dimensional topics.
 func newTopicArena(dim int) *topicArena {
-	return &topicArena{dim: dim}
+	return &topicArena{dim: dim, scratch: vector.New(dim)}
 }
 
 // slots returns the number of materialized slots.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 
 	"lakenav/internal/binfmt"
 	"lakenav/internal/lake"
@@ -161,7 +162,7 @@ func binOrgWriter(o *Org) (*binfmt.Writer, error) {
 		}
 		supOff := uint32(len(support) / 2)
 		if s.Kind != KindLeaf {
-			for _, a := range s.Domain() {
+			for i, a := range s.dom {
 				leaf, ok := o.leafOf[a]
 				if !ok {
 					return nil, fmt.Errorf("core: binorg encode attr %d has no leaf state", a)
@@ -170,7 +171,7 @@ func binOrgWriter(o *Org) (*binfmt.Writer, error) {
 				if !ok {
 					return nil, fmt.Errorf("core: binorg encode leaf of attr %d deleted", a)
 				}
-				support = append(support, ref, uint32(s.support[a]))
+				support = append(support, ref, uint32(s.sup[i]))
 			}
 			runCounts = append(runCounts, uint64(s.run.Count()))
 			runSums = append(runSums, s.run.Sum()...)
@@ -521,7 +522,6 @@ func decodeBinOrgFull(l *lake.Lake, c *binfmt.Container, meta []uint64) (*Org, e
 			}
 			s := o.newState(KindTag)
 			s.Tags = []string{tag}
-			s.support = make(map[lake.AttrID]int)
 			s.run = vector.NewRunning(dim)
 			o.tagState[tag] = s.ID
 		case KindInterior:
@@ -563,16 +563,24 @@ func decodeBinOrgFull(l *lake.Lake, c *binfmt.Container, meta []uint64) (*Org, e
 				return nil, fmt.Errorf("core: binorg decode state %d support ref %d is not a leaf", i, leafRef)
 			}
 			a := o.States[leafRef].Attr
-			if _, dup := s.support[a]; dup {
-				return nil, fmt.Errorf("core: binorg decode state %d has duplicate support for attr %d", i, a)
+			if n == 0 || n > math.MaxInt32 {
+				return nil, fmt.Errorf("core: binorg decode state %d has support %d for attr %d", i, n, a)
 			}
-			if n == 0 {
-				return nil, fmt.Errorf("core: binorg decode state %d has zero support for attr %d", i, a)
+			s.dom = append(s.dom, a)
+			s.sup = append(s.sup, int32(n))
+		}
+		// Pairs are written in ascending attribute order; attribute IDs
+		// are the loading lake's, so sort rather than trust the order.
+		if !sort.IsSorted(domainOrder{s}) {
+			sort.Sort(domainOrder{s})
+		}
+		for j := 1; j < len(s.dom); j++ {
+			if s.dom[j] == s.dom[j-1] {
+				return nil, fmt.Errorf("core: binorg decode state %d has duplicate support for attr %d", i, s.dom[j])
 			}
-			s.support[a] = int(n)
 		}
 		want := 0
-		for a := range s.support {
+		for _, a := range s.dom {
 			_, c := o.attrAccumulator(a)
 			want += c
 		}
@@ -787,4 +795,14 @@ func LoadMultiDim(l *lake.Lake, path string) (*MultiDim, error) {
 		return nil, err
 	}
 	return ReadMultiDim(l, f)
+}
+
+// domainOrder sorts a state's parallel dom/sup slices by attribute.
+type domainOrder struct{ s *State }
+
+func (d domainOrder) Len() int           { return len(d.s.dom) }
+func (d domainOrder) Less(i, j int) bool { return d.s.dom[i] < d.s.dom[j] }
+func (d domainOrder) Swap(i, j int) {
+	d.s.dom[i], d.s.dom[j] = d.s.dom[j], d.s.dom[i]
+	d.s.sup[i], d.s.sup[j] = d.s.sup[j], d.s.sup[i]
 }

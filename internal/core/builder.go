@@ -91,7 +91,6 @@ func buildBase(l *lake.Lake, cfg BuildConfig) (*Org, []StateID, error) {
 	for _, tag := range usable {
 		s := o.newState(KindTag)
 		s.Tags = []string{tag}
-		s.support = make(map[lake.AttrID]int)
 		s.run = vector.NewRunning(l.Dim())
 		o.tagState[tag] = s.ID
 		for _, a := range l.TextTagAttrs(tag) {
@@ -108,7 +107,6 @@ func buildBase(l *lake.Lake, cfg BuildConfig) (*Org, []StateID, error) {
 // newInterior creates an interior state ready for linking.
 func (o *Org) newInterior() *State {
 	s := o.newState(KindInterior)
-	s.support = make(map[lake.AttrID]int)
 	s.run = vector.NewRunning(o.Lake.Dim())
 	return s
 }

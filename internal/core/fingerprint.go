@@ -73,11 +73,10 @@ func (o *Org) Fingerprint() uint64 {
 			w64(0)
 		}
 		if s.Kind != KindLeaf {
-			dom := s.Domain()
-			w64(uint64(len(dom)))
-			for _, a := range dom {
+			w64(uint64(len(s.dom)))
+			for i, a := range s.dom {
 				wstr(o.Lake.Attr(a).QualifiedName(o.Lake))
-				w64(uint64(s.support[a]))
+				w64(uint64(s.sup[i]))
 			}
 		}
 	}

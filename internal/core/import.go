@@ -65,7 +65,6 @@ func Import(l *lake.Lake, ex *ExportedOrg) (*Org, error) {
 			}
 			s := o.newState(KindTag)
 			s.Tags = es.Tags
-			s.support = make(map[lake.AttrID]int)
 			s.run = vector.NewRunning(l.Dim())
 			o.tagState[es.Tags[0]] = s.ID
 			idMap[es.ID] = s.ID

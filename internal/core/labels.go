@@ -38,7 +38,7 @@ func (o *Org) labelTags(id StateID, n int) []string {
 	s := o.States[id]
 	// Count tag frequency within the state's domain.
 	freq := make(map[string]int)
-	for a := range s.support {
+	for _, a := range s.dom {
 		for _, tag := range o.Lake.AttrTags(a) {
 			if _, organized := o.tagState[tag]; organized {
 				freq[tag]++
@@ -68,7 +68,7 @@ func (o *Org) labelTags(id StateID, n int) []string {
 		if !ok {
 			return -1
 		}
-		dom := o.States[ts].Domain()
+		dom := o.States[ts].dom
 		if len(dom) == 0 {
 			return -1
 		}

@@ -369,7 +369,7 @@ func TestChangeSetRecordsOps(t *testing.T) {
 	for _, a := range o.State(ts).Domain() {
 		// After the op n covers everything; support > 1 means another
 		// child also supplies it.
-		if o.State(n).support[a] == 1 {
+		if o.State(n).supportOf(a) == 1 {
 			covered = false
 		}
 	}

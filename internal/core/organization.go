@@ -17,15 +17,16 @@
 // probabilities compose over parents (Eq 4), and an attribute's
 // discovery probability is the reach probability of its leaf.
 //
-// Domains are maintained with per-(state, attribute) child-support
-// counts, so ADD_PARENT and DELETE_PARENT update domains and topic
-// accumulators incrementally and reversibly, which the optimizer's
-// Metropolis accept/reject step (Eq 9) relies on.
+// Domains are maintained as ascending attribute lists with per-(state,
+// attribute) child-support counts, so ADD_PARENT and DELETE_PARENT
+// update domains and topic accumulators incrementally and reversibly,
+// which the optimizer's Metropolis accept/reject step (Eq 9) relies on.
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lakenav/internal/lake"
@@ -77,10 +78,12 @@ type State struct {
 	Children []StateID
 	Parents  []StateID
 
-	// support counts, per attribute in the domain, how many direct
-	// children's domains contain it; membership is support > 0. Nil for
+	// dom lists the domain D_s in ascending attribute order, and sup[i]
+	// counts how many direct children's domains contain dom[i]; an
+	// attribute leaves dom when its count reaches 0. Both are nil for
 	// leaves (their domain is implicitly {Attr}).
-	support map[lake.AttrID]int
+	dom []lake.AttrID
+	sup []int32
 	// run accumulates the embedded-value population of the domain; its
 	// mean is the state's topic vector μ_s (Definitions 4–5). Nil for
 	// leaves (they use the attribute's precomputed topic).
@@ -130,7 +133,8 @@ func (s *State) HasAttr(a lake.AttrID) bool {
 	if s.Kind == KindLeaf {
 		return s.Attr == a
 	}
-	return s.support[a] > 0
+	_, ok := slices.BinarySearch(s.dom, a)
+	return ok
 }
 
 // DomainSize returns |D_s|.
@@ -138,20 +142,16 @@ func (s *State) DomainSize() int {
 	if s.Kind == KindLeaf {
 		return 1
 	}
-	return len(s.support)
+	return len(s.dom)
 }
 
-// Domain returns the attribute IDs of D_s in ascending order.
+// Domain returns a fresh copy of the attribute IDs of D_s in ascending
+// order.
 func (s *State) Domain() []lake.AttrID {
 	if s.Kind == KindLeaf {
 		return []lake.AttrID{s.Attr}
 	}
-	out := make([]lake.AttrID, 0, len(s.support))
-	for a := range s.support {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append([]lake.AttrID(nil), s.dom...)
 }
 
 // Org is an organization: a rooted DAG over a subset of a lake's
@@ -198,6 +198,14 @@ type Org struct {
 	// adj caches the flattened CSR adjacency snapshot the kernels sweep
 	// (see adjacency.go); nil when invalidated.
 	adj *adjSnapshot
+
+	// attrStack is scratch for domain propagation: each addSupport or
+	// removeSupport pushes the attributes whose membership it changed,
+	// and the propagation frame that called it pops them once every
+	// ancestor has seen them. leafDom backs the one-attribute domain
+	// view of a leaf child (domainView).
+	attrStack []lake.AttrID
+	leafDom   [1]lake.AttrID
 }
 
 // DefaultGamma is the navigation-model γ used when a config does not
@@ -302,10 +310,20 @@ func (o *Org) hasEdge(parent, child StateID) bool {
 	return false
 }
 
-// domainAttrs returns the attribute set contributed by a child state
-// (its whole domain).
-func (o *Org) domainAttrs(child StateID) []lake.AttrID {
-	return o.States[child].Domain()
+// domainView returns the domain of state id in ascending order as a
+// read-only view, with no copy: a non-leaf's own dom slice, or a leaf's
+// single attribute in the Org's leafDom cell. Linking and unlinking
+// read a child's domain this way while propagating it through the
+// parent's ancestors, which is safe because the child is never one of
+// them (the organization is acyclic), so its dom is not written while
+// the view is read. The view is valid until the next domainView call.
+func (o *Org) domainView(id StateID) []lake.AttrID {
+	s := o.States[id]
+	if s.Kind == KindLeaf {
+		o.leafDom[0] = s.Attr
+		return o.leafDom[:]
+	}
+	return s.dom
 }
 
 // attrAccumulator returns the (sum, count) embedding accumulator of a
@@ -315,103 +333,178 @@ func (o *Org) attrAccumulator(a lake.AttrID) (vector.Vector, int) {
 	return attr.EmbSum, attr.EmbCount
 }
 
-// addSupport raises the child-support of each attribute in attrs within
-// state id, updating the topic accumulator on 0→1 transitions, and
-// returns the attributes that newly entered the domain (which callers
-// must propagate to the state's parents).
+// addSupport raises the child-support of each attribute in attrs (which
+// must be ascending) within state id. Attributes already in the domain
+// have their count bumped in place; those that newly enter it are
+// added to the topic accumulator in ascending order, merged into dom
+// in one pass, and returned (as the top of o.attrStack) for the caller
+// to propagate to the state's parents.
+//
+// The ascending order is load-bearing: AddWeighted is floating-point
+// addition, so the accumulator bits — and through them every topic,
+// transition probability and golden hash — depend on the order the
+// attributes arrive in.
 func (o *Org) addSupport(id StateID, attrs []lake.AttrID) []lake.AttrID {
 	s := o.States[id]
-	var entered []lake.AttrID
+	mark := len(o.attrStack)
+	lo := 0
 	for _, a := range attrs {
-		s.support[a]++
-		if s.support[a] == 1 {
+		var found bool
+		lo, found = s.bumpSupport(a, lo)
+		if !found {
 			sum, count := o.attrAccumulator(a)
 			s.run.AddWeighted(sum, count)
-			entered = append(entered, a)
+			o.attrStack = append(o.attrStack, a)
 		}
 	}
+	entered := o.attrStack[mark:]
 	if len(entered) > 0 {
-		t, _ := s.run.Mean()
-		s.setTopic(t)
+		s.mergeDomain(entered)
+		s.refreshTopic()
 		o.noteTopicChanged(id)
 	}
 	return entered
 }
 
-// removeSupport lowers the child-support of each attribute in attrs
-// within state id and returns the attributes that left the domain.
-func (o *Org) removeSupport(id StateID, attrs []lake.AttrID) []lake.AttrID {
-	s := o.States[id]
-	var left []lake.AttrID
-	for _, a := range attrs {
-		s.support[a]--
-		if s.support[a] == 0 {
-			delete(s.support, a)
-			sum, count := o.attrAccumulator(a)
-			s.run.RemoveWeighted(sum, count)
-			left = append(left, a)
-		} else if s.support[a] < 0 {
-			panic(fmt.Sprintf("core: negative support for attr %d in state %d", a, id))
+// bumpSupport increments the count of a if it is in the domain,
+// searching dom from index lo on, and reports whether it was. The
+// returned index is where the search for the next (larger) attribute
+// may start.
+//
+//lakelint:hotpath
+func (s *State) bumpSupport(a lake.AttrID, lo int) (int, bool) {
+	i, found := slices.BinarySearch(s.dom[lo:], a)
+	i += lo
+	if found {
+		s.sup[i]++
+		return i + 1, true
+	}
+	return i, false
+}
+
+// mergeDomain merges the ascending attributes add, none of which is in
+// the domain, into dom with count 1, in one backward pass.
+func (s *State) mergeDomain(add []lake.AttrID) {
+	n := len(s.dom)
+	s.dom = append(s.dom, add...)
+	s.sup = slices.Grow(s.sup, len(add))[:len(s.dom)]
+	i, w := n-1, len(s.dom)-1
+	for j := len(add) - 1; j >= 0; w-- {
+		if i >= 0 && s.dom[i] > add[j] {
+			s.dom[w], s.sup[w] = s.dom[i], s.sup[i]
+			i--
+		} else {
+			s.dom[w], s.sup[w] = add[j], 1
+			j--
 		}
 	}
+}
+
+// removeSupport lowers the child-support of each attribute in attrs
+// (ascending) within state id. Attributes whose count reaches 0 are
+// removed from the topic accumulator in ascending order, compacted out
+// of dom in one pass, and returned (as the top of o.attrStack).
+func (o *Org) removeSupport(id StateID, attrs []lake.AttrID) []lake.AttrID {
+	s := o.States[id]
+	mark := len(o.attrStack)
+	first := -1
+	lo := 0
+	for _, a := range attrs {
+		i, left := s.dropSupport(a, lo)
+		if i < 0 {
+			panic(fmt.Sprintf("core: negative support for attr %d in state %d", a, id))
+		}
+		if left {
+			sum, count := o.attrAccumulator(a)
+			s.run.RemoveWeighted(sum, count)
+			o.attrStack = append(o.attrStack, a)
+			if first < 0 {
+				first = i
+			}
+		}
+		lo = i + 1
+	}
+	left := o.attrStack[mark:]
 	if len(left) > 0 {
-		t, _ := s.run.Mean()
-		s.setTopic(t)
+		s.compactDomain(first)
+		s.refreshTopic()
 		o.noteTopicChanged(id)
 	}
 	return left
 }
 
+// dropSupport decrements the count of a, searching dom from index lo
+// on, and returns its index and whether the count reached 0 (the entry
+// stays until compactDomain). The index is -1 when a is not in the
+// domain.
+//
+//lakelint:hotpath
+func (s *State) dropSupport(a lake.AttrID, lo int) (int, bool) {
+	i, found := slices.BinarySearch(s.dom[lo:], a)
+	if !found {
+		return -1, false
+	}
+	i += lo
+	s.sup[i]--
+	return i, s.sup[i] == 0
+}
+
+// compactDomain drops the zero-count entries of dom, the first of which
+// is at index from, in one pass.
+func (s *State) compactDomain(from int) {
+	w := from
+	for i := from; i < len(s.dom); i++ {
+		if s.sup[i] != 0 {
+			s.dom[w], s.sup[w] = s.dom[i], s.sup[i]
+			w++
+		}
+	}
+	s.dom, s.sup = s.dom[:w], s.sup[:w]
+}
+
+// refreshTopic recomputes the topic from the run accumulator. The mean
+// goes through the arena's scratch vector into the state's slot, so no
+// vector is allocated per support change.
+func (s *State) refreshTopic() {
+	s.run.MeanInto(s.arn.scratch)
+	s.setTopic(s.arn.scratch)
+}
+
 // propagateAdd raises support for attrs in state id and recursively in
-// its ancestors wherever membership newly appears. It returns every
-// (state, attrs-entered) pair for undo logging, in application order.
-func (o *Org) propagateAdd(id StateID, attrs []lake.AttrID) []supportDelta {
-	var log []supportDelta
-	entered := o.addSupport(id, attrs)
-	log = append(log, supportDelta{state: id, attrs: attrs})
-	if len(entered) == 0 {
-		return log
+// its ancestors wherever membership newly appears.
+func (o *Org) propagateAdd(id StateID, attrs []lake.AttrID) {
+	mark := len(o.attrStack)
+	if entered := o.addSupport(id, attrs); len(entered) > 0 {
+		for _, p := range o.States[id].Parents {
+			o.propagateAdd(p, entered)
+		}
 	}
-	for _, p := range o.States[id].Parents {
-		log = append(log, o.propagateAdd(p, entered)...)
-	}
-	return log
+	o.attrStack = o.attrStack[:mark]
 }
 
 // propagateRemove lowers support for attrs in state id and recursively
-// in its ancestors wherever membership disappears, returning the undo
-// log in application order.
-func (o *Org) propagateRemove(id StateID, attrs []lake.AttrID) []supportDelta {
-	var log []supportDelta
-	left := o.removeSupport(id, attrs)
-	log = append(log, supportDelta{state: id, attrs: attrs})
-	if len(left) == 0 {
-		return log
+// in its ancestors wherever membership disappears.
+func (o *Org) propagateRemove(id StateID, attrs []lake.AttrID) {
+	mark := len(o.attrStack)
+	if left := o.removeSupport(id, attrs); len(left) > 0 {
+		for _, p := range o.States[id].Parents {
+			o.propagateRemove(p, left)
+		}
 	}
-	for _, p := range o.States[id].Parents {
-		log = append(log, o.propagateRemove(p, left)...)
-	}
-	return log
-}
-
-// supportDelta records one support change for undo.
-type supportDelta struct {
-	state StateID
-	attrs []lake.AttrID
+	o.attrStack = o.attrStack[:mark]
 }
 
 // linkChild adds edge parent → child and maintains the inclusion
-// property along parent's ancestors. It returns the support log for
-// undo.
-func (o *Org) linkChild(parent, child StateID) []supportDelta {
+// property along parent's ancestors.
+func (o *Org) linkChild(parent, child StateID) {
 	o.addEdge(parent, child)
-	return o.propagateAdd(parent, o.domainAttrs(child))
+	o.propagateAdd(parent, o.domainView(child))
 }
 
 // unlinkChild removes edge parent → child and maintains domains.
-func (o *Org) unlinkChild(parent, child StateID) []supportDelta {
+func (o *Org) unlinkChild(parent, child StateID) {
 	o.removeEdge(parent, child)
-	return o.propagateRemove(parent, o.domainAttrs(child))
+	o.propagateRemove(parent, o.domainView(child))
 }
 
 // Levels returns each live reachable state's shortest-path depth from
@@ -442,27 +535,35 @@ func (o *Org) Levels() []int {
 }
 
 // isDescendant reports whether candidate is reachable from ancestor
-// (strictly below it, or equal).
+// (strictly below it, or equal). Childless states (leaves, emptied
+// states) lead nowhere, so they are compared but never pushed; the
+// search below a tag state therefore allocates nothing.
 func (o *Org) isDescendant(ancestor, candidate StateID) bool {
 	if ancestor == candidate {
 		return true
 	}
-	stack := []StateID{ancestor}
-	seen := map[StateID]bool{ancestor: true}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	var stack []StateID
+	var seen map[StateID]bool
+	for id := ancestor; ; {
 		for _, c := range o.States[id].Children {
 			if c == candidate {
 				return true
 			}
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
+			if len(o.States[c].Children) == 0 || seen[c] {
+				continue
 			}
+			if seen == nil {
+				seen = make(map[StateID]bool)
+			}
+			seen[c] = true
+			stack = append(stack, c)
 		}
+		if len(stack) == 0 {
+			return false
+		}
+		id = stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 	}
-	return false
 }
 
 // Validate checks the organization's structural invariants: a single
@@ -529,21 +630,29 @@ func (o *Org) Validate() error {
 				return fmt.Errorf("core: state %d arena norm %v, cached %v", s.ID, o.arena.norms[slot], s.topicNorm)
 			}
 		}
-		// Support counts must equal the number of children containing
-		// each attribute.
+		// The domain must be strictly ascending and its support counts
+		// must equal the number of children containing each attribute.
 		if s.Kind != KindLeaf {
+			if len(s.sup) != len(s.dom) {
+				return fmt.Errorf("core: state %d has %d domain attrs but %d support counts", s.ID, len(s.dom), len(s.sup))
+			}
+			for i := 1; i < len(s.dom); i++ {
+				if s.dom[i-1] >= s.dom[i] {
+					return fmt.Errorf("core: state %d domain not strictly ascending at %d", s.ID, i)
+				}
+			}
 			want := make(map[lake.AttrID]int)
 			for _, c := range s.Children {
 				for _, a := range o.States[c].Domain() {
 					want[a]++
 				}
 			}
-			if len(want) != len(s.support) {
-				return fmt.Errorf("core: state %d support has %d attrs, children supply %d", s.ID, len(s.support), len(want))
+			if len(want) != len(s.dom) {
+				return fmt.Errorf("core: state %d support has %d attrs, children supply %d", s.ID, len(s.dom), len(want))
 			}
-			for a, n := range want {
-				if s.support[a] != n {
-					return fmt.Errorf("core: state %d support[%d] = %d, want %d", s.ID, a, s.support[a], n)
+			for i, a := range s.dom {
+				if int(s.sup[i]) != want[a] {
+					return fmt.Errorf("core: state %d support[%d] = %d, want %d", s.ID, a, s.sup[i], want[a])
 				}
 			}
 		}

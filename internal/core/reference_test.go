@@ -189,3 +189,37 @@ func naiveMultiDimAttrProbs(m *MultiDim) map[lake.AttrID]float64 {
 	}
 	return out
 }
+
+// naiveSupport recounts a non-leaf state's child support from scratch:
+// for every attribute in some child's domain, how many of the state's
+// children contain it. It shares nothing with the sorted dom/sup
+// bookkeeping of organization.go.
+func naiveSupport(o *Org, id StateID) map[lake.AttrID]int {
+	out := make(map[lake.AttrID]int)
+	for _, c := range o.States[id].Children {
+		cs := o.States[c]
+		if cs.Kind == KindLeaf {
+			out[cs.Attr]++
+			continue
+		}
+		for _, a := range naiveDomain(o, c) {
+			out[a]++
+		}
+	}
+	return out
+}
+
+// naiveDomain is D_s by definition: a leaf's attribute, or the union of
+// the children's domains (the inclusion property), in ascending order.
+func naiveDomain(o *Org, id StateID) []lake.AttrID {
+	s := o.States[id]
+	if s.Kind == KindLeaf {
+		return []lake.AttrID{s.Attr}
+	}
+	var dom []lake.AttrID
+	for a := range naiveSupport(o, id) {
+		dom = append(dom, a)
+	}
+	sort.Slice(dom, func(i, j int) bool { return dom[i] < dom[j] })
+	return dom
+}

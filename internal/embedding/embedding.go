@@ -116,10 +116,10 @@ func (h *Hashed) Lookup(word string) (vector.Vector, bool) {
 	return v, true
 }
 
-// lookupRands recycles Lookup's generators: a math/rand source is a
-// 4.9 KB table, and Seed resets all of it, so a reseeded pooled
+// lookupRands recycles Lookup's generators. Their lazySource derives
+// only the register cells a lookup reads, and a reseeded pooled
 // generator draws exactly what rand.New(rand.NewSource(s)) would.
-var lookupRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+var lookupRands = sync.Pool{New: func() any { return rand.New(&lazySource{}) }}
 
 // Store is an explicit vocabulary: a map from word to embedding vector.
 // It is the in-memory equivalent of a pretrained embedding file and

@@ -76,3 +76,24 @@ func (r *Running) Mean() (Vector, bool) {
 	}
 	return Scale(r.sum, 1/float64(r.count)), true
 }
+
+// MeanInto writes the sample mean of the population into dst and
+// reports whether the population is non-empty; an empty population
+// zeroes dst. It multiplies by 1/count exactly as Mean does, so the two
+// agree bit for bit. dst must have the accumulator's dimension.
+func (r *Running) MeanInto(dst Vector) bool {
+	if len(dst) != len(r.sum) {
+		panic(fmt.Sprintf("vector: Running.MeanInto dimension mismatch %d != %d", len(dst), len(r.sum)))
+	}
+	if r.count == 0 {
+		for i := range dst {
+			dst[i] = 0
+		}
+		return false
+	}
+	k := 1 / float64(r.count)
+	for i, x := range r.sum {
+		dst[i] = x * k
+	}
+	return true
+}

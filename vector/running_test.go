@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,4 +117,36 @@ func TestRunningRemoveWeightedOverdraw(t *testing.T) {
 		}
 	}()
 	r.RemoveWeighted(Vector{2}, 2)
+}
+
+// MeanInto must reproduce Mean bit for bit (it multiplies by 1/count,
+// never divides), overwrite whatever dst held, and zero dst for an
+// empty population.
+func TestRunningMeanIntoMatchesMean(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	dst := New(5)
+	for trial := 0; trial < 200; trial++ {
+		run := NewRunning(5)
+		n := r.Intn(40)
+		for i := 0; i < n; i++ {
+			run.Add(randomVec(r, 5))
+		}
+		for i := range dst {
+			dst[i] = r.NormFloat64()
+		}
+		want, wantOK := run.Mean()
+		if ok := run.MeanInto(dst); ok != wantOK {
+			t.Fatalf("trial %d: MeanInto ok=%v, Mean ok=%v", trial, ok, wantOK)
+		}
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: component %d = %v, Mean gives %v", trial, i, dst[i], want[i])
+			}
+		}
+	}
+	run := NewRunning(5)
+	run.Add(randomVec(r, 5))
+	if allocs := testing.AllocsPerRun(100, func() { run.MeanInto(dst) }); allocs != 0 {
+		t.Errorf("MeanInto allocates: %v per run", allocs)
+	}
 }
