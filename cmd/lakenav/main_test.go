@@ -100,6 +100,8 @@ func TestCmdOrganizeProgressNDJSON(t *testing.T) {
 		if p.Final {
 			finals++
 			iterations += p.Iteration
+		} else if p.StatesVisitedFrac <= 0 {
+			t.Errorf("iteration event without a states visited fraction: %+v", p)
 		}
 	}
 	if finals != 1 {

@@ -364,7 +364,7 @@ func ReoptimizeLocal(org *Org, cs *ChangeSet, cfg OptimizeConfig) (*OptimizeStat
 			if org.States[sid].deleted {
 				continue // eliminated earlier in this pass
 			}
-			_, accepted, proposed, err := proposeAndDecide(org, ev, sid, levels, meanReach, rng, -1)
+			_, accepted, proposed, _, err := proposeAndDecide(org, ev, sid, levels, meanReach, rng, -1)
 			if err != nil {
 				return nil, err
 			}

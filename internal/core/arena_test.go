@@ -346,68 +346,6 @@ func TestStaleEvaluatorFailsLoudly(t *testing.T) {
 	mustPanic("Reevaluate", func() { ev.Reevaluate(cs) })
 }
 
-// TestRollbackLogReleasesOversizedCapacity: a single worst-case
-// re-evaluation must not pin its rollback-log capacity forever. Commit
-// and Rollback release the backing array when the high-water capacity
-// dwarfs the latest use.
-func TestRollbackLogReleasesOversizedCapacity(t *testing.T) {
-	o := kernelTestOrg(t, 51)
-	ev, err := NewEvaluatorWorkers(o, 0, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Small logs below the threshold are kept (steady-state reuse).
-	ev.savedReach = make([]savedCell, 64, 1024)
-	ev.pending = true
-	if err := ev.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if cap(ev.savedReach) != 1024 {
-		t.Fatalf("small log released: cap %d, want 1024", cap(ev.savedReach))
-	}
-	// Oversized mostly-idle logs are released.
-	ev.savedReach = make([]savedCell, 64, savedReachShrinkCap*2)
-	ev.pending = true
-	if err := ev.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if cap(ev.savedReach) != 0 {
-		t.Fatalf("oversized log kept: cap %d, want 0", cap(ev.savedReach))
-	}
-	// Oversized but well-used logs are kept.
-	ev.savedReach = make([]savedCell, savedReachShrinkCap, savedReachShrinkCap*2)
-	ev.pending = true
-	if err := ev.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if cap(ev.savedReach) != savedReachShrinkCap*2 {
-		t.Fatalf("well-used log released: cap %d", cap(ev.savedReach))
-	}
-	// Rollback takes the same path; verify with a real pending cycle so
-	// the restore itself still works.
-	rng := rand.New(rand.NewSource(53))
-	effBefore := ev.Effectiveness()
-	cs, u, ok := applyRandomOp(o, rng)
-	if !ok {
-		t.Fatal("no operation applicable")
-	}
-	ev.Reevaluate(cs)
-	// Inflate the capacity as if a worst-case evaluation had run.
-	inflated := make([]savedCell, len(ev.savedReach), savedReachShrinkCap*2)
-	copy(inflated, ev.savedReach)
-	ev.savedReach = inflated
-	o.Undo(u)
-	if err := ev.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Effectiveness() != effBefore {
-		t.Fatalf("rollback eff %v != %v", ev.Effectiveness(), effBefore)
-	}
-	if cap(ev.savedReach) != 0 {
-		t.Fatalf("rollback kept oversized log: cap %d, want 0", cap(ev.savedReach))
-	}
-}
-
 // TestSmallTagCloudEvaluatorAgainstNaive runs the benchmark-shaped
 // organization (the one the bench gates measure) through a committed
 // operation sequence and pins the arena evaluator to the naive

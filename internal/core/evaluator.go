@@ -84,7 +84,9 @@ type Evaluator struct {
 	// leafProb[q]: discovery probability of the query's own leaf.
 	leafProb []float64
 	// leafDirty and leafNew are per-query scratch for the parallel leaf
-	// re-evaluation phase of Reevaluate.
+	// re-evaluation phase of Reevaluate. Reevaluate swaps each dirty
+	// query's new value into leafProb, leaving the old one in leafNew
+	// for Rollback to swap back.
 	leafDirty []bool
 	leafNew   []float64
 	// eff is the current effectiveness (Eq 6).
@@ -96,11 +98,17 @@ type Evaluator struct {
 	tableAttrs [][]int
 	tables     int
 
-	// rollback state for the last Reevaluate.
-	savedReach    []savedCell
-	savedLeafProb []savedLeaf
-	savedEff      float64
-	pending       bool
+	// Rollback state for the last Reevaluate. The plan is affectedTopo
+	// followed by eliminated (a copy of cs.Eliminated), and savedReach
+	// holds the reach cells the sweep overwrote in its (query, plan
+	// index) layout: cell q*len(plan)+i is query q's old reach of plan
+	// state i. An eliminated state is detached, so it is never also
+	// affected, and the buffer never outgrows nq × nStates cells, the
+	// size of reachFlat; it stays at its high-water mark.
+	savedReach []float64
+	eliminated []StateID
+	savedEff   float64
+	pending    bool
 
 	// repLeaves caches the leaf states of query attributes. Precomputed
 	// at construction and immutable after, so concurrent probes never
@@ -133,10 +141,15 @@ type Evaluator struct {
 	planPairParent []int32
 	planPairIdx    []int32
 
-	// Instrumentation for Figure 3.
-	LastStatesVisited int
-	LastAttrsVisited  int
+	// last is the last Reevaluate's visit counts, for Figure 3.
+	last visits
 }
+
+// visits counts what one Reevaluate touched, the numerators of the
+// Figure 3 fractions: the non-leaf states whose reach it recomputed or
+// zeroed or whose outgoing distribution changed, and the queries whose
+// discovery probability it recomputed.
+type visits struct{ states, attrs int }
 
 // checkFresh fails loudly when the organization grew states after this
 // evaluator cached its reach rows: the rows cover only the states that
@@ -148,17 +161,6 @@ func (ev *Evaluator) checkFresh(op string) {
 	if len(ev.org.States) != ev.nStates {
 		panic(fmt.Sprintf("core: %s on a stale evaluator: organization has %d states, evaluator cached %d — rebuild the evaluator after adding states", op, len(ev.org.States), ev.nStates))
 	}
-}
-
-type savedCell struct {
-	q     int
-	state StateID
-	val   float64
-}
-
-type savedLeaf struct {
-	q   int
-	val float64
 }
 
 // NewEvaluator builds an evaluator over org. repFraction in (0, 1)
@@ -497,23 +499,20 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 		}
 	}
 
-	ev.savedLeafProb = ev.savedLeafProb[:0]
+	ev.eliminated = append(ev.eliminated[:0], cs.Eliminated...)
 	ev.savedEff = ev.eff
 	ev.pending = true
 
 	// Each query q owns row ev.reach[q], its transition-memo rows and
-	// the fixed-size segment [q*perQuery, (q+1)*perQuery) of the
-	// rollback log — every query saves exactly one cell per affected
-	// state plus one per eliminated state — so the parallel sweep is
-	// race-free and the log layout is identical to the serial one,
-	// independent of worker count.
-	perQuery := len(affectedTopo) + len(cs.Eliminated)
+	// the segment [q*perQuery, (q+1)*perQuery) of savedReach, so the
+	// parallel sweep is race-free and the saved cells are the same for
+	// every worker count.
+	perQuery := len(affectedTopo) + len(ev.eliminated)
 	need := len(ev.queries) * perQuery
 	if cap(ev.savedReach) < need {
-		ev.savedReach = make([]savedCell, need)
-	} else {
-		ev.savedReach = ev.savedReach[:need]
+		ev.savedReach = make([]float64, need)
 	}
+	ev.savedReach = ev.savedReach[:need]
 	workers := scaleWorkers(len(ev.queries)*(perQuery+1), ev.workers)
 	parallelForWorkers(len(ev.queries), workers, func(_, lo, hi int) {
 		for q := lo; q < hi; q++ {
@@ -521,11 +520,11 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 			saved := ev.savedReach[q*perQuery : (q+1)*perQuery]
 			ev.invalidateSims(q)
 			for i, id := range affectedTopo {
-				saved[i] = savedCell{q, id, reach[id]}
+				saved[i] = reach[id]
 				reach[id] = ev.reachFromPlan(adj, q, i)
 			}
-			for i, e := range cs.Eliminated {
-				saved[len(affectedTopo)+i] = savedCell{q, e, reach[e]}
+			for i, e := range ev.eliminated {
+				saved[len(affectedTopo)+i] = reach[e]
 				reach[e] = 0
 			}
 		}
@@ -533,8 +532,8 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 
 	// Re-evaluate leaf probabilities for queries whose leaf hangs under
 	// an affected or transition-changed tag state. The workers only fill
-	// per-query scratch; the dirty results are folded into the cache (and
-	// the rollback log) serially in query order below.
+	// per-query scratch; the dirty results are swapped into the cache
+	// serially below, leaving the old values in leafNew for Rollback.
 	parallelForWorkers(len(ev.queries), workers, func(_, lo, hi int) {
 		for q := lo; q < hi; q++ {
 			ev.leafDirty[q] = false
@@ -558,8 +557,7 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 		if !ev.leafDirty[q] {
 			continue
 		}
-		ev.savedLeafProb = append(ev.savedLeafProb, savedLeaf{q, ev.leafProb[q]})
-		ev.leafProb[q] = ev.leafNew[q]
+		ev.leafProb[q], ev.leafNew[q] = ev.leafNew[q], ev.leafProb[q]
 		// One discovery-probability evaluation per recomputed query.
 		// Figure 3 counts evaluations against the total attribute count,
 		// which is how the representative approximation reaches the
@@ -568,8 +566,7 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 		attrsVisited++
 	}
 
-	ev.LastStatesVisited = visited
-	ev.LastAttrsVisited = attrsVisited
+	ev.last = visits{visited, attrsVisited}
 	metricReevaluates.Inc()
 	metricStatesRevisited.Add(uint64(visited))
 	metricLeafEvals.Add(uint64(attrsVisited))
@@ -659,22 +656,6 @@ func (ev *Evaluator) leafProbMemo(adj *adjSnapshot, q int) float64 {
 	return p
 }
 
-// savedReachShrinkCap is the rollback-log capacity (in cells) above
-// which Commit/Rollback consider releasing the backing array: one
-// poorly-pruned re-evaluation must not pin worst-case memory for the
-// evaluator's lifetime.
-const savedReachShrinkCap = 1 << 15
-
-// releaseSavedReach drops the rollback log's backing array once the
-// pending evaluation is resolved, if the capacity is past the
-// high-water threshold and the last evaluation used little of it
-// (steady-state large evaluations keep their buffer).
-func (ev *Evaluator) releaseSavedReach() {
-	if cap(ev.savedReach) > savedReachShrinkCap && len(ev.savedReach) <= cap(ev.savedReach)/4 {
-		ev.savedReach = nil
-	}
-}
-
 // Commit accepts the last Reevaluate. Calling it without a pending
 // Reevaluate is a sequencing error reported as an error value (not a
 // panic): a long-running service embedding the evaluator should log
@@ -684,7 +665,6 @@ func (ev *Evaluator) Commit() error {
 		return fmt.Errorf("core: Commit without a pending Reevaluate")
 	}
 	ev.pending = false
-	ev.releaseSavedReach()
 	return nil
 }
 
@@ -715,17 +695,24 @@ func (ev *Evaluator) Rollback() error {
 			ev.markStale(p)
 		}
 	}
-	for i := len(ev.savedReach) - 1; i >= 0; i-- {
-		c := ev.savedReach[i]
-		ev.reach[c.q][c.state] = c.val
+	nAffected := len(ev.affectedTopo)
+	perQuery := nAffected + len(ev.eliminated)
+	for q, reach := range ev.reach {
+		saved := ev.savedReach[q*perQuery : (q+1)*perQuery]
+		for i := len(ev.eliminated) - 1; i >= 0; i-- {
+			reach[ev.eliminated[i]] = saved[nAffected+i]
+		}
+		for i := nAffected - 1; i >= 0; i-- {
+			reach[ev.affectedTopo[i]] = saved[i]
+		}
 	}
-	for i := len(ev.savedLeafProb) - 1; i >= 0; i-- {
-		c := ev.savedLeafProb[i]
-		ev.leafProb[c.q] = c.val
+	for q, dirty := range ev.leafDirty {
+		if dirty {
+			ev.leafProb[q], ev.leafNew[q] = ev.leafNew[q], ev.leafProb[q]
+		}
 	}
 	ev.eff = ev.savedEff
 	ev.pending = false
-	ev.releaseSavedReach()
 	return nil
 }
 

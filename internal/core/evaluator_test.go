@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"lakenav/internal/synth"
@@ -200,7 +201,9 @@ func TestEvaluatorSimMemoCoherent(t *testing.T) {
 }
 
 // Rollback must restore both the organization (via Undo) and the
-// evaluator caches exactly.
+// evaluator caches exactly: it puts back the saved bits, so the
+// effectiveness, every discovery probability and every mean reach are
+// bit-equal to their values before the Reevaluate.
 func TestRollbackRestoresExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	o := clusteredOrg(t)
@@ -221,18 +224,18 @@ func TestRollbackRestoresExactly(t *testing.T) {
 		o.Undo(u)
 		ev.Rollback()
 
-		if math.Abs(ev.Effectiveness()-effBefore) > 1e-12 {
+		if ev.Effectiveness() != effBefore {
 			t.Fatalf("step %d: eff %v != %v after rollback", step, ev.Effectiveness(), effBefore)
 		}
 		for i := range probsBefore {
-			if math.Abs(ev.AttrProb(i)-probsBefore[i]) > 1e-12 {
-				t.Fatalf("step %d: attr %d prob drifted", step, i)
+			if ev.AttrProb(i) != probsBefore[i] {
+				t.Fatalf("step %d: attr %d prob %v != %v after rollback", step, i, ev.AttrProb(i), probsBefore[i])
 			}
 		}
 		reachAfter := ev.MeanReach()
 		for id := range reachBefore {
-			if math.Abs(reachBefore[id]-reachAfter[id]) > 1e-12 {
-				t.Fatalf("step %d: state %d reach drifted", step, id)
+			if reachBefore[id] != reachAfter[id] {
+				t.Fatalf("step %d: state %d mean reach %v != %v after rollback", step, id, reachAfter[id], reachBefore[id])
 			}
 		}
 		if err := o.Validate(); err != nil {
@@ -252,11 +255,11 @@ func TestEvaluatorPruningCountsBounded(t *testing.T) {
 		}
 		ev.Reevaluate(cs)
 		ev.Commit()
-		if ev.LastStatesVisited > ev.TotalStates()+len(cs.Eliminated) {
-			t.Errorf("step %d: visited %d of %d states", step, ev.LastStatesVisited, ev.TotalStates())
+		if ev.last.states > ev.TotalStates()+len(cs.Eliminated) {
+			t.Errorf("step %d: visited %d of %d states", step, ev.last.states, ev.TotalStates())
 		}
-		if ev.LastAttrsVisited > ev.TotalAttrs() {
-			t.Errorf("step %d: visited %d of %d attrs", step, ev.LastAttrsVisited, ev.TotalAttrs())
+		if ev.last.attrs > ev.TotalAttrs() {
+			t.Errorf("step %d: visited %d of %d attrs", step, ev.last.attrs, ev.TotalAttrs())
 		}
 	}
 }
@@ -454,6 +457,90 @@ func TestReevaluateAllocationsFlat(t *testing.T) {
 				t.Errorf("%s frac %v: Reevaluate+Rollback allocates %.1f objects, want at most %d", name, frac, allocs, maxAllocs)
 			}
 		}
+	}
+}
+
+// The rollback buffer stays at its high-water mark: after one wide
+// Reevaluate+Rollback (a DELETE_PARENT under the root, whose plan is
+// re-swept for every query of an exact evaluator), narrow and wide calls
+// in turn allocate a small fraction of one buffer's bytes.
+func TestReevaluateRollbackBytesFlat(t *testing.T) {
+	soc := synth.SmallSocrataConfig()
+	soc.Tables = 240
+	l, err := synth.GenerateSocrata(soc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewClustered(l.Lake, BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewEvaluatorWorkers(o, 0, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := func() *UndoLog {
+		for _, r := range o.States[o.Root].Children {
+			for _, s := range o.States[r].Children {
+				if o.CanDeleteParent(s, r) {
+					return o.DeleteParentOp(s, r)
+				}
+			}
+		}
+		t.Fatal("no DELETE_PARENT under the root")
+		return nil
+	}
+	// A leaf drops one of its tag parents: no reach moves, and the tag
+	// state's transition slot shrinks, so its memo never regrows.
+	narrow := func() *UndoLog {
+		for _, leaf := range o.States {
+			for _, ts := range leaf.Parents {
+				if o.CanRemoveLeafParent(ts, leaf.ID) {
+					return o.RemoveLeafParentOp(ts, leaf.ID)
+				}
+			}
+		}
+		t.Fatal("no leaf with two tag parents")
+		return nil
+	}
+	// cycle applies op, re-evaluates and rolls it back, and returns the
+	// bytes the two evaluator calls allocated and the rollback cells the
+	// call saved. The organization's own work (the operation, its undo
+	// and the adjacency rebuild) is outside the measured windows.
+	var ms runtime.MemStats
+	cycle := func(op func() *UndoLog) (bytes uint64, cells int) {
+		cs := o.BeginChanges()
+		u := op()
+		o.EndChanges()
+		o.adjacency()
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		ev.Reevaluate(cs)
+		runtime.ReadMemStats(&ms)
+		bytes = ms.TotalAlloc - before
+		cells = len(ev.savedReach)
+		o.Undo(u)
+		runtime.ReadMemStats(&ms)
+		before = ms.TotalAlloc
+		if err := ev.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		return bytes + ms.TotalAlloc - before, cells
+	}
+	_, wideCells := cycle(wide)
+	if wideCells <= 1<<15 {
+		t.Fatalf("wide call saved %d reach cells, want more than %d", wideCells, 1<<15)
+	}
+	logBytes := uint64(wideCells) * 8
+	var total uint64
+	for i, op := range []func() *UndoLog{narrow, wide, narrow, wide} {
+		b, cells := cycle(op)
+		t.Logf("call %d: %d cells saved, %d bytes allocated", i, cells, b)
+		total += b
+	}
+	if total > logBytes/16 {
+		t.Errorf("narrow/wide Reevaluate+Rollback allocated %d bytes after the first wide call, want at most %d (1/16 of one %d-cell log)", total, logBytes/16, wideCells)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
@@ -89,6 +88,13 @@ type ProgressEvent struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Checkpoints counts snapshot writes so far in this run.
 	Checkpoints int `json:"checkpoints"`
+	// StatesVisitedFrac is the fraction of live non-leaf states the
+	// iteration's chosen operation re-evaluated (pruning effectiveness,
+	// Fig 3b); AttrsVisitedFrac is the fraction of organized attributes
+	// whose discovery probability it re-evaluated (Fig 3a). Both are 0
+	// on the final event.
+	StatesVisitedFrac float64 `json:"states_visited_frac"`
+	AttrsVisitedFrac  float64 `json:"attrs_visited_frac"`
 	// Final marks the one closing event of a search; Truncated on a
 	// final event reports a search stopped by cancellation.
 	Final     bool `json:"final,omitempty"`
@@ -143,8 +149,8 @@ func (c *OptimizeConfig) savedConfig() SearchConfig {
 	return sc
 }
 
-// OptimizeStats reports what the search did; the per-iteration visit
-// fractions feed the Figure 3 experiment.
+// OptimizeStats reports what the search did. The per-iteration visit
+// fractions of Figure 3 are on the ProgressEvent stream.
 type OptimizeStats struct {
 	Iterations int
 	Accepted   int
@@ -161,12 +167,6 @@ type OptimizeStats struct {
 	Resumed bool
 	// Checkpoints counts the snapshots written during this run.
 	Checkpoints int
-	// StatesVisitedFrac[i] is the fraction of live non-leaf states
-	// re-evaluated at iteration i (pruning effectiveness, Fig 3b).
-	StatesVisitedFrac []float64
-	// AttrsVisitedFrac[i] is the fraction of organized attributes whose
-	// discovery probability was re-evaluated at iteration i (Fig 3a).
-	AttrsVisitedFrac []float64
 }
 
 // Optimize runs the local search on org in place: repeated downward
@@ -370,7 +370,7 @@ func (s *search) traverse() (int, error) {
 				}
 				leafBudget--
 			}
-			undo, accepted, wasProposed, err := proposeAndDecide(org, ev, sid, levels, meanReach, s.rng, cfg.AcceptExponent)
+			undo, accepted, wasProposed, v, err := proposeAndDecide(org, ev, sid, levels, meanReach, s.rng, cfg.AcceptExponent)
 			if err != nil {
 				return proposed, err
 			}
@@ -378,7 +378,7 @@ func (s *search) traverse() (int, error) {
 				continue
 			}
 			proposed++
-			s.noteIteration(undo, accepted)
+			s.noteIteration(undo, accepted, v)
 			// Structure may have changed; stale levels within a
 			// traversal are tolerable (they only guide candidate
 			// choice), and reachability is refreshed per traversal.
@@ -388,14 +388,11 @@ func (s *search) traverse() (int, error) {
 }
 
 // noteIteration books one proposed operation into the stats, the
-// best-seen trail, and the plateau rule, then fires the test probe.
-func (s *search) noteIteration(undo *UndoLog, accepted bool) {
+// best-seen trail, and the plateau rule, reports it with its visit
+// counts v on the progress stream, then fires the test probe.
+func (s *search) noteIteration(undo *UndoLog, accepted bool, v visits) {
 	st := s.stats
 	st.Iterations++
-	st.StatesVisitedFrac = append(st.StatesVisitedFrac,
-		frac(s.ev.LastStatesVisited, s.ev.TotalStates()))
-	st.AttrsVisitedFrac = append(st.AttrsVisitedFrac,
-		frac(s.ev.LastAttrsVisited, s.ev.TotalAttrs()))
 	if accepted {
 		st.Accepted++
 	} else {
@@ -417,31 +414,34 @@ func (s *search) noteIteration(undo *UndoLog, accepted bool) {
 	} else {
 		s.sinceImprove++
 	}
-	s.emitProgress(eff, false)
+	s.emitProgress(eff, v, false)
 	if s.cfg.Probe != nil {
 		s.cfg.Probe(st.Iterations)
 	}
 }
 
 // emitProgress fires the Progress callback with the search's current
-// counters. The event is a stack value and the callback is gated on
-// nil, so an unobserved search pays one branch per iteration.
-func (s *search) emitProgress(currentEff float64, final bool) {
+// counters and the visit counts v turned into fractions. The event is a
+// stack value and the callback is gated on nil, so an unobserved search
+// pays one branch per iteration and never counts the live states.
+func (s *search) emitProgress(currentEff float64, v visits, final bool) {
 	if s.cfg.Progress == nil {
 		return
 	}
 	st := s.stats
 	s.cfg.Progress(ProgressEvent{
-		Dim:         s.dim,
-		Iteration:   st.Iterations,
-		Accepted:    st.Accepted,
-		Rejected:    st.Rejected,
-		CurrentEff:  currentEff,
-		BestEff:     s.bestEff,
-		ElapsedMS:   float64(time.Since(s.started)) / float64(time.Millisecond),
-		Checkpoints: st.Checkpoints,
-		Final:       final,
-		Truncated:   final && st.Truncated,
+		Dim:               s.dim,
+		Iteration:         st.Iterations,
+		Accepted:          st.Accepted,
+		Rejected:          st.Rejected,
+		CurrentEff:        currentEff,
+		BestEff:           s.bestEff,
+		ElapsedMS:         float64(time.Since(s.started)) / float64(time.Millisecond),
+		Checkpoints:       st.Checkpoints,
+		StatesVisitedFrac: frac(v.states, s.ev.TotalStates()),
+		AttrsVisitedFrac:  frac(v.attrs, s.ev.TotalAttrs()),
+		Final:             final,
+		Truncated:         final && st.Truncated,
 	})
 }
 
@@ -528,7 +528,7 @@ func (s *search) finish() (*Org, *OptimizeStats, error) {
 	s.stats.FinalEff = s.bestEff
 	s.stats.Truncated = s.canceled()
 	s.stats.Duration = time.Since(s.started)
-	s.emitProgress(s.stats.FinalEff, true)
+	s.emitProgress(s.stats.FinalEff, visits{}, true)
 	if err := orgSane(s.org); err != nil {
 		return s.org, s.stats, err
 	}
@@ -558,48 +558,40 @@ func orgSane(o *Org) error {
 // instead of a single argmax-reachability pick is what makes the walk
 // find the (numerous but individually small) improving moves; the
 // candidate set still consists solely of the paper's two operations.
-// It returns the applied operation's undo log when accepted, and
-// reports (accepted, proposed).
-func proposeAndDecide(org *Org, ev *Evaluator, sid StateID, levels []int, meanReach []float64, rng *rand.Rand, acceptExp float64) (*UndoLog, bool, bool, error) {
+// It returns the applied operation's undo log when accepted, reports
+// (accepted, proposed), and returns the chosen candidate's visit counts:
+// the quantity Figure 3 tracks is how much of the organization one
+// modification forces the evaluator to touch.
+func proposeAndDecide(org *Org, ev *Evaluator, sid StateID, levels []int, meanReach []float64, rng *rand.Rand, acceptExp float64) (*UndoLog, bool, bool, visits, error) {
 	candidates := pickOperations(org, sid, levels, meanReach, rng)
 	if len(candidates) == 0 {
-		return nil, false, false, nil
+		return nil, false, false, visits{}, nil
 	}
 	oldEff := ev.Effectiveness()
 
-	// Trial-evaluate every candidate, remembering the best. The visit
-	// counters reported for the iteration are those of the chosen
-	// candidate — the quantity Figure 3 tracks is how much of the
-	// organization one modification forces the evaluator to touch.
+	// Trial-evaluate every candidate, remembering the best.
 	bestIdx, bestEff := -1, -1.0
-	statesVisited, attrsVisited := 0, 0
+	var best visits
 	for i, apply := range candidates {
 		cs := org.BeginChanges()
 		undo := apply()
 		org.EndChanges()
 		eff := ev.Reevaluate(cs)
 		if eff > bestEff {
-			bestEff, bestIdx = eff, i
-			statesVisited, attrsVisited = ev.LastStatesVisited, ev.LastAttrsVisited
+			bestEff, bestIdx, best = eff, i, ev.last
 		}
 		org.Undo(undo)
 		if err := ev.Rollback(); err != nil {
-			return nil, false, false, err
+			return nil, false, false, visits{}, err
 		}
 	}
-	ev.LastStatesVisited = statesVisited
-	ev.LastAttrsVisited = attrsVisited
 
 	accept := bestEff >= oldEff
 	if !accept && acceptExp > 0 && oldEff > 0 {
 		accept = rng.Float64() < math.Pow(bestEff/oldEff, acceptExp)
 	}
-	if debugOptimizer {
-		fmt.Printf("debug: state %d kind %v cands %d old %.6f best %.6f accept %v\n",
-			sid, org.State(sid).Kind, len(candidates), oldEff, bestEff, accept)
-	}
 	if !accept {
-		return nil, false, true, nil
+		return nil, false, true, best, nil
 	}
 	// Re-apply the winning candidate for real.
 	cs := org.BeginChanges()
@@ -607,9 +599,9 @@ func proposeAndDecide(org *Org, ev *Evaluator, sid StateID, levels []int, meanRe
 	org.EndChanges()
 	ev.Reevaluate(cs)
 	if err := ev.Commit(); err != nil {
-		return nil, false, false, err
+		return nil, false, false, visits{}, err
 	}
-	return undo, true, true, nil
+	return undo, true, true, best, nil
 }
 
 // pickOperations assembles the candidate operations for sid. Interior
@@ -732,9 +724,6 @@ func worstLeafParent(org *Org, sid StateID, meanReach []float64) StateID {
 	}
 	return best
 }
-
-// debugOptimizer enables proposal tracing (LAKENAV_DEBUG_OPT=1).
-var debugOptimizer = os.Getenv("LAKENAV_DEBUG_OPT") == "1"
 
 // RestartCheckpointPath derives the checkpoint file restart r of a
 // multi-restart search writes to: base + ".r<r>". Restarts are

@@ -41,6 +41,8 @@ func TestOptimizeImprovesClusteredOrg(t *testing.T) {
 	}
 }
 
+// Every iteration reports its Figure 3 visit fractions on the progress
+// stream: one non-final event per iteration, each fraction in range.
 func TestOptimizeRecordsVisitFractions(t *testing.T) {
 	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
 	if err != nil {
@@ -50,23 +52,28 @@ func TestOptimizeRecordsVisitFractions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Optimize(o, OptimizeConfig{MaxIterations: 60, Seed: 2})
+	var events []ProgressEvent
+	stats, err := Optimize(o, OptimizeConfig{MaxIterations: 60, Seed: 2,
+		Progress: func(p ProgressEvent) {
+			if !p.Final {
+				events = append(events, p)
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.StatesVisitedFrac) != stats.Iterations ||
-		len(stats.AttrsVisitedFrac) != stats.Iterations {
-		t.Fatalf("visit fraction lengths %d/%d != iterations %d",
-			len(stats.StatesVisitedFrac), len(stats.AttrsVisitedFrac), stats.Iterations)
+	if stats.Iterations == 0 || len(events) != stats.Iterations {
+		t.Fatalf("%d non-final events for %d iterations", len(events), stats.Iterations)
 	}
-	for i, f := range stats.StatesVisitedFrac {
-		if f < 0 || f > 1.2 {
-			t.Errorf("iteration %d states fraction %v out of range", i, f)
+	for i, p := range events {
+		if p.Iteration != i+1 {
+			t.Errorf("event %d reports iteration %d", i, p.Iteration)
 		}
-	}
-	for i, f := range stats.AttrsVisitedFrac {
-		if f < 0 || f > 1 {
-			t.Errorf("iteration %d attrs fraction %v out of range", i, f)
+		if p.StatesVisitedFrac <= 0 || p.StatesVisitedFrac > 1.2 {
+			t.Errorf("iteration %d states fraction %v out of range", p.Iteration, p.StatesVisitedFrac)
+		}
+		if p.AttrsVisitedFrac < 0 || p.AttrsVisitedFrac > 1 {
+			t.Errorf("iteration %d attrs fraction %v out of range", p.Iteration, p.AttrsVisitedFrac)
 		}
 	}
 }

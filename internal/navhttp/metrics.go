@@ -38,6 +38,10 @@ type serverMetrics struct {
 	buildEvents      *obs.Counter
 	buildCurrentEff  *obs.FloatGauge
 	buildBestEff     *obs.FloatGauge
+	// The last iteration's Figure 3 visit fractions; final events carry
+	// none, so they leave these at the last iteration's values.
+	buildStatesVisited *obs.FloatGauge
+	buildAttrsVisited  *obs.FloatGauge
 
 	// shardGen mirrors the serving snapshot's generation stamp; in a
 	// fleet it is the per-shard cache-epoch signal (bumped by every org
@@ -75,6 +79,9 @@ func newServerMetrics() *serverMetrics {
 		buildEvents:      reg.Counter("build.events_total"),
 		buildCurrentEff:  reg.FloatGauge("build.current_eff"),
 		buildBestEff:     reg.FloatGauge("build.best_eff"),
+
+		buildStatesVisited: reg.FloatGauge("build.states_visited_frac"),
+		buildAttrsVisited:  reg.FloatGauge("build.attrs_visited_frac"),
 
 		shardGen: reg.Gauge("shard.generation"),
 	}
@@ -141,6 +148,10 @@ func (m *serverMetrics) noteBuildProgress(p lakenav.ProgressEvent) {
 	m.buildCheckpoints.Set(int64(p.Checkpoints))
 	m.buildCurrentEff.Set(p.CurrentEff)
 	m.buildBestEff.Set(p.BestEff)
+	if !p.Final {
+		m.buildStatesVisited.Set(p.StatesVisitedFrac)
+		m.buildAttrsVisited.Set(p.AttrsVisitedFrac)
+	}
 }
 
 // metricsware books every request into the per-route counters, the

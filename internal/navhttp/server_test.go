@@ -387,6 +387,13 @@ func TestBuildGaugesFollowProgress(t *testing.T) {
 	s.metrics.noteBuildProgress(lakenav.ProgressEvent{
 		Dim: 1, Restart: 2, Iteration: 7, Accepted: 4, Rejected: 3,
 		CurrentEff: 1.25, BestEff: 1.5, Checkpoints: 1,
+		StatesVisitedFrac: 0.25, AttrsVisitedFrac: 0.125,
+	})
+	// A final event carries no visit fractions; the gauges keep the last
+	// iteration's.
+	s.metrics.noteBuildProgress(lakenav.ProgressEvent{
+		Dim: 1, Restart: 2, Iteration: 7, Accepted: 4, Rejected: 3,
+		CurrentEff: 1.25, BestEff: 1.5, Checkpoints: 1, Final: true,
 	})
 	rec := get(t, s.handleMetrics, "/metrics")
 	var resp struct {
@@ -404,12 +411,15 @@ func TestBuildGaugesFollowProgress(t *testing.T) {
 		g["build.accepted"] != 4 || g["build.rejected"] != 3 || g["build.checkpoints"] != 1 {
 		t.Errorf("build gauges = %v", g)
 	}
-	if resp.Server.Counters["build.events_total"] != 1 {
+	if resp.Server.Counters["build.events_total"] != 2 {
 		t.Errorf("build.events_total = %d", resp.Server.Counters["build.events_total"])
 	}
 	v := resp.Server.Values
 	if v["build.current_eff"] != 1.25 || v["build.best_eff"] != 1.5 {
 		t.Errorf("build eff values = %v", v)
+	}
+	if v["build.states_visited_frac"] != 0.25 || v["build.attrs_visited_frac"] != 0.125 {
+		t.Errorf("build visit fractions = %v", v)
 	}
 }
 

@@ -218,48 +218,11 @@ type Config struct {
 	Progress func(ProgressEvent)
 }
 
-// ProgressEvent is one observation of a running construction search;
-// see the field docs on the internal core event it mirrors. The zero
-// Dim/Restart values mean the first dimension and first restart.
-type ProgressEvent struct {
-	// Dim and Restart identify which of the concurrent searches the
-	// event belongs to.
-	Dim     int `json:"dim"`
-	Restart int `json:"restart"`
-	// Iteration counts proposed operations; Accepted + Rejected always
-	// equals Iteration.
-	Iteration int `json:"iteration"`
-	Accepted  int `json:"accepted"`
-	Rejected  int `json:"rejected"`
-	// CurrentEff is the effectiveness of the organization the search
-	// walk currently stands on; BestEff the best seen so far.
-	CurrentEff float64 `json:"current_eff"`
-	BestEff    float64 `json:"best_eff"`
-	// ElapsedMS is wall-clock milliseconds since the search started.
-	ElapsedMS float64 `json:"elapsed_ms"`
-	// Checkpoints counts snapshot writes so far.
-	Checkpoints int `json:"checkpoints"`
-	// Final marks the closing event of a search; Truncated on a final
-	// event reports an interrupted (best-so-far) result.
-	Final     bool `json:"final,omitempty"`
-	Truncated bool `json:"truncated,omitempty"`
-}
-
-func progressFromCore(p core.ProgressEvent) ProgressEvent {
-	return ProgressEvent{
-		Dim:         p.Dim,
-		Restart:     p.Restart,
-		Iteration:   p.Iteration,
-		Accepted:    p.Accepted,
-		Rejected:    p.Rejected,
-		CurrentEff:  p.CurrentEff,
-		BestEff:     p.BestEff,
-		ElapsedMS:   p.ElapsedMS,
-		Checkpoints: p.Checkpoints,
-		Final:       p.Final,
-		Truncated:   p.Truncated,
-	}
-}
+// ProgressEvent is one observation of a running construction search:
+// which search (Dim, Restart), its counters, its effectiveness, and the
+// share of the organization the iteration re-evaluated
+// (StatesVisitedFrac, AttrsVisitedFrac).
+type ProgressEvent = core.ProgressEvent
 
 // DefaultConfig returns a single optimized dimension with the paper's
 // 10% representative approximation.
@@ -299,10 +262,7 @@ func OrganizeContext(ctx context.Context, l *Lake, cfg Config) (*Organization, e
 			RepFraction:   cfg.RepFraction,
 			MaxIterations: cfg.MaxIterations,
 			Seed:          cfg.Seed,
-		}
-		if cfg.Progress != nil {
-			progress := cfg.Progress
-			opt.Progress = func(p core.ProgressEvent) { progress(progressFromCore(p)) }
+			Progress:      cfg.Progress,
 		}
 	}
 	mc := core.MultiDimConfig{
