@@ -1,8 +1,8 @@
 package embedding
 
 import (
-	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"lakenav/vector"
 )
@@ -31,27 +31,92 @@ func (c CoverageStats) TokenCoverage() float64 {
 	return float64(c.EmbeddedTokens) / float64(c.Tokens)
 }
 
-// Tokenize splits a raw data value into lower-case word tokens, dropping
-// punctuation and digits-only tokens. It is intentionally simple: open
-// data values are short strings and the embedding model operates on
-// single words, as fastText does in the paper.
-func Tokenize(value string) []string {
-	fields := strings.FieldsFunc(value, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_'
-	})
-	out := fields[:0]
-	for _, f := range fields {
-		allDigits := true
-		for _, r := range f {
-			if !unicode.IsDigit(r) {
-				allDigits = false
-				break
+// Tokens holds the word tokens of one raw data value in a buffer the
+// caller owns and reuses: Split fills it, At reads it. The zero value
+// is ready to use. A token is a maximal run of letters, digits and '_'
+// (invalid UTF-8 and U+FFFD separate tokens, as punctuation does),
+// lower-cased; a token of digits alone is dropped. The embedding model
+// operates on single words, as fastText does in the paper, and open
+// data values are short strings, so nothing subtler is needed.
+type Tokens struct {
+	buf  []byte
+	ends []int // ends[i] is the end offset of token i in buf
+}
+
+// Split replaces the held tokens with those of value. Once the buffer
+// has grown to fit a value, splitting it again allocates nothing.
+func (t *Tokens) Split(value string) {
+	if t.buf == nil {
+		t.buf = make([]byte, 0, len(value)) // lower-casing keeps most lengths
+	}
+	t.buf, t.ends = t.buf[:0], t.ends[:0]
+	start, digits := 0, true // the open token is buf[start:]
+	for i := 0; i < len(value); {
+		c := value[i]
+		if c < utf8.RuneSelf {
+			i++
+			switch {
+			case 'a' <= c && c <= 'z', c == '_':
+				digits = false
+			case 'A' <= c && c <= 'Z':
+				c += 'a' - 'A'
+				digits = false
+			case '0' <= c && c <= '9':
+			default:
+				start, digits = t.end(start, digits), true
+				continue
 			}
-		}
-		if allDigits {
+			t.buf = append(t.buf, c)
 			continue
 		}
-		out = append(out, strings.ToLower(f))
+		r, n := utf8.DecodeRuneInString(value[i:])
+		i += n
+		switch {
+		case unicode.IsDigit(r):
+		case unicode.IsLetter(r):
+			digits = false
+		default:
+			start, digits = t.end(start, digits), true
+			continue
+		}
+		t.buf = utf8.AppendRune(t.buf, unicode.ToLower(r))
+	}
+	t.end(start, digits)
+}
+
+// end closes the token open at buf[start:], dropping it if it is all
+// digits (or empty), and returns where the next token starts.
+func (t *Tokens) end(start int, digits bool) int {
+	if digits {
+		t.buf = t.buf[:start]
+		return start
+	}
+	t.ends = append(t.ends, len(t.buf))
+	return len(t.buf)
+}
+
+// Len returns the number of tokens held.
+func (t *Tokens) Len() int { return len(t.ends) }
+
+// At returns token i. The bytes alias the buffer: they are valid until
+// the next Split, and string(t.At(i)) copies them.
+func (t *Tokens) At(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = t.ends[i-1]
+	}
+	return t.buf[start:t.ends[i]]
+}
+
+// Strings returns a copy of the held tokens as strings, which share one
+// allocation.
+func (t *Tokens) Strings() []string {
+	all := string(t.buf)
+	out := make([]string, len(t.ends))
+	start := 0
+	for i, end := range t.ends {
+		out[i] = all[start:end]
+		start = end
 	}
 	return out
 }
@@ -63,8 +128,10 @@ func Tokenize(value string) []string {
 func MeanVector(m Model, values []string) (vector.Vector, CoverageStats, bool) {
 	run := vector.NewRunning(m.Dim())
 	var stats CoverageStats
+	var toks Tokens
 	for _, val := range values {
-		AddValue(run, &stats, Tokenize(val), m.Lookup)
+		toks.Split(val)
+		AddValue(run, &stats, toks.Strings(), m.Lookup)
 	}
 	mean, ok := run.Mean()
 	return mean, stats, ok

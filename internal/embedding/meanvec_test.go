@@ -2,7 +2,9 @@ package embedding
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"unicode"
 
 	"lakenav/vector"
 )
@@ -19,15 +21,119 @@ func TestTokenize(t *testing.T) {
 		{"  multiple   spaces ", []string{"multiple", "spaces"}},
 		{"CO2_levels", []string{"co2_levels"}},
 		{"a,b;c", []string{"a", "b", "c"}},
+		{"İSTANBUL １２３ ａＢ", []string{"istanbul", "ａｂ"}},
 	}
+	var toks Tokens
 	for _, tt := range tests {
-		got := Tokenize(tt.in)
+		got := split(&toks, tt.in)
 		if len(got) == 0 && len(tt.want) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("Tokenize(%q) = %v, want %v", tt.in, got, tt.want)
+			t.Errorf("Split(%q) = %q, want %q", tt.in, got, tt.want)
 		}
+	}
+}
+
+// referenceTokenize is the tokenizer Tokens replaced, kept as the
+// reference Tokens must reproduce token for token.
+func referenceTokenize(value string) []string {
+	fields := strings.FieldsFunc(value, func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_'
+	})
+	out := fields[:0]
+	for _, f := range fields {
+		allDigits := true
+		for _, r := range f {
+			if !unicode.IsDigit(r) {
+				allDigits = false
+				break
+			}
+		}
+		if allDigits {
+			continue
+		}
+		out = append(out, strings.ToLower(f))
+	}
+	return out
+}
+
+// split returns the tokens of value as strings.
+func split(toks *Tokens, value string) []string {
+	toks.Split(value)
+	return toks.Strings()
+}
+
+// tokenCases seed FuzzTokens: ASCII punctuation and case,
+// digits-only fields, '_', non-ASCII letters and digits, a lower-case
+// mapping that changes the byte length (İ → i), invalid UTF-8 and
+// U+FFFD.
+var tokenCases = []string{
+	"Fisheries and Oceans Canada",
+	"food-inspection (2019)",
+	"12345",
+	"",
+	"  multiple   spaces ",
+	"CO2_levels",
+	"a,b;c",
+	"_",
+	"__9__",
+	"2019 x2019 2019x",
+	"Ärzte in MÜNCHEN straße",
+	"İSTANBUL İi",
+	"ǅemal ǈ Σίσυφος ΣΑΣ",
+	"１２３ ４５６ａ ＡＢＣ", // full-width digits and letters
+	"٣٤٥ ٣x",       // Arabic-Indic digits
+	"東京 タワー 2020年",
+	"bad\xffbyte \xc3 \xe2\x82 end",
+	"rep\ufffdlace \ufffd",
+	"tab\tnew\nline\x00nul",
+	"µ ª º ÿ",
+	"a\u0301e\u0301",
+}
+
+// FuzzTokens checks Tokens against the tokenizer it replaced, token for
+// token.
+func FuzzTokens(f *testing.F) {
+	for _, in := range tokenCases {
+		f.Add(in)
+	}
+	var toks Tokens
+	f.Fuzz(func(t *testing.T, in string) {
+		got, want := split(&toks, in), referenceTokenize(in)
+		if len(got) == 0 && len(want) == 0 {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Split(%q) = %q, want %q", in, got, want)
+		}
+	})
+}
+
+// TestTokensInternNoAlloc pins the interning pattern of the topic
+// kernel and the search index: once the buffer has grown and every
+// word of a value is in the map, tokenizing the value and finding its
+// words allocates nothing.
+func TestTokensInternNoAlloc(t *testing.T) {
+	const value = "Pacific SALMON, pacific-salmon_2019 (Ärzte) 42"
+	index := make(map[string]int)
+	var toks Tokens
+	toks.Split(value)
+	for i := 0; i < toks.Len(); i++ {
+		index[string(toks.At(i))] = i
+	}
+	sum := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		toks.Split(value)
+		for i := 0; i < toks.Len(); i++ {
+			sum += index[string(toks.At(i))]
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("tokenizing an interned value allocated %.1f times per run, want 0", allocs)
+	}
+	if toks.Len() != 5 {
+		t.Errorf("got %d tokens, want 5", toks.Len())
 	}
 }
 

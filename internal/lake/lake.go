@@ -221,7 +221,7 @@ func IsTextDomain(values []string) bool {
 			continue
 		}
 		nonEmpty++
-		if _, err := strconv.ParseFloat(strings.ReplaceAll(v, ",", ""), 64); err == nil {
+		if isNumeric(v) {
 			numeric++
 		}
 	}
@@ -229,6 +229,34 @@ func IsTextDomain(values []string) bool {
 		return false
 	}
 	return float64(numeric)/float64(nonEmpty) < 0.5
+}
+
+// isNumeric reports whether a trimmed value parses as a float once its
+// commas (thousands separators) are removed. strconv.ParseFloat accepts
+// only text that, after an optional sign, starts with a digit, a '.',
+// or the i of inf/infinity or the n of nan; a value ruled out by that
+// first byte never reaches ParseFloat, whose rejection allocates.
+func isNumeric(v string) bool {
+	i := 0
+	for i < len(v) && v[i] == ',' {
+		i++
+	}
+	if i < len(v) && (v[i] == '+' || v[i] == '-') {
+		i++
+	}
+	for i < len(v) && v[i] == ',' {
+		i++
+	}
+	if i == len(v) {
+		return false
+	}
+	switch c := v[i]; {
+	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return false
+	}
+	_, err := strconv.ParseFloat(strings.ReplaceAll(v, ",", ""), 64)
+	return err == nil
 }
 
 // ComputeTopics computes the topic vector of every live attribute using

@@ -2,6 +2,7 @@ package lake
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func (twoAxisModel) Lookup(word string) (vector.Vector, bool) {
 	return nil, false
 }
 
-func buildTestLake(t *testing.T) *Lake {
+func buildTestLake(t testing.TB) *Lake {
 	t.Helper()
 	l := New()
 	l.AddTable("fisheries", []string{"ocean", "food"},
@@ -101,6 +102,66 @@ func TestIsTextDomain(t *testing.T) {
 		if got := IsTextDomain(tt.values); got != tt.want {
 			t.Errorf("%s: IsTextDomain = %v, want %v", tt.name, got, tt.want)
 		}
+	}
+}
+
+// referenceIsTextDomain is IsTextDomain before its pre-check: every
+// trimmed non-empty value goes to ParseFloat.
+func referenceIsTextDomain(values []string) bool {
+	nonEmpty, numeric := 0, 0
+	for _, v := range values {
+		v = strings.TrimSpace(v)
+		if v == "" {
+			continue
+		}
+		nonEmpty++
+		if _, err := strconv.ParseFloat(strings.ReplaceAll(v, ",", ""), 64); err == nil {
+			numeric++
+		}
+	}
+	if nonEmpty == 0 {
+		return false
+	}
+	return float64(numeric)/float64(nonEmpty) < 0.5
+}
+
+// TestIsTextDomainMatchesReference checks the first-byte pre-check
+// against the rule it guards, one value at a time and over the whole
+// list: signs and commas in any order, inf/infinity/nan spellings, hex
+// floats, underscores, out-of-range exponents (a range error counts as
+// non-numeric), non-ASCII digits and surrounding whitespace.
+func TestIsTextDomainMatchesReference(t *testing.T) {
+	values := []string{
+		"0", "42", "-3", "+.5", ".5", "5.", "-.5e-3", "1e400", "-1e400", "1e-400",
+		"1,000", "1,000.25", ",5", "-,5", ",-,5", "+,,5", ",,", ",", "-", "+", "-,", ".", "e5",
+		"inf", "-inf", "+Inf", "INF", "Infinity", "-infinity", "infinit", "info", "iNfInItY",
+		"NaN", "nan", "-nan", "+NaN", "nano", "N", "i", "n",
+		"0x1p-2", "0X1P+2", "-0x1.8p1", "0x10", "0x_1p0", "1_000", "1__0", "_1", "0b101", "0o17",
+		"１２３", "١٢٣", "1 2", "12abc", "abc", "Nevada", "index", "-x", "+Inf,",
+		" 5 ", "\t-1,000\n", "\u00a05", "\u30005\u3000", "5\u200b", "  ", "",
+	}
+	for _, v := range values {
+		one := []string{v}
+		if got, want := IsTextDomain(one), referenceIsTextDomain(one); got != want {
+			t.Errorf("IsTextDomain(%q) = %v, reference %v", v, got, want)
+		}
+	}
+	if got, want := IsTextDomain(values), referenceIsTextDomain(values); got != want {
+		t.Errorf("IsTextDomain(all) = %v, reference %v", got, want)
+	}
+}
+
+// TestIsTextDomainNoAlloc pins the point of the pre-check: classifying
+// a comma-free text domain allocates nothing.
+func TestIsTextDomainNoAlloc(t *testing.T) {
+	values := []string{"topic000_w0036", " Harbour Grill ", "café", "-x", "+", "Über", "１２３", "zebra"}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !IsTextDomain(values) {
+			t.Fatal("text domain classified numeric")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("IsTextDomain allocated %.1f times per run, want 0", allocs)
 	}
 }
 

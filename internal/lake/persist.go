@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -50,13 +51,27 @@ func (l *Lake) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON deserializes a lake written by WriteJSON.
+// ReadJSON deserializes a lake written by WriteJSON. It reads r to its
+// end and decodes the first JSON value; see decodeJSON for what it
+// accepts.
 func ReadJSON(r io.Reader) (*Lake, error) {
-	var in jsonLake
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
+	var buf bytes.Buffer
+	if f, ok := r.(*os.File); ok {
+		// Read a file into a buffer of its size, allocated once.
+		if st, err := f.Stat(); err == nil {
+			buf.Grow(int(st.Size()) + bytes.MinRead)
+		}
+	}
+	_, err := buf.ReadFrom(r)
+	in, err := decodeJSON(buf.Bytes(), err)
+	if err != nil {
 		return nil, fmt.Errorf("lake: decode: %w", err)
 	}
+	return in.build()
+}
+
+// build returns the lake in describes.
+func (in jsonLake) build() (*Lake, error) {
 	l := New()
 	for _, jt := range in.Tables {
 		specs := make([]AttrSpec, 0, len(jt.Attrs))

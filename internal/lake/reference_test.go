@@ -32,7 +32,7 @@ func naiveTopic(model embedding.Model, values []string) topicResult {
 	for _, val := range values {
 		cov.Values++
 		embedded := false
-		for _, tok := range embedding.Tokenize(val) {
+		for _, tok := range tokens(val) {
 			cov.Tokens++
 			if v, ok := model.Lookup(tok); ok {
 				cov.EmbeddedTokens++
@@ -46,6 +46,13 @@ func naiveTopic(model embedding.Model, values []string) topicResult {
 	}
 	mean, _ := run.Mean()
 	return topicResult{sum: run.Sum(), count: run.Count(), topic: mean, cov: cov}
+}
+
+// tokens returns the words of one value as the kernel tokenizes them.
+func tokens(val string) []string {
+	var toks embedding.Tokens
+	toks.Split(val)
+	return toks.Strings()
 }
 
 func resultOf(a *lake.Attribute) topicResult {
@@ -231,7 +238,7 @@ func assertOneLookupPerWord(t *testing.T, c *countingModel, l *lake.Lake, ids []
 	occurrences := 0
 	for _, id := range ids {
 		for _, val := range l.Attrs[id].Values {
-			for _, tok := range embedding.Tokenize(val) {
+			for _, tok := range tokens(val) {
 				distinct[tok] = true
 				occurrences++
 			}

@@ -14,7 +14,8 @@ import (
 // embedding dimension. It runs in three passes:
 //
 //  1. tokenize every value once, numbering the distinct words in
-//     first-seen order and recording each value's tokens as numbers;
+//     first-seen order and recording each value's tokens as numbers
+//     (a word already numbered costs a map probe and no allocation);
 //  2. look each distinct word up exactly once, the words split into
 //     fixed contiguous chunks over GOMAXPROCS goroutines;
 //  3. sum each attribute's token vectors in value and token order, the
@@ -42,6 +43,7 @@ func (l *Lake) computeTopics(model embedding.Model, ids []AttrID) {
 	var toks []int32
 	attrOff := []int{0}
 	valOff := []int{0}
+	var valToks embedding.Tokens
 	for _, id := range ids {
 		if seen[id] {
 			continue
@@ -50,9 +52,11 @@ func (l *Lake) computeTopics(model embedding.Model, ids []AttrID) {
 		a := l.Attrs[id]
 		attrs = append(attrs, a)
 		for _, val := range a.Values {
-			for _, w := range embedding.Tokenize(val) {
-				t, ok := index[w]
+			valToks.Split(val)
+			for i := 0; i < valToks.Len(); i++ {
+				t, ok := index[string(valToks.At(i))] // no copy to look up
 				if !ok {
+					w := string(valToks.At(i))
 					t = int32(len(words))
 					index[w] = t
 					words = append(words, w)

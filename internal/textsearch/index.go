@@ -47,13 +47,15 @@ func (x *Index) Add(doc Doc, fields ...string) int {
 	idx := len(x.docs)
 	x.docs = append(x.docs, doc)
 	length := 0
+	var toks embedding.Tokens
 	for _, f := range fields {
-		for _, tok := range embedding.Tokenize(f) {
+		toks.Split(f)
+		for i := 0; i < toks.Len(); i++ {
 			length++
-			m := x.postings[tok]
+			m := x.postings[string(toks.At(i))] // no copy to look up
 			if m == nil {
 				m = make(map[int]int)
-				x.postings[tok] = m
+				x.postings[string(toks.At(i))] = m
 			}
 			m[idx]++
 		}
@@ -61,6 +63,13 @@ func (x *Index) Add(doc Doc, fields ...string) int {
 	x.docLen = append(x.docLen, length)
 	x.totalLen += length
 	return idx
+}
+
+// tokens returns the tokens of a query, tokenized as documents are.
+func tokens(query string) []string {
+	var toks embedding.Tokens
+	toks.Split(query)
+	return toks.Strings()
 }
 
 // Result is one ranked hit.
@@ -81,7 +90,7 @@ type weightedTerm struct {
 // reproducibility.
 func (x *Index) Search(query string, k int) []Result {
 	terms := make([]weightedTerm, 0, 8)
-	for _, tok := range embedding.Tokenize(query) {
+	for _, tok := range tokens(query) {
 		terms = append(terms, weightedTerm{tok, 1})
 	}
 	return x.search(terms, k)
@@ -95,7 +104,7 @@ func (x *Index) Search(query string, k int) []Result {
 func (x *Index) SearchExpanded(query string, k int, store *embedding.Store, expand int, weight float64) []Result {
 	seen := make(map[string]bool)
 	var terms []weightedTerm
-	for _, tok := range embedding.Tokenize(query) {
+	for _, tok := range tokens(query) {
 		if !seen[tok] {
 			seen[tok] = true
 			terms = append(terms, weightedTerm{tok, 1})
@@ -165,15 +174,13 @@ func (x *Index) search(terms []weightedTerm, k int) []Result {
 // engine covered.
 func IndexLake(l *lake.Lake) *Index {
 	x := NewIndex()
+	var fields []string // reused: Add keeps none of it
 	for _, t := range l.Tables {
 		if t.Removed {
 			continue
 		}
-		fields := make([]string, 0, 2+2*len(t.Attrs))
-		fields = append(fields, t.Name)
-		for _, tag := range t.Tags {
-			fields = append(fields, tag)
-		}
+		fields = append(fields[:0], t.Name)
+		fields = append(fields, t.Tags...)
 		for _, aid := range t.Attrs {
 			a := l.Attr(aid)
 			fields = append(fields, a.Name)

@@ -5,6 +5,7 @@ import (
 
 	"lakenav/internal/embedding"
 	"lakenav/internal/lake"
+	"lakenav/internal/synth"
 	"lakenav/vector"
 )
 
@@ -162,5 +163,17 @@ func TestIndexLake(t *testing.T) {
 func TestIndexString(t *testing.T) {
 	if buildIndex().String() == "" {
 		t.Error("empty String")
+	}
+}
+
+func BenchmarkIndexLake(b *testing.B) {
+	soc, err := synth.GenerateSocrata(synth.DefaultSocrataConfig()) // 750 tables
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		IndexLake(soc.Lake)
 	}
 }

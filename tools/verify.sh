@@ -43,7 +43,9 @@ stage "go test -race ./..." go test -race ./...
 # Fuzz smoke: a few seconds of coverage-guided input on the decode
 # surfaces that accept untrusted bytes (organization import — JSON and
 # binfmt container — binfmt checkpoint resume, journal recovery, the
-# HTTP batch body decoder, lakelint's directive parser). -fuzzminimizetime is capped
+# HTTP batch body decoder, lakelint's directive parser, the lake JSON
+# decoder and the value tokenizer, each of the last two against the
+# code it replaced). -fuzzminimizetime is capped
 # because the default 60s-per-input minimization starves short windows
 # on small machines.
 fuzz_smoke() {
@@ -53,8 +55,10 @@ fuzz_smoke() {
 	go test ./internal/journal -fuzz FuzzReadJournal -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/httpx -fuzz FuzzDecodeBatch -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./cmd/lakelint -fuzz FuzzParseDirective -fuzztime 5s -fuzzminimizetime 10x -run '^$'
+	go test ./internal/lake -fuzz FuzzReadJSON -fuzztime 5s -fuzzminimizetime 10x -run '^$'
+	go test ./internal/embedding -fuzz FuzzTokens -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 }
-stage "go test -fuzz (5s smoke x6)" fuzz_smoke
+stage "go test -fuzz (5s smoke x8)" fuzz_smoke
 
 # Benchmarks compile and run: one iteration of everything keeps the
 # micro-benchmarks from bit-rotting. Performance is measured end to end
