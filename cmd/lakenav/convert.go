@@ -10,16 +10,16 @@ import (
 	"lakenav"
 )
 
-// cmdConvert re-encodes a lake or organization file between the JSON
-// and binary container formats. Input format is sniffed from the file
-// magic, so converting in either direction is the same invocation with
-// a different -to. Converting an organization needs its lake (-lake):
-// the binary format stores the derived topic state verbatim, which
-// only exists attached to a lake.
+// cmdConvert re-encodes a lake file between the JSON and binary
+// container formats (input sniffed from the file magic, so either
+// direction is the same invocation with a different -to), or re-saves
+// a binary organization as bin or as a JSON export. Converting an
+// organization needs its lake (-lake): the binary format stores the
+// derived topic state verbatim, which only exists attached to a lake.
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	kind := fs.String("kind", "org", "what the input file holds: org or lake")
-	in := fs.String("in", "", "input path (format sniffed from magic)")
+	in := fs.String("in", "", "input path (a lake in json or bin, sniffed from magic; an organization in bin)")
 	out := fs.String("out", "", "output path")
 	to := fs.String("to", "bin", "output format: json or bin")
 	lakePath := fs.String("lake", "", "lake path (required for -kind org)")
@@ -62,12 +62,12 @@ func cmdConvert(args []string) error {
 
 // cmdOrgHash times organization cold-start and prints one JSON line:
 // the best-of-N load latency, the bytes on disk, and the semantic
-// fingerprint. Run it on the same organization in both formats to
-// compare their load times and check that the hashes are equal.
+// fingerprint. Two organizations with equal hashes navigate and
+// optimize identically.
 func cmdOrgHash(args []string) error {
 	fs := flag.NewFlagSet("orghash", flag.ExitOnError)
 	lakePath := fs.String("lake", "", "lake path")
-	orgPath := fs.String("org", "", "organization path (json or bin)")
+	orgPath := fs.String("org", "", "organization path (bin)")
 	repeat := fs.Int("repeat", 3, "timed load repetitions (the minimum is reported)")
 	_ = fs.Parse(args) // ExitOnError: Parse exits on bad flags
 	if *orgPath == "" {
@@ -77,9 +77,9 @@ func cmdOrgHash(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Untimed warm-up load: computes the lake's topic vectors (shared by
-	// both formats) and faults the file into the page cache, so the
-	// timed loads measure decoding, not disk or embedding.
+	// Untimed warm-up load: computes the lake's topic vectors and faults
+	// the file into the page cache, so the timed loads measure
+	// decoding, not disk or embedding.
 	org, err := lakenav.LoadOrganization(l, *orgPath)
 	if err != nil {
 		return err

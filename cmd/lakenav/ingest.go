@@ -34,14 +34,14 @@ func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	path := fs.String("lake", "", "base lake path, json or bin (never rewritten)")
-	orgPath := fs.String("org", "", "base organization JSON path (from `lakenav organize -export`)")
+	orgPath := fs.String("org", "", "base organization path, a bin container (from `lakenav organize -export`)")
 	journalPath := fs.String("journal", "", "commit journal path (created on first commit)")
 	var adds stringList
 	fs.Var(&adds, "add", "JSON file describing a table to add: {\"name\",\"tags\",\"columns\":[{\"name\",\"values\"}]} (repeatable)")
 	var removes stringList
 	fs.Var(&removes, "remove", "table name to remove (repeatable)")
 	status := fs.Bool("status", false, "print the replayed batch count and structure hash")
-	export := fs.String("export", "", "write the replayed organization to this path")
+	export := fs.String("export", "", "write the replayed organization to this path as a JSON export (not loadable by -org)")
 	reoptimize := fs.Bool("reoptimize", false, "run a localized, deterministically seeded search after each batch (must match the serving navserver's flag)")
 	seed := fs.Int64("seed", 1, "reoptimization seed (with -reoptimize)")
 	iters := fs.Int("iters", 0, "reoptimization iteration cap per batch; 0 selects the default")

@@ -33,8 +33,8 @@ func ingestFixture(t *testing.T) (lakePath, orgPath, journalPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgPath = filepath.Join(dir, "org.json")
-	if err := org.SaveJSON(orgPath); err != nil {
+	orgPath = filepath.Join(dir, "org.bin")
+	if err := org.Save(orgPath, lakenav.FormatBin); err != nil {
 		t.Fatal(err)
 	}
 	return lakePath, orgPath, filepath.Join(dir, "commits.journal")

@@ -6,18 +6,21 @@
 //
 //	lakenav gen -kind tagcloud|socrata -out lake.json [-quick] [-seed N] [-format json|bin]
 //	lakenav stats -lake lake.json
-//	lakenav organize -lake lake.json [-dims N] [-no-opt] [-seed N] [-export org.json]
+//	lakenav organize -lake lake.json [-dims N] [-no-opt] [-seed N] [-export org.bin]
 //	                 [-checkpoint search.ck] [-resume] [-timeout 5m]
-//	                 [-progress events.ndjson] [-format json|bin]
+//	                 [-progress events.ndjson] [-format bin|json]
 //	lakenav search -lake lake.json -q "query" [-k N]
 //	lakenav walk -lake lake.json -q "query" [-dims N]
-//	lakenav ingest -lake lake.json -org org.json -journal commits.journal
+//	lakenav ingest -lake lake.json -org org.bin -journal commits.journal
 //	               [-add table.json]... [-remove name]... [-status] [-export out.json]
 //	lakenav convert -kind org|lake -in src -out dst -to json|bin [-lake lake.json]
-//	lakenav orghash -lake lake.json -org org.json [-repeat N]
+//	lakenav orghash -lake lake.json -org org.bin [-repeat N]
 //
-// Load paths sniff the file magic, so every -lake/-org flag accepts
-// either format; -format/-to choose what gets written.
+// Lake paths sniff the file magic, so every -lake flag accepts either
+// format. Organizations load only from the binary container, which
+// `organize -export` writes by default; a JSON organization is an
+// export for people and other tools. -format/-to choose what gets
+// written.
 package main
 
 import (
@@ -77,7 +80,7 @@ commands:
   search    BM25 keyword search over a lake
   walk      simulate one navigation toward a query
   ingest    commit table add/remove batches to a crash-safe journal
-  convert   re-encode a lake or organization between json and bin
+  convert   re-encode a lake between json and bin, or re-save a bin organization as bin or json
   orghash   time an organization load and print its fingerprint`)
 }
 
@@ -170,7 +173,7 @@ func cmdOrganize(args []string) error {
 	timeout := fs.Duration("timeout", 0, "optional build time budget; on expiry the best organization so far is returned")
 	restarts := fs.Int("restarts", 1, "independent searches per dimension, keeping the most effective (restart r appends .r<r> to checkpoint files)")
 	progress := fs.String("progress", "", "stream optimizer progress to this file as NDJSON, one event per iteration")
-	formatName := fs.String("format", "json", "format for -export files: json or bin (checkpoints are always bin)")
+	formatName := fs.String("format", "bin", "format for -export files: bin (loadable by navserver -org and ingest -org) or json (export only); checkpoints are always bin")
 	_ = fs.Parse(args) // ExitOnError: Parse exits on bad flags
 	format, err := lakenav.ParseFormat(*formatName)
 	if err != nil {

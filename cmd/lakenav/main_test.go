@@ -52,12 +52,20 @@ func TestCmdStats(t *testing.T) {
 
 func TestCmdOrganizeAndExport(t *testing.T) {
 	path := genQuickLake(t)
-	orgPath := filepath.Join(t.TempDir(), "org.json")
+	orgPath := filepath.Join(t.TempDir(), "org.bin")
 	if err := cmdOrganize([]string{"-lake", path, "-dims", "2", "-export", orgPath}); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(orgPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("exported org missing: %v", err)
+	}
+	// The default -format writes what -org flags load.
+	l, err := lakenav.LoadJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lakenav.LoadOrganization(l, orgPath); err != nil {
+		t.Fatalf("default export does not load: %v", err)
 	}
 }
 

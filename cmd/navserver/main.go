@@ -4,7 +4,7 @@
 // coordinator's tests can boot real in-process shards); this binary
 // owns the flags, the listener lifecycle, and the background build.
 //
-//	navserver -lake lake.json [-org org.json] [-dims N] [-addr :8080]
+//	navserver -lake lake.json [-org org.bin] [-dims N] [-addr :8080]
 //	          [-checkpoint search.ck] [-resume] [-max-inflight 64]
 //	          [-pprof localhost:6060] [-cache-size 4096] [-max-batch 256]
 //	          [-journal commits.journal] [-shard-id s0]
@@ -41,7 +41,7 @@ import (
 
 func main() {
 	path := flag.String("lake", "", "lake path (json or bin)")
-	orgPath := flag.String("org", "", "pre-built organization, json or bin (skips construction)")
+	orgPath := flag.String("org", "", "pre-built organization, a bin container from `lakenav organize -export` (skips construction)")
 	dims := flag.Int("dims", 1, "organization dimensions")
 	addr := flag.String("addr", ":8080", "listen address")
 	checkpoint := flag.String("checkpoint", "", "checkpoint the background build to this path (dimension i appends .dim<i>)")

@@ -186,25 +186,7 @@ func DecodeBinCheckpoint(data []byte) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		oc, err := binfmt.New(blob)
-		if err != nil {
-			return nil, err
-		}
-		okind, over := oc.Kind()
-		if okind != binfmt.KindOrg || over != orgFormatVersion {
-			return nil, fmt.Errorf("core: checkpoint decode embedded org kind %d version %d", okind, over)
-		}
-		ometa, err := oc.Uint64s(secOrgMeta)
-		if err != nil {
-			return nil, err
-		}
-		if len(ometa) != orgMetaWords {
-			return nil, fmt.Errorf("core: checkpoint decode embedded org meta has %d words", len(ometa))
-		}
-		if ometa[orgMetaFlags] != 0 {
-			return nil, fmt.Errorf("core: checkpoint decode embedded org is not structural (flags %#x)", ometa[orgMetaFlags])
-		}
-		return decodeBinExportedOrg(oc, ometa)
+		return decodeBinExportedOrg(blob)
 	}
 	if ck.Current, err = decodeOrgBlob(secCkCurrent); err != nil {
 		return nil, fmt.Errorf("core: checkpoint decode current org: %w", err)

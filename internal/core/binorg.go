@@ -3,14 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 
 	"lakenav/internal/binfmt"
 	"lakenav/internal/lake"
-	"lakenav/vector"
 )
 
 // Binary organization format (binfmt.KindOrg / binfmt.KindMultiDim).
@@ -23,15 +20,13 @@ import (
 //     O(attrs × depth × dim) topic propagation. This is the cold-start
 //     org file format.
 //   - structural: states, edges, and the string table only — exactly
-//     the information of an ExportedOrg. Decode goes through Import
-//     like the JSON path. Checkpoints use it because their cost is
-//     write-side.
+//     the information of an ExportedOrg, which Import rebuilds. It
+//     exists only embedded in checkpoints, whose cost is write-side;
+//     DecodeBinOrg rejects it at top level.
 //
-// Both decoders reproduce Import's edge insertion order (children
-// linked in stored order, states processed by ascending max-distance-
-// to-leaf with original order as the tie-break), so a decoded org is
-// bit-identical — Parents order and all — to the JSON path over the
-// same snapshot.
+// Both flavors are rebuilt by the one rule in import.go (rebuild,
+// linkOrder), so a decoded org is bit-identical — Parents order and
+// all — to Import over the same snapshot.
 
 // orgFormatVersion is the kindVer of org and multidim containers.
 const orgFormatVersion = 1
@@ -93,9 +88,9 @@ const (
 
 // EncodeBinOrg serializes o as a full-fidelity binary container. Live
 // states are renumbered densely in States order — the same renumbering
-// Export+Import performs — so decoding the result reproduces the
-// organization the JSON path would, bit for bit, when o is canonical
-// (itself the product of Import).
+// Export+Import performs — so decoding the result reproduces
+// Import(o.Lake, o.Export()) bit for bit, and o itself when o is
+// canonical (itself the product of Import).
 func EncodeBinOrg(o *Org) ([]byte, error) {
 	w, err := binOrgWriter(o)
 	if err != nil {
@@ -223,22 +218,19 @@ func encodeBinExportedOrg(ex *ExportedOrg) (*binfmt.Writer, error) {
 	recs := make([]uint32, 0, len(ex.States)*stateRecWords)
 	var children []uint32
 	for _, es := range ex.States {
-		var kf uint32
+		k, ok := parseKind(es.Kind)
+		if !ok {
+			return nil, fmt.Errorf("core: binorg encode unknown state kind %q", es.Kind)
+		}
 		name := noName
-		switch es.Kind {
-		case "leaf":
-			kf = uint32(KindLeaf)
+		switch k {
+		case KindLeaf:
 			name = st.Ref(es.Attr)
-		case "tag":
-			kf = uint32(KindTag)
+		case KindTag:
 			if len(es.Tags) != 1 {
 				return nil, fmt.Errorf("core: binorg encode tag state %d has %d tags", es.ID, len(es.Tags))
 			}
 			name = st.Ref(es.Tags[0])
-		case "interior":
-			kf = uint32(KindInterior)
-		default:
-			return nil, fmt.Errorf("core: binorg encode unknown state kind %q", es.Kind)
 		}
 		childOff := uint32(len(children))
 		for _, c := range es.Children {
@@ -254,7 +246,7 @@ func encodeBinExportedOrg(ex *ExportedOrg) (*binfmt.Writer, error) {
 		if es.DomainSize < 0 || uint64(es.DomainSize) > uint64(^uint32(0)) {
 			return nil, fmt.Errorf("core: binorg encode state %d domain size %d out of range", es.ID, es.DomainSize)
 		}
-		recs = append(recs, kf, name, childOff, uint32(len(es.Children)), st.Ref(es.Label), uint32(es.DomainSize))
+		recs = append(recs, uint32(k), name, childOff, uint32(len(es.Children)), st.Ref(es.Label), uint32(es.DomainSize))
 	}
 
 	meta := make([]uint64, orgMetaWords)
@@ -270,10 +262,9 @@ func encodeBinExportedOrg(ex *ExportedOrg) (*binfmt.Writer, error) {
 	return w, nil
 }
 
-// DecodeBinOrg decodes an org container over its lake: the full flavor
-// via the direct fast path, the structural flavor via Import. Errors,
-// never panics, on corrupt input; every allocation is bounded by the
-// input's actual section sizes.
+// DecodeBinOrg decodes a full-flavor org container over its lake.
+// Errors, never panics, on corrupt input; every allocation is bounded
+// by the input's actual section sizes.
 func DecodeBinOrg(l *lake.Lake, data []byte) (*Org, error) {
 	c, err := binfmt.New(data)
 	if err != nil {
@@ -284,6 +275,19 @@ func DecodeBinOrg(l *lake.Lake, data []byte) (*Org, error) {
 }
 
 func decodeBinOrg(l *lake.Lake, c *binfmt.Container) (*Org, error) {
+	meta, err := readBinOrgMeta(c)
+	if err != nil {
+		return nil, err
+	}
+	if meta[orgMetaFlags] != orgFlagFull {
+		return nil, fmt.Errorf("core: binorg decode flags %#x: only full-flavor organization containers load", meta[orgMetaFlags])
+	}
+	return decodeBinOrgFull(l, c, meta)
+}
+
+// readBinOrgMeta checks an org container's kind and version and returns
+// its meta words.
+func readBinOrgMeta(c *binfmt.Container) ([]uint64, error) {
 	kind, ver := c.Kind()
 	if kind != binfmt.KindOrg {
 		return nil, fmt.Errorf("core: binorg decode container kind %d, want %d", kind, binfmt.KindOrg)
@@ -298,30 +302,18 @@ func decodeBinOrg(l *lake.Lake, c *binfmt.Container) (*Org, error) {
 	if len(meta) != orgMetaWords {
 		return nil, fmt.Errorf("core: binorg decode meta has %d words, want %d", len(meta), orgMetaWords)
 	}
-	switch meta[orgMetaFlags] {
-	case orgFlagFull:
-		return decodeBinOrgFull(l, c, meta)
-	case 0:
-		ex, err := decodeBinExportedOrg(c, meta)
-		if err != nil {
-			return nil, err
-		}
-		return Import(l, ex)
-	default:
-		return nil, fmt.Errorf("core: binorg decode unknown flags %#x", meta[orgMetaFlags])
-	}
+	return meta, nil
 }
 
 // binOrgShape is the structure shared by both decode flavors: state
-// records, validated child ref spans, and the edge insertion order
-// that reproduces Import.
+// records, validated child ref spans, and the link order.
 type binOrgShape struct {
 	recs     []uint32
 	children []uint32
 	strs     *binfmt.StringTable
 	n        int
 	root     int
-	order    []int // state indices by ascending max-distance-to-leaf, stable
+	order    []int // linkOrder over the child spans
 }
 
 func readBinOrgShape(c *binfmt.Container, meta []uint64) (*binOrgShape, error) {
@@ -351,75 +343,16 @@ func readBinOrgShape(c *binfmt.Container, meta []uint64) (*binOrgShape, error) {
 		return nil, err
 	}
 	sh := &binOrgShape{recs: recs, children: children, strs: strs, n: n, root: int(meta[orgMetaRoot])}
-
-	// Validate every child span and ref, and build the reverse
-	// adjacency for the depth computation.
-	parents := make([][]int32, n)
-	remaining := make([]int, n)
 	for i := 0; i < n; i++ {
 		off := uint64(recs[i*stateRecWords+stateRecChildOff])
 		cnt := uint64(recs[i*stateRecWords+stateRecChildLen])
 		if off+cnt < off || off+cnt > uint64(len(children)) {
 			return nil, fmt.Errorf("core: binorg decode state %d child span [%d,+%d) outside section", i, off, cnt)
 		}
-		for _, ref := range children[off : off+cnt] {
-			if ref >= uint32(n) {
-				return nil, fmt.Errorf("core: binorg decode state %d child ref %d out of range", i, ref)
-			}
-			parents[ref] = append(parents[ref], int32(i))
-		}
-		remaining[i] = int(cnt)
 	}
-
-	// Max-distance-to-leaf per state, Kahn-style so a cycle is detected
-	// instead of panicking later in Validate's Topo.
-	depth := make([]int, n)
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if remaining[i] == 0 {
-			queue = append(queue, i)
-		}
+	if sh.order, err = linkOrder(n, sh.childRefs); err != nil {
+		return nil, fmt.Errorf("core: binorg decode: %w", err)
 	}
-	processed := 0
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		processed++
-		for _, p := range parents[i] {
-			if depth[i]+1 > depth[p] {
-				depth[p] = depth[i] + 1
-			}
-			remaining[p]--
-			if remaining[p] == 0 {
-				queue = append(queue, int(p))
-			}
-		}
-	}
-	if processed != n {
-		return nil, fmt.Errorf("core: binorg decode edge cycle (%d of %d states ordered)", processed, n)
-	}
-
-	// Stable counting sort by depth reproduces Import's child-before-
-	// parent link order, with file order as the tie-break.
-	maxd := 0
-	for _, d := range depth {
-		if d > maxd {
-			maxd = d
-		}
-	}
-	pos := make([]int, maxd+2)
-	for _, d := range depth {
-		pos[d+1]++
-	}
-	for d := 1; d < len(pos); d++ {
-		pos[d] += pos[d-1]
-	}
-	order := make([]int, n)
-	for i := 0; i < n; i++ {
-		order[pos[depth[i]]] = i
-		pos[depth[i]]++
-	}
-	sh.order = order
 	return sh, nil
 }
 
@@ -430,21 +363,32 @@ func (sh *binOrgShape) childRefs(i int) []uint32 {
 	return sh.children[off : uint64(off)+uint64(cnt)]
 }
 
+// state decodes state i's kind and name (the leaf's qualified attribute
+// name or the tag; empty for interiors).
+func (sh *binOrgShape) state(i int) (Kind, string, error) {
+	rec := sh.recs[i*stateRecWords:]
+	kf := rec[stateRecKind]
+	if kf&^uint32(0xff|stateHasTopic) != 0 {
+		return 0, "", fmt.Errorf("core: binorg decode state %d has unknown flags %#x", i, kf)
+	}
+	switch k := Kind(kf & 0xff); k {
+	case KindLeaf, KindTag:
+		name, err := sh.strs.Lookup(rec[stateRecName])
+		return k, name, err
+	case KindInterior:
+		return k, "", nil
+	}
+	return 0, "", fmt.Errorf("core: binorg decode state %d has unknown kind %d", i, kf&0xff)
+}
+
 // decodeBinOrgFull is the cold-start fast path: materialize states,
 // install topics straight from the (possibly mmap'd) vector block into
 // the arena, restore run accumulators and support tables verbatim, and
-// link edges in Import's order — no JSON reflection, no propagation.
+// link edges in linkOrder — no propagation.
 func decodeBinOrgFull(l *lake.Lake, c *binfmt.Container, meta []uint64) (*Org, error) {
-	if l.Dim() == 0 {
-		return nil, fmt.Errorf("core: binorg decode needs computed lake topics")
-	}
 	dim := int(meta[orgMetaDim])
 	if dim != l.Dim() {
 		return nil, fmt.Errorf("core: binorg decode dim %d, lake has %d", dim, l.Dim())
-	}
-	gamma := math.Float64frombits(meta[orgMetaGamma])
-	if !(gamma > 0) {
-		return nil, fmt.Errorf("core: binorg decode gamma %v not positive", gamma)
 	}
 	sh, err := readBinOrgShape(c, meta)
 	if err != nil {
@@ -479,61 +423,24 @@ func decodeBinOrgFull(l *lake.Lake, c *binfmt.Container, meta []uint64) (*Org, e
 		return nil, fmt.Errorf("core: binorg decode run sum block has %d floats, want %d", len(runSums), len(runCounts)*dim)
 	}
 
-	attrByName := make(map[string]lake.AttrID, len(l.Attrs))
-	for _, a := range l.Attrs {
-		if a.Removed {
-			continue
-		}
-		attrByName[a.QualifiedName(l)] = a.ID
+	r, err := newRebuild(l, math.Float64frombits(meta[orgMetaGamma]))
+	if err != nil {
+		return nil, err
 	}
-
-	o := &Org{
-		Lake:     l,
-		Gamma:    gamma,
-		Root:     -1,
-		leafOf:   make(map[lake.AttrID]StateID),
-		tagState: make(map[string]StateID),
-		arena:    newTopicArena(dim),
-	}
-
-	// Pass 1: materialize states, mirroring Import.
+	o := r.o
 	for i := 0; i < sh.n; i++ {
-		kf := sh.recs[i*stateRecWords+stateRecKind]
-		if kf&^uint32(0xff|stateHasTopic) != 0 {
-			return nil, fmt.Errorf("core: binorg decode state %d has unknown flags %#x", i, kf)
+		k, name, err := sh.state(i)
+		if err != nil {
+			return nil, err
 		}
-		switch Kind(kf & 0xff) {
-		case KindLeaf:
-			name, err := sh.strs.Lookup(sh.recs[i*stateRecWords+stateRecName])
-			if err != nil {
-				return nil, err
-			}
-			a, ok := attrByName[name]
-			if !ok {
-				return nil, fmt.Errorf("core: binorg decode references unknown attribute %q", name)
-			}
-			s := o.newState(KindLeaf)
-			s.Attr = a
-			o.leafOf[a] = s.ID
-		case KindTag:
-			tag, err := sh.strs.Lookup(sh.recs[i*stateRecWords+stateRecName])
-			if err != nil {
-				return nil, err
-			}
-			s := o.newState(KindTag)
-			s.Tags = []string{tag}
-			s.run = vector.NewRunning(dim)
-			o.tagState[tag] = s.ID
-		case KindInterior:
-			o.newInterior()
-		default:
-			return nil, fmt.Errorf("core: binorg decode state %d has unknown kind %d", i, kf&0xff)
+		if _, err := r.addState(k, name); err != nil {
+			return nil, err
 		}
 	}
 
 	// Topics: one copy each, section block → arena slot, through the
 	// setTopic funnel (which recomputes the norm over the installed
-	// values, bit-identical to the JSON path's).
+	// values, bit-identical to Import's).
 	for i := 0; i < sh.n; i++ {
 		if sh.recs[i*stateRecWords+stateRecKind]&stateHasTopic != 0 {
 			o.States[i].setTopic(vecs[i*dim : (i+1)*dim])
@@ -594,27 +501,31 @@ func decodeBinOrgFull(l *lake.Lake, c *binfmt.Container, meta []uint64) (*Org, e
 		return nil, fmt.Errorf("core: binorg decode found %d non-leaf states, meta claims %d", nli, meta[orgMetaNonLeaf])
 	}
 
-	// Edges, in Import's exact order: states by ascending depth, each
-	// state's children in stored order. Support is already restored, so
-	// addEdge (no propagation) suffices.
+	// Support is already restored, so addEdge (no propagation) links.
 	for _, i := range sh.order {
 		for _, ref := range sh.childRefs(i) {
 			o.addEdge(StateID(i), StateID(ref))
 		}
 	}
-
-	o.Root = StateID(sh.root)
-	o.attrs = o.States[o.Root].Domain()
-	o.buildAttrIndex()
-	if err := o.Validate(); err != nil {
-		return nil, fmt.Errorf("core: binorg decode produced invalid organization: %w", err)
-	}
-	return o, nil
+	return r.finish(StateID(sh.root))
 }
 
-// decodeBinExportedOrg rebuilds the structural snapshot a checkpoint
-// container carries; the caller feeds it to Import.
-func decodeBinExportedOrg(c *binfmt.Container, meta []uint64) (*ExportedOrg, error) {
+// decodeBinExportedOrg decodes a structural org container — the form
+// a checkpoint embeds its organizations in — into the snapshot Import
+// rebuilds. The structure passes linkOrder here, so a checkpoint that
+// decodes has no cycle or dangling child.
+func decodeBinExportedOrg(blob []byte) (*ExportedOrg, error) {
+	c, err := binfmt.New(blob)
+	if err != nil {
+		return nil, err
+	}
+	meta, err := readBinOrgMeta(c)
+	if err != nil {
+		return nil, err
+	}
+	if meta[orgMetaFlags] != 0 {
+		return nil, fmt.Errorf("core: binorg decode embedded org is not structural (flags %#x)", meta[orgMetaFlags])
+	}
 	sh, err := readBinOrgShape(c, meta)
 	if err != nil {
 		return nil, err
@@ -625,31 +536,20 @@ func decodeBinExportedOrg(c *binfmt.Container, meta []uint64) (*ExportedOrg, err
 		States: make([]ExportedState, sh.n),
 	}
 	for i := 0; i < sh.n; i++ {
-		rec := sh.recs[i*stateRecWords:]
-		if rec[stateRecKind]&^uint32(0xff|stateHasTopic) != 0 {
-			return nil, fmt.Errorf("core: binorg decode state %d has unknown flags %#x", i, rec[stateRecKind])
+		k, name, err := sh.state(i)
+		if err != nil {
+			return nil, err
 		}
-		es := ExportedState{ID: i, DomainSize: int(rec[stateRecSupLen])}
+		rec := sh.recs[i*stateRecWords:]
+		es := ExportedState{ID: i, Kind: k.String(), DomainSize: int(rec[stateRecSupLen])}
 		if es.Label, err = sh.strs.Lookup(rec[stateRecSupOff]); err != nil {
 			return nil, err
 		}
-		switch Kind(rec[stateRecKind] & 0xff) {
+		switch k {
 		case KindLeaf:
-			es.Kind = "leaf"
-			if es.Attr, err = sh.strs.Lookup(rec[stateRecName]); err != nil {
-				return nil, err
-			}
+			es.Attr = name
 		case KindTag:
-			es.Kind = "tag"
-			tag, err := sh.strs.Lookup(rec[stateRecName])
-			if err != nil {
-				return nil, err
-			}
-			es.Tags = []string{tag}
-		case KindInterior:
-			es.Kind = "interior"
-		default:
-			return nil, fmt.Errorf("core: binorg decode state %d has unknown kind %d", i, rec[stateRecKind]&0xff)
+			es.Tags = []string{name}
 		}
 		for _, ref := range sh.childRefs(i) {
 			es.Children = append(es.Children, int(ref))
@@ -767,34 +667,20 @@ func DecodeBinMultiDim(l *lake.Lake, c *binfmt.Container) (*MultiDim, error) {
 	return m, nil
 }
 
-// LoadMultiDim loads a multi-dimensional organization from either
-// format, sniffing the container magic: binary files take the mmap'd
-// fast path, anything else falls back to the JSON reader. This is the
-// one entry point cold-start callers (navserver, the facade) need.
+// LoadMultiDim loads a multi-dimensional organization saved by
+// SaveBinMultiDim, decoding the mmap'd container directly. It is the
+// one entry point cold-start callers (navserver, the facade) need. A
+// JSON export (WriteJSON) is not a load format and is rejected.
 func LoadMultiDim(l *lake.Lake, path string) (*MultiDim, error) {
-	f, err := os.Open(path)
+	c, err := binfmt.Open(path)
+	if errors.Is(err, binfmt.ErrBadMagic) {
+		return nil, fmt.Errorf("core: %s is not a binary organization container (JSON organizations are an export format and do not load; save in the bin format)", path)
+	}
 	if err != nil {
 		return nil, err
 	}
-	var head [8]byte
-	_, rerr := io.ReadFull(f, head[:])
-	if rerr == nil && binfmt.IsMagic(head[:]) {
-		_ = f.Close() // read-only sniff handle
-		c, err := binfmt.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer c.Close()
-		return DecodeBinMultiDim(l, c)
-	}
-	defer f.Close()
-	if rerr != nil && !errors.Is(rerr, io.ErrUnexpectedEOF) && !errors.Is(rerr, io.EOF) {
-		return nil, rerr
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return ReadMultiDim(l, f)
+	defer c.Close()
+	return DecodeBinMultiDim(l, c)
 }
 
 // domainOrder sorts a state's parallel dom/sup slices by attribute.

@@ -17,7 +17,8 @@ import (
 // canonical returns the import-normalized form of o: the edge and
 // state order Import produces from an export. The binary codec targets
 // this form — decode(encode(x)) is bit-identical for canonical x, which
-// is exactly what every load path (JSON or binary) hands out.
+// is exactly what every rebuild path (Import or the binary decoder)
+// hands out.
 func canonical(t *testing.T, l *lake.Lake, o *Org) *Org {
 	t.Helper()
 	c, err := Import(l, o.Export())
@@ -67,24 +68,21 @@ func TestBinOrgRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinOrgMatchesJSONPath pins the cross-format contract the
-// cold-start gate relies on: loading an org through the JSON reader and
-// through the binary codec yields the same fingerprint.
+// TestBinOrgMatchesJSONPath pins the cross-path contract the
+// cold-start gate relies on: the binary codec over a freshly built
+// (non-canonical) org yields the fingerprint of the in-memory reference
+// rebuild, Import over the org's export.
 func TestBinOrgMatchesJSONPath(t *testing.T) {
 	l := testLake(t)
 	built, err := NewClustered(l, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := writeOrgJSON(built, &buf); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := ReadOrg(l, &buf)
+	ref, err := Import(l, built.Export())
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeBinOrg(fromJSON)
+	data, err := EncodeBinOrg(built)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +90,9 @@ func TestBinOrgMatchesJSONPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromBin.Fingerprint() != fromJSON.Fingerprint() {
-		t.Fatalf("binary path fingerprint %016x != JSON path %016x",
-			fromBin.Fingerprint(), fromJSON.Fingerprint())
+	if fromBin.Fingerprint() != ref.Fingerprint() {
+		t.Fatalf("binary path fingerprint %016x != Import reference %016x",
+			fromBin.Fingerprint(), ref.Fingerprint())
 	}
 }
 
@@ -193,7 +191,7 @@ func TestBinMultiDimRoundTrip(t *testing.T) {
 		t.Fatal("re-saving the loaded multidim produced different bytes")
 	}
 
-	// LoadMultiDim also still reads the JSON form.
+	// The JSON export is not a load format: LoadMultiDim rejects it.
 	jpath := filepath.Join(dir, "org.json")
 	jf, err := os.Create(jpath)
 	if err != nil {
@@ -202,13 +200,11 @@ func TestBinMultiDimRoundTrip(t *testing.T) {
 	if err := canon.WriteJSON(jf); err != nil {
 		t.Fatal(err)
 	}
-	jf.Close()
-	fromJSON, err := LoadMultiDim(tc.Lake, jpath)
-	if err != nil {
+	if err := jf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fromJSON.Fingerprint() != loaded.Fingerprint() {
-		t.Fatal("JSON and binary load paths disagree on fingerprint")
+	if _, err := LoadMultiDim(tc.Lake, jpath); err == nil {
+		t.Fatal("LoadMultiDim loaded a JSON export")
 	}
 }
 

@@ -158,13 +158,3 @@ func ImportMultiDim(l *lake.Lake, ex *ExportedMultiDim) (*MultiDim, error) {
 	}
 	return m, nil
 }
-
-// ReadMultiDim deserializes a multi-dimensional organization written by
-// WriteJSON.
-func ReadMultiDim(l *lake.Lake, r io.Reader) (*MultiDim, error) {
-	var ex ExportedMultiDim
-	if err := json.NewDecoder(r).Decode(&ex); err != nil {
-		return nil, fmt.Errorf("core: import multidim decode: %w", err)
-	}
-	return ImportMultiDim(l, &ex)
-}

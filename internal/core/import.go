@@ -1,13 +1,18 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"lakenav/internal/lake"
 	"lakenav/vector"
 )
+
+// Every stored organization is rebuilt by one rule, whichever path
+// reads it (Import from an ExportedOrg, the full binary decoder from an
+// org container): materialize the states in stored order (rebuild),
+// then link children before parents by ascending max-distance-to-leaf,
+// stored order breaking ties (linkOrder). The link order fixes every
+// Parents list, so all paths over the same structure agree bit for bit.
 
 // Import reconstructs a functioning organization from an Export
 // snapshot and the lake it was built over. Topic vectors and domains
@@ -15,152 +20,221 @@ import (
 // snapshot stays small and the lake remains the single source of truth
 // for content. The lake must have computed topics and must still
 // contain every attribute and tag the snapshot references — Import is
-// for cold-starting a navigation service on the same lake, not for
-// migrating structures across lakes.
+// for rebuilding on the same lake (checkpoint resume, the optimizer's
+// best-so-far restore, ingest freezes), not for migrating structures
+// across lakes.
 func Import(l *lake.Lake, ex *ExportedOrg) (*Org, error) {
-	if l.Dim() == 0 {
-		return nil, fmt.Errorf("core: import needs computed lake topics")
+	r, err := newRebuild(l, ex.Gamma)
+	if err != nil {
+		return nil, err
 	}
-	if ex.Gamma <= 0 {
-		return nil, fmt.Errorf("core: import gamma %v not positive", ex.Gamma)
+	// Exported state IDs → dense refs, the positions in ex.States.
+	ref := make(map[int]uint32, len(ex.States))
+	for i, es := range ex.States {
+		if _, dup := ref[es.ID]; dup {
+			return nil, fmt.Errorf("core: import duplicate state id %d", es.ID)
+		}
+		ref[es.ID] = uint32(i)
+		k, ok := parseKind(es.Kind)
+		if !ok {
+			return nil, fmt.Errorf("core: import unknown state kind %q", es.Kind)
+		}
+		name := es.Attr
+		if k == KindTag {
+			if len(es.Tags) != 1 {
+				return nil, fmt.Errorf("core: import tag state %d has %d tags", es.ID, len(es.Tags))
+			}
+			name = es.Tags[0]
+		}
+		s, err := r.addState(k, name)
+		if err != nil {
+			return nil, err
+		}
+		if k == KindLeaf {
+			s.setTopic(l.Attr(s.Attr).Topic)
+		}
+	}
+
+	off := make([]int, len(ex.States)+1)
+	children := make([]uint32, 0, len(ex.States))
+	for i, es := range ex.States {
+		for _, c := range es.Children {
+			cr, ok := ref[c]
+			if !ok {
+				return nil, fmt.Errorf("core: import state %d references unknown child %d", es.ID, c)
+			}
+			children = append(children, cr)
+		}
+		off[i+1] = len(children)
+	}
+	childRefs := func(i int) []uint32 { return children[off[i]:off[i+1]] }
+	order, err := linkOrder(len(ex.States), childRefs)
+	if err != nil {
+		return nil, err
+	}
+	// Topics are derived, so linking propagates domains and topics up
+	// from the leaves; linkOrder guarantees complete child domains.
+	for _, i := range order {
+		for _, c := range childRefs(i) {
+			r.o.linkChild(StateID(i), StateID(c))
+		}
+	}
+
+	root, ok := ref[ex.Root]
+	if !ok {
+		return nil, fmt.Errorf("core: import root %d not among states", ex.Root)
+	}
+	return r.finish(StateID(root))
+}
+
+// parseKind maps an ExportedState kind name back to its Kind.
+func parseKind(name string) (Kind, bool) {
+	for _, k := range []Kind{KindLeaf, KindTag, KindInterior} {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// rebuild materializes a stored organization's states over a lake.
+type rebuild struct {
+	o      *Org
+	attrOf map[string]lake.AttrID
+}
+
+func newRebuild(l *lake.Lake, gamma float64) (*rebuild, error) {
+	if l.Dim() == 0 {
+		return nil, fmt.Errorf("core: rebuild needs computed lake topics")
+	}
+	if !(gamma > 0) {
+		return nil, fmt.Errorf("core: rebuild gamma %v not positive", gamma)
+	}
+	// Qualified attribute names → IDs for leaf resolution. Removed
+	// attributes are invisible: a structure referencing one is stale
+	// relative to this lake and must fail, and a re-added table must
+	// resolve to its live attribute slots, not its tombstones.
+	attrOf := make(map[string]lake.AttrID, len(l.Attrs))
+	for _, a := range l.Attrs {
+		if !a.Removed {
+			attrOf[a.QualifiedName(l)] = a.ID
+		}
 	}
 	o := &Org{
 		Lake:     l,
-		Gamma:    ex.Gamma,
+		Gamma:    gamma,
 		Root:     -1,
 		leafOf:   make(map[lake.AttrID]StateID),
 		tagState: make(map[string]StateID),
 		arena:    newTopicArena(l.Dim()),
 	}
+	return &rebuild{o: o, attrOf: attrOf}, nil
+}
 
-	// Qualified attribute names → IDs for leaf resolution. Removed
-	// attributes are invisible: a snapshot referencing one is stale
-	// relative to this lake and must fail, and a re-added table must
-	// resolve to its live attribute slots, not its tombstones.
-	attrByName := make(map[string]lake.AttrID, len(l.Attrs))
-	for _, a := range l.Attrs {
-		if a.Removed {
-			continue
-		}
-		attrByName[a.QualifiedName(l)] = a.ID
-	}
-
-	// First pass: materialize states with fresh dense IDs.
-	idMap := make(map[int]StateID, len(ex.States))
-	for _, es := range ex.States {
-		switch es.Kind {
-		case "leaf":
-			a, ok := attrByName[es.Attr]
-			if !ok {
-				return nil, fmt.Errorf("core: import references unknown attribute %q", es.Attr)
-			}
-			s := o.newState(KindLeaf)
-			s.Attr = a
-			s.setTopic(l.Attr(a).Topic)
-			o.leafOf[a] = s.ID
-			idMap[es.ID] = s.ID
-		case "tag":
-			if len(es.Tags) != 1 {
-				return nil, fmt.Errorf("core: import tag state %d has %d tags", es.ID, len(es.Tags))
-			}
-			s := o.newState(KindTag)
-			s.Tags = es.Tags
-			s.run = vector.NewRunning(l.Dim())
-			o.tagState[es.Tags[0]] = s.ID
-			idMap[es.ID] = s.ID
-		case "interior":
-			s := o.newInterior()
-			idMap[es.ID] = s.ID
-		default:
-			return nil, fmt.Errorf("core: import unknown state kind %q", es.Kind)
-		}
-	}
-
-	// Second pass: link children bottom-up so domain propagation sees
-	// complete child domains. Order: leaves have no children; tag
-	// states link leaves; interiors link in reverse topological order.
-	// Simplest correct order: link tag states first, then interiors in
-	// an order where every child is already fully linked — obtained by
-	// processing states by their maximum distance to a leaf.
-	depth := make(map[int]int, len(ex.States))
-	byID := make(map[int]ExportedState, len(ex.States))
-	for _, es := range ex.States {
-		byID[es.ID] = es
-	}
-	var depthOf func(id int, seen map[int]bool) (int, error)
-	depthOf = func(id int, seen map[int]bool) (int, error) {
-		if d, ok := depth[id]; ok {
-			return d, nil
-		}
-		if seen[id] {
-			return 0, fmt.Errorf("core: import cycle through state %d", id)
-		}
-		seen[id] = true
-		defer delete(seen, id)
-		es, ok := byID[id]
+// addState appends the next stored state with a fresh dense ID. name is
+// a leaf's qualified attribute name or a tag state's tag; interiors
+// ignore it. No topic is set: the caller derives or installs it.
+func (r *rebuild) addState(k Kind, name string) (*State, error) {
+	o := r.o
+	switch k {
+	case KindLeaf:
+		a, ok := r.attrOf[name]
 		if !ok {
-			return 0, fmt.Errorf("core: import references unknown state %d", id)
+			return nil, fmt.Errorf("core: rebuild references unknown attribute %q", name)
 		}
-		max := 0
-		for _, c := range es.Children {
-			d, err := depthOf(c, seen)
-			if err != nil {
-				return 0, err
-			}
-			if d+1 > max {
-				max = d + 1
-			}
-		}
-		depth[id] = max
-		return max, nil
+		s := o.newState(KindLeaf)
+		s.Attr = a
+		o.leafOf[a] = s.ID
+		return s, nil
+	case KindTag:
+		s := o.newState(KindTag)
+		s.Tags = []string{name}
+		s.run = vector.NewRunning(o.Lake.Dim())
+		o.tagState[name] = s.ID
+		return s, nil
+	case KindInterior:
+		return o.newInterior(), nil
 	}
-	order := make([]ExportedState, 0, len(ex.States))
-	for _, es := range ex.States {
-		if _, err := depthOf(es.ID, map[int]bool{}); err != nil {
-			return nil, err
-		}
-		order = append(order, es)
-	}
-	// Sort by depth ascending (children before parents).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && depth[order[j].ID] < depth[order[j-1].ID]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, es := range order {
-		parent := idMap[es.ID]
-		for _, c := range es.Children {
-			child, ok := idMap[c]
-			if !ok {
-				return nil, fmt.Errorf("core: import state %d references unknown child %d", es.ID, c)
-			}
-			o.linkChild(parent, child)
-		}
-	}
+	return nil, fmt.Errorf("core: rebuild state %d has unknown kind %d", len(o.States), int(k))
+}
 
-	// Resolve the root and the organized attribute set.
-	root, ok := idMap[ex.Root]
-	if !ok {
-		return nil, fmt.Errorf("core: import root %d not among states", ex.Root)
-	}
+// finish roots the linked organization, indexes its attributes, and
+// validates it.
+func (r *rebuild) finish(root StateID) (*Org, error) {
+	o := r.o
 	o.Root = root
 	o.attrs = o.States[root].Domain()
 	o.buildAttrIndex()
-
 	if err := o.Validate(); err != nil {
-		return nil, fmt.Errorf("core: import produced invalid organization: %w", err)
+		return nil, fmt.Errorf("core: rebuild produced invalid organization: %w", err)
 	}
 	return o, nil
 }
 
-// ReadOrg deserializes an organization encoded as JSON from Export and
-// reattaches it to the lake.
-//
-//lakelint:ignore deadexport -- JSON organization decoder kept behind FuzzReadOrg
-func ReadOrg(l *lake.Lake, r io.Reader) (*Org, error) {
-	var ex ExportedOrg
-	if err := json.NewDecoder(r).Decode(&ex); err != nil {
-		return nil, fmt.Errorf("core: import decode: %w", err)
+// linkOrder returns the order a stored organization's states link their
+// children in: ascending max-distance-to-leaf, stored order breaking
+// ties, so every child is fully linked before any parent. childRefs(i)
+// is state i's children as dense refs. A ref outside [0, n) or a cycle
+// is an error, found here rather than by Validate's Topo.
+func linkOrder(n int, childRefs func(int) []uint32) ([]int, error) {
+	parents := make([][]int32, n)
+	remaining := make([]int, n)
+	for i := 0; i < n; i++ {
+		cs := childRefs(i)
+		for _, ref := range cs {
+			if ref >= uint32(n) {
+				return nil, fmt.Errorf("core: state %d child ref %d out of range", i, ref)
+			}
+			parents[ref] = append(parents[ref], int32(i))
+		}
+		remaining[i] = len(cs)
 	}
-	return Import(l, &ex)
+
+	// Max-distance-to-leaf per state, Kahn-style so a cycle is detected.
+	depth := make([]int, n)
+	queue := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if remaining[i] == 0 {
+			queue = append(queue, i)
+		}
+	}
+	processed := 0
+	for len(queue) > 0 {
+		i := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		processed++
+		for _, p := range parents[i] {
+			if depth[i]+1 > depth[p] {
+				depth[p] = depth[i] + 1
+			}
+			remaining[p]--
+			if remaining[p] == 0 {
+				queue = append(queue, int(p))
+			}
+		}
+	}
+	if processed != n {
+		return nil, fmt.Errorf("core: edge cycle (%d of %d states ordered)", processed, n)
+	}
+
+	// Stable counting sort by depth: stored order is the tie-break.
+	maxd := 0
+	for _, d := range depth {
+		if d > maxd {
+			maxd = d
+		}
+	}
+	pos := make([]int, maxd+2)
+	for _, d := range depth {
+		pos[d+1]++
+	}
+	for d := 1; d < len(pos); d++ {
+		pos[d] += pos[d-1]
+	}
+	order := make([]int, n)
+	for i := 0; i < n; i++ {
+		order[pos[depth[i]]] = i
+		pos[depth[i]]++
+	}
+	return order, nil
 }

@@ -20,11 +20,7 @@ func TestImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := writeOrgJSON(o, &buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadOrg(o.Lake, &buf)
+	got, err := Import(o.Lake, o.Export())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +47,31 @@ func TestImportRoundTrip(t *testing.T) {
 	}
 }
 
+// The organization decoder reads only full-flavor binary containers:
+// garbage, a JSON export, and a structural (checkpoint-embedded)
+// container are all rejected.
 func TestImportRejectsGarbage(t *testing.T) {
 	o := clusteredOrg(t)
-	if _, err := ReadOrg(o.Lake, bytes.NewReader([]byte("{nope"))); err == nil {
+	if _, err := DecodeBinOrg(o.Lake, []byte("{nope")); err == nil {
 		t.Error("garbage accepted")
+	}
+	var buf bytes.Buffer
+	if err := writeOrgJSON(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBinOrg(o.Lake, buf.Bytes()); err == nil {
+		t.Error("JSON export accepted")
+	}
+	w, err := encodeBinExportedOrg(o.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	structural, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBinOrg(o.Lake, structural); err == nil {
+		t.Error("structural container accepted at top level")
 	}
 }
 
@@ -97,11 +114,33 @@ func TestImportValidation(t *testing.T) {
 	}
 
 	// Bad gamma.
-	bad4 := *base
-	bad4.Gamma = 0
-	if _, err := Import(o.Lake, &bad4); err == nil {
-		t.Error("zero gamma accepted")
+	for _, g := range []float64{0, math.NaN()} {
+		bad4 := *base
+		bad4.Gamma = g
+		if _, err := Import(o.Lake, &bad4); err == nil {
+			t.Errorf("gamma %v accepted", g)
+		}
 	}
+
+	// Unknown kind, dangling child, duplicate state id.
+	mutate := func(name string, f func(states []ExportedState)) {
+		bad := *base
+		bad.States = append([]ExportedState(nil), base.States...)
+		f(bad.States)
+		if _, err := Import(o.Lake, &bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	mutate("unknown kind", func(s []ExportedState) { s[0].Kind = "wormhole" })
+	mutate("dangling child", func(s []ExportedState) {
+		for i := range s {
+			if s[i].Kind == "interior" {
+				s[i].Children = append(append([]int(nil), s[i].Children...), 99999)
+				return
+			}
+		}
+	})
+	mutate("duplicate state id", func(s []ExportedState) { s[1].ID = s[0].ID })
 }
 
 func TestImportNeedsTopics(t *testing.T) {

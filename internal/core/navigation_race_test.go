@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 )
@@ -43,7 +42,7 @@ func TestConcurrentEffectivenessNoRace(t *testing.T) {
 }
 
 // The attribute index must be ready on every construction funnel: a
-// built organization and a JSON-imported one both answer TableProb
+// built organization and an imported one both answer TableProb
 // without touching a lazy initializer.
 func TestAttrIndexPrecomputedOnImport(t *testing.T) {
 	l := testLake(t)
@@ -51,11 +50,7 @@ func TestAttrIndexPrecomputedOnImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := writeOrgJSON(o, &buf); err != nil {
-		t.Fatal(err)
-	}
-	imported, err := ReadOrg(l, &buf)
+	imported, err := Import(l, o.Export())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -39,18 +40,27 @@ func (c CoverageStats) TokenCoverage() float64 {
 // operates on single words, as fastText does in the paper, and open
 // data values are short strings, so nothing subtler is needed.
 type Tokens struct {
-	buf  []byte
-	ends []int // ends[i] is the end offset of token i in buf
+	value  string // the value last split
+	buf    []byte
+	spans  []tokenSpan
+	folded bool // lower-casing changed some token's bytes
 }
+
+// tokenSpan locates one token by its end offset in buf and its start
+// offset in the split value. An unfolded token's bytes in buf equal its
+// bytes in the value (a valid, already lower-case rune re-encodes to
+// itself).
+type tokenSpan struct{ end, from int }
 
 // Split replaces the held tokens with those of value. Once the buffer
 // has grown to fit a value, splitting it again allocates nothing.
 func (t *Tokens) Split(value string) {
 	if t.buf == nil {
 		t.buf = make([]byte, 0, len(value)) // lower-casing keeps most lengths
+		t.spans = make([]tokenSpan, 0, 8)   // values and queries are a few words
 	}
-	t.buf, t.ends = t.buf[:0], t.ends[:0]
-	start, digits := 0, true // the open token is buf[start:]
+	t.value, t.buf, t.spans, t.folded = value, t.buf[:0], t.spans[:0], false
+	start, from, digits := 0, 0, true // the open token is buf[start:], from value[from:]
 	for i := 0; i < len(value); {
 		c := value[i]
 		if c < utf8.RuneSelf {
@@ -60,10 +70,10 @@ func (t *Tokens) Split(value string) {
 				digits = false
 			case 'A' <= c && c <= 'Z':
 				c += 'a' - 'A'
-				digits = false
+				digits, t.folded = false, true
 			case '0' <= c && c <= '9':
 			default:
-				start, digits = t.end(start, digits), true
+				start, from, digits = t.end(start, from, digits), i, true
 				continue
 			}
 			t.buf = append(t.buf, c)
@@ -76,48 +86,77 @@ func (t *Tokens) Split(value string) {
 		case unicode.IsLetter(r):
 			digits = false
 		default:
-			start, digits = t.end(start, digits), true
+			start, from, digits = t.end(start, from, digits), i, true
 			continue
 		}
-		t.buf = utf8.AppendRune(t.buf, unicode.ToLower(r))
+		if lr := unicode.ToLower(r); lr != r {
+			r, t.folded = lr, true
+		}
+		t.buf = utf8.AppendRune(t.buf, r)
 	}
-	t.end(start, digits)
+	t.end(start, from, digits)
 }
 
 // end closes the token open at buf[start:], dropping it if it is all
 // digits (or empty), and returns where the next token starts.
-func (t *Tokens) end(start int, digits bool) int {
+func (t *Tokens) end(start, from int, digits bool) int {
 	if digits {
 		t.buf = t.buf[:start]
 		return start
 	}
-	t.ends = append(t.ends, len(t.buf))
+	t.spans = append(t.spans, tokenSpan{end: len(t.buf), from: from})
 	return len(t.buf)
 }
 
 // Len returns the number of tokens held.
-func (t *Tokens) Len() int { return len(t.ends) }
+func (t *Tokens) Len() int { return len(t.spans) }
 
 // At returns token i. The bytes alias the buffer: they are valid until
 // the next Split, and string(t.At(i)) copies them.
 func (t *Tokens) At(i int) []byte {
-	start := 0
-	if i > 0 {
-		start = t.ends[i-1]
-	}
-	return t.buf[start:t.ends[i]]
+	return t.buf[t.start(i):t.spans[i].end]
 }
 
-// Strings returns a copy of the held tokens as strings, which share one
-// allocation.
-func (t *Tokens) Strings() []string {
-	all := string(t.buf)
-	out := make([]string, len(t.ends))
-	start := 0
-	for i, end := range t.ends {
-		out[i] = all[start:end]
-		start = end
+func (t *Tokens) start(i int) int {
+	if i == 0 {
+		return 0
 	}
+	return t.spans[i-1].end
+}
+
+// Strings returns the held tokens as strings that outlive the next
+// Split. When lower-casing changed nothing they are substrings of the
+// split value and only the slice is allocated; otherwise they share one
+// copy of the buffer.
+func (t *Tokens) Strings() []string {
+	out := make([]string, len(t.spans))
+	if !t.folded {
+		for i, sp := range t.spans {
+			out[i] = t.value[sp.from : sp.from+sp.end-t.start(i)]
+		}
+		return out
+	}
+	all := string(t.buf)
+	for i, sp := range t.spans {
+		out[i] = all[t.start(i):sp.end]
+	}
+	return out
+}
+
+// tokenPool recycles the Tokens of Words, so splitting a query reuses
+// buffers instead of growing fresh ones.
+var tokenPool = sync.Pool{New: func() any { return new(Tokens) }}
+
+// Words returns the tokens of one value as strings, split as Tokens
+// splits it: the query-side tokenizer of MeanVector and keyword search.
+// It allocates only the returned slice when the value is already
+// lower-case.
+func Words(value string) []string {
+	t := tokenPool.Get().(*Tokens)
+	t.Split(value)
+	out := t.Strings()
+	t.value = "" // the pool keeps no caller string alive
+	tokenPool.Put(t)
 	return out
 }
 
@@ -128,10 +167,8 @@ func (t *Tokens) Strings() []string {
 func MeanVector(m Model, values []string) (vector.Vector, CoverageStats, bool) {
 	run := vector.NewRunning(m.Dim())
 	var stats CoverageStats
-	var toks Tokens
 	for _, val := range values {
-		toks.Split(val)
-		AddValue(run, &stats, toks.Strings(), m.Lookup)
+		AddValue(run, &stats, Words(val), m.Lookup)
 	}
 	mean, ok := run.Mean()
 	return mean, stats, ok

@@ -101,6 +101,11 @@ func FuzzTokens(f *testing.F) {
 	var toks Tokens
 	f.Fuzz(func(t *testing.T, in string) {
 		got, want := split(&toks, in), referenceTokenize(in)
+		for i, tok := range got {
+			if string(toks.At(i)) != tok {
+				t.Fatalf("Split(%q): At(%d) = %q, Strings()[%d] = %q", in, i, toks.At(i), i, tok)
+			}
+		}
 		if len(got) == 0 && len(want) == 0 {
 			return
 		}
@@ -184,6 +189,30 @@ func TestMeanVectorMultiTokenValue(t *testing.T) {
 	}
 	if stats.Values != 1 || stats.Embedded != 1 || stats.Tokens != 2 || stats.EmbeddedTokens != 2 {
 		t.Errorf("stats = %+v", stats)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestMeanVectorQueryAllocs pins the query path's allocations: a
+// two-word lower-case query costs the accumulator, the mean, and the
+// token slice — the tokens are substrings of the query and the split
+// buffers come from tokenPool.
+func TestMeanVectorQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	s := NewStore(2)
+	s.Add("pacific", vector.Vector{1, 0})
+	s.Add("salmon", vector.Vector{0, 1})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := MeanVector(s, []string{"pacific salmon"}); !ok {
+			t.Fatal("query not embedded")
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("2-word MeanVector allocated %.1f times per run, want <= 3", allocs)
 	}
 }
 

@@ -65,13 +65,6 @@ func (x *Index) Add(doc Doc, fields ...string) int {
 	return idx
 }
 
-// tokens returns the tokens of a query, tokenized as documents are.
-func tokens(query string) []string {
-	var toks embedding.Tokens
-	toks.Split(query)
-	return toks.Strings()
-}
-
 // Result is one ranked hit.
 type Result struct {
 	Doc   Doc
@@ -90,7 +83,7 @@ type weightedTerm struct {
 // reproducibility.
 func (x *Index) Search(query string, k int) []Result {
 	terms := make([]weightedTerm, 0, 8)
-	for _, tok := range tokens(query) {
+	for _, tok := range embedding.Words(query) { // tokenized as documents are
 		terms = append(terms, weightedTerm{tok, 1})
 	}
 	return x.search(terms, k)
@@ -104,7 +97,7 @@ func (x *Index) Search(query string, k int) []Result {
 func (x *Index) SearchExpanded(query string, k int, store *embedding.Store, expand int, weight float64) []Result {
 	seen := make(map[string]bool)
 	var terms []weightedTerm
-	for _, tok := range tokens(query) {
+	for _, tok := range embedding.Words(query) {
 		if !seen[tok] {
 			seen[tok] = true
 			terms = append(terms, weightedTerm{tok, 1})

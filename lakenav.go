@@ -677,7 +677,8 @@ func (h *Hybrid) RelatedQueries(j HybridJump, n int) ([]string, error) {
 type Format string
 
 const (
-	// FormatJSON is the human-readable debug/export format.
+	// FormatJSON is the human-readable export format. Lakes load back
+	// from it; organizations do not (LoadOrganization reads FormatBin).
 	FormatJSON Format = "json"
 	// FormatBin is the versioned binary container format (CRC-guarded
 	// sections, flat vector blocks, mmap-friendly) — the cold-start
@@ -695,12 +696,11 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// SaveJSON persists the organization's structure to path. Reloading
-// with LoadOrganization over the same lake reproduces the exact same
-// navigation behaviour without re-running the construction search —
-// the cold-start path for navigation services. The write is atomic
-// (temp file + fsync + rename): a crash mid-save leaves either the old
-// organization or the new one, never a torn file.
+// SaveJSON exports the organization's structure to path as indented
+// JSON, for people and other tools. It is not a load format: services
+// cold-start from Save(path, FormatBin). The write is atomic (temp
+// file + fsync + rename): a crash mid-save leaves either the old file
+// or the new one, never a torn file.
 func (o *Organization) SaveJSON(path string) error {
 	err := atomicio.WriteFile(path, func(w io.Writer) error {
 		return o.m.WriteJSON(w)
@@ -711,12 +711,13 @@ func (o *Organization) SaveJSON(path string) error {
 	return nil
 }
 
-// Save persists the organization to path in the given format. JSON
-// stores structure only (topics re-derive from the lake on load);
-// binary stores the topic vectors, accumulators, and domains verbatim,
-// so loading is a bulk copy instead of a propagation pass — both
-// decode to bit-identical organizations over the same lake. Writes are
-// atomic in either format.
+// Save persists the organization to path in the given format. Binary
+// stores the topic vectors, accumulators, and domains verbatim, so
+// LoadOrganization over the same lake is a bulk copy that reproduces
+// the exact navigation behaviour without re-running the construction
+// search — the cold-start path for navigation services. JSON is the
+// structure-only export (see SaveJSON). Writes are atomic in either
+// format.
 func (o *Organization) Save(path string, f Format) error {
 	switch f {
 	case FormatJSON:
@@ -731,9 +732,9 @@ func (o *Organization) Save(path string, f Format) error {
 	}
 }
 
-// LoadOrganization reads an organization saved with Save (either
-// format, sniffed by magic) and reattaches it to the lake it was built
-// over.
+// LoadOrganization reads an organization saved with Save(path,
+// FormatBin) and reattaches it to the lake it was built over. A JSON
+// export is rejected with an error saying so.
 func LoadOrganization(l *Lake, path string) (*Organization, error) {
 	l.ensureTopics()
 	m, err := core.LoadMultiDim(l.l, path)
@@ -746,8 +747,8 @@ func LoadOrganization(l *Lake, path string) (*Organization, error) {
 // Fingerprint returns a hex hash of every bit of semantic state the
 // organization carries — structure, edge order, topic vector bits,
 // accumulator bits, domains. Two organizations with equal fingerprints
-// navigate and optimize identically; the cold-start gate uses it to
-// prove the binary format decodes bit-identical to the JSON path.
+// navigate and optimize identically; the cold-start gate compares it
+// across saves and loads of one organization.
 func (o *Organization) Fingerprint() string {
 	return fmt.Sprintf("%016x", o.m.Fingerprint())
 }

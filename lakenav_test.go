@@ -304,8 +304,8 @@ func TestOrganizationSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "org.json")
-	if err := org.SaveJSON(path); err != nil {
+	path := filepath.Join(t.TempDir(), "org.bin")
+	if err := org.Save(path, FormatBin); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadOrganization(l, path)
@@ -326,8 +326,29 @@ func TestOrganizationSaveLoad(t *testing.T) {
 			t.Fatalf("walk step %d: %q vs %q", i, a[i], b[i])
 		}
 	}
-	if _, err := LoadOrganization(l, filepath.Join(t.TempDir(), "none.json")); err == nil {
+	if _, err := LoadOrganization(l, filepath.Join(t.TempDir(), "none.bin")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// The JSON organization is an export, not a load format: handing one
+// to LoadOrganization fails with an error that says so.
+func TestLoadOrganizationRejectsJSON(t *testing.T) {
+	l := demoLake()
+	org, err := Organize(l, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "org.json")
+	if err := org.Save(path, FormatJSON); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadOrganization(l, path)
+	if err == nil {
+		t.Fatal("JSON organization loaded")
+	}
+	if !strings.Contains(err.Error(), "not a binary organization") {
+		t.Errorf("error %q does not say the file is not a binary organization", err)
 	}
 }
 

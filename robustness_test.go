@@ -70,8 +70,10 @@ func TestLoadJSONCorruptInputs(t *testing.T) {
 	}
 }
 
-// Corrupt organization files — including structurally poisoned ones a
-// JSON decoder happily accepts — must fail LoadOrganization cleanly.
+// Corrupt organization files — including structurally poisoned JSON
+// a JSON decoder would happily accept — must fail LoadOrganization
+// cleanly. Import rejects the same poisons on its own
+// (core.TestImportValidation).
 func TestLoadOrganizationCorruptInputs(t *testing.T) {
 	dir := t.TempDir()
 	l := demoLake()
@@ -80,7 +82,7 @@ func TestLoadOrganizationCorruptInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := filepath.Join(dir, "good.org")
-	if err := org.SaveJSON(good); err != nil {
+	if err := org.Save(good, FormatBin); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadOrganization(l, good); err != nil {
@@ -132,12 +134,16 @@ func TestAtomicSavesLeaveNoTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	lakePath := filepath.Join(dir, "lake.json")
-	orgPath := filepath.Join(dir, "org.json")
+	orgPath := filepath.Join(dir, "org.bin")
+	exportPath := filepath.Join(dir, "org.json")
 	for i := 0; i < 2; i++ { // second round overwrites
 		if err := l.SaveJSON(lakePath); err != nil {
 			t.Fatal(err)
 		}
-		if err := org.SaveJSON(orgPath); err != nil {
+		if err := org.Save(orgPath, FormatBin); err != nil {
+			t.Fatal(err)
+		}
+		if err := org.SaveJSON(exportPath); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,8 +156,8 @@ func TestAtomicSavesLeaveNoTempFiles(t *testing.T) {
 			t.Errorf("temp file left behind: %s", e.Name())
 		}
 	}
-	if len(entries) != 2 {
-		t.Errorf("directory has %d entries, want 2", len(entries))
+	if len(entries) != 3 {
+		t.Errorf("directory has %d entries, want 3", len(entries))
 	}
 	if _, err := LoadOrganization(l, orgPath); err != nil {
 		t.Fatal(err)
@@ -266,7 +272,7 @@ func FuzzLoadOrganization(f *testing.F) {
 		f.Fatal(err)
 	}
 	good := filepath.Join(dir, "seed.org")
-	if err := org.SaveJSON(good); err != nil {
+	if err := org.Save(good, FormatBin); err != nil {
 		f.Fatal(err)
 	}
 	seed, err := os.ReadFile(good)

@@ -47,16 +47,16 @@ go build -race -o "$WORK/navserver" ./cmd/navserver
 echo "==> generating and organizing a quick socrata lake (seed $SEED)"
 "$WORK/lakenav" gen -kind socrata -quick -seed "$SEED" -out "$WORK/lake.json"
 "$WORK/lakenav" organize -lake "$WORK/lake.json" -no-opt -seed "$SEED" \
-	-export "$WORK/org.json" >"$ART/organize.log"
+	-export "$WORK/org.bin" >"$ART/organize.log"
 
 JOURNAL="$WORK/journal.wal"
 ingest() {
-	"$WORK/lakenav" ingest -lake "$WORK/lake.json" -org "$WORK/org.json" \
+	"$WORK/lakenav" ingest -lake "$WORK/lake.json" -org "$WORK/org.bin" \
 		-journal "$JOURNAL" "$@"
 }
 
 echo "==> starting navserver in journal mode on 127.0.0.1:$PORT"
-"$WORK/navserver" -lake "$WORK/lake.json" -org "$WORK/org.json" \
+"$WORK/navserver" -lake "$WORK/lake.json" -org "$WORK/org.bin" \
 	-journal "$JOURNAL" -poll 100ms -generations 4 \
 	-addr "127.0.0.1:$PORT" >"$ART/navserver.log" 2>&1 &
 SERVER_PID=$!

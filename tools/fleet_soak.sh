@@ -67,13 +67,13 @@ go build -o "$WORK/lakeload" ./cmd/lakeload
 echo "==> generating and organizing a quick socrata lake (seed $SEED)"
 "$WORK/lakenav" gen -kind socrata -quick -seed "$SEED" -out "$WORK/lake.json"
 "$WORK/lakenav" organize -lake "$WORK/lake.json" -no-opt -seed "$SEED" \
-	-export "$WORK/org.json" >"$ART/organize.log"
+	-export "$WORK/org.bin" >"$ART/organize.log"
 
 # Every shard serves the same prebuilt organization: the fleet is a
 # replica set, which is what makes the coordinator's merged answers
 # bit-comparable to any single shard's.
 start_shard() { # id port logfile
-	"$WORK/navserver" -lake "$WORK/lake.json" -org "$WORK/org.json" \
+	"$WORK/navserver" -lake "$WORK/lake.json" -org "$WORK/org.bin" \
 		-shard-id "$1" -addr "127.0.0.1:$2" >"$3" 2>&1 &
 }
 wait_ready() { # base what

@@ -44,10 +44,10 @@ go build -o "$WORK/lakeload" ./cmd/lakeload
 echo "==> generating and organizing a quick socrata lake (seed $SEED)"
 "$WORK/lakenav" gen -kind socrata -quick -seed "$SEED" -out "$WORK/lake.json"
 "$WORK/lakenav" organize -lake "$WORK/lake.json" -no-opt -seed "$SEED" \
-	-export "$WORK/org.json" >"$ART/organize.log"
+	-export "$WORK/org.bin" >"$ART/organize.log"
 
 echo "==> starting navserver on 127.0.0.1:$PORT"
-"$WORK/navserver" -lake "$WORK/lake.json" -org "$WORK/org.json" \
+"$WORK/navserver" -lake "$WORK/lake.json" -org "$WORK/org.bin" \
 	-addr "127.0.0.1:$PORT" >"$ART/navserver.log" 2>&1 &
 SERVER_PID=$!
 

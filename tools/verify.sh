@@ -41,9 +41,10 @@ stage "lakelint ." lakelint_run
 stage "go test -race ./..." go test -race ./...
 
 # Fuzz smoke: a few seconds of coverage-guided input on the decode
-# surfaces that accept untrusted bytes (organization import — JSON and
-# binfmt container — binfmt checkpoint resume, journal recovery, the
-# HTTP batch body decoder, lakelint's directive parser, the lake JSON
+# surfaces that accept untrusted bytes (the structural org container
+# a checkpoint embeds, rebuilt through Import; the full binfmt org
+# container; binfmt checkpoint resume; journal recovery; the HTTP
+# batch body decoder; lakelint's directive parser; the lake JSON
 # decoder and the value tokenizer, each of the last two against the
 # code it replaced). -fuzzminimizetime is capped
 # because the default 60s-per-input minimization starves short windows
