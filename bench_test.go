@@ -10,8 +10,10 @@ package lakenav
 //	go test -bench=. -benchmem
 
 import (
+	"context"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"lakenav/internal/cluster"
@@ -318,6 +320,47 @@ func BenchmarkIncrementalReevaluate(b *testing.B) {
 		ev.Reevaluate(cs)
 		org.Undo(u)
 		ev.Rollback()
+	}
+}
+
+// BenchmarkOrganizeSocrata10Dim times one construction of the lakebench
+// build workload's shape: LoadJSON of the default 750-table Socrata
+// lake and OrganizeContext into 10 dimensions with 150 proposals per
+// dimension. It needs no server, so -cpuprofile and -memprofile see
+// construction alone:
+//
+//	go test -run '^$' -bench OrganizeSocrata10Dim -benchtime 20x -cpuprofile cpu.out
+func BenchmarkOrganizeSocrata10Dim(b *testing.B) {
+	soc, err := synth.GenerateSocrata(synth.DefaultSocrataConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := NewLake()
+	for _, t := range soc.Lake.Tables {
+		cols := make([]Column, len(t.Attrs))
+		for c, id := range t.Attrs {
+			a := soc.Lake.Attr(id)
+			cols[c] = Column{Name: a.Name, Values: a.Values}
+		}
+		l.AddTable(t.Name, t.Tags, cols...)
+	}
+	path := filepath.Join(b.TempDir(), "lake.json")
+	if err := l.Save(path, FormatJSON); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Dimensions = 10
+	cfg.MaxIterations = 150
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		built, err := LoadJSON(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := OrganizeContext(context.Background(), built, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

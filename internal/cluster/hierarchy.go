@@ -8,7 +8,9 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 
+	"lakenav/internal/parallel"
 	"lakenav/vector"
 )
 
@@ -63,17 +65,48 @@ func (d *Dendrogram) Root() int {
 }
 
 // CosineDistances builds the condensed pairwise distance matrix
-// 1 − cosine(vi, vj) for the given vectors.
+// 1 − cosine(vi, vj) for the given vectors. Each vector's norm is
+// computed once, so a pair costs one Dot (vector.CosineNorms, bit for
+// bit what vector.Cosine returns). Above cosineForkFloor pairs per
+// worker the rows are filled on up to GOMAXPROCS goroutines; every
+// cell is computed the same way whichever goroutine fills it, so the
+// matrix does not depend on the worker count.
 func CosineDistances(vs []vector.Vector) *DistMatrix {
 	n := len(vs)
 	m := NewDistMatrix(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, 1-vector.Cosine(vs[i], vs[j]))
+	norms := make([]float64, n)
+	for i, v := range vs {
+		norms[i] = vector.Norm(v)
+	}
+	row := func(i int) {
+		vi, ni := vs[i], norms[i]
+		cells := m.data[m.rowStart(i) : m.rowStart(i)+n-1-i]
+		for k := range cells {
+			j := i + 1 + k
+			cells[k] = 1 - vector.CosineNorms(vi, vs[j], ni, norms[j])
 		}
 	}
+	// Task k fills row k (n−1−k pairs) and row n−1−k (k pairs): every
+	// task is n−1 pairs, so contiguous chunks of tasks are balanced.
+	// Each task writes only its own rows' cells.
+	workers := parallel.Workers(len(m.data), cosineForkFloor, runtime.GOMAXPROCS(0))
+	parallel.For((n+1)/2, workers, func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			row(k)
+			if k != n-1-k {
+				row(n - 1 - k)
+			}
+		}
+	})
 	return m
 }
+
+// cosineForkFloor is the number of pairs each goroutine of
+// CosineDistances must have to fill before the matrix forks. The
+// k-medoids grouping of a lake's tags (hundreds of tags, 10⁵ pairs)
+// forks; the per-dimension initial clusterings, which already run
+// side by side in the dimension pool, stay serial.
+const cosineForkFloor = 1 << 14
 
 // DistMatrix is a symmetric n×n distance matrix with zero diagonal,
 // stored condensed.
@@ -98,7 +131,13 @@ func (m *DistMatrix) idx(i, j int) int {
 		i, j = j, i
 	}
 	// Row-major condensed upper triangle.
-	return i*(2*m.n-i-1)/2 + (j - i - 1)
+	return m.rowStart(i) + (j - i - 1)
+}
+
+// rowStart returns the index of cell (i, i+1), where row i's n−1−i
+// cells start.
+func (m *DistMatrix) rowStart(i int) int {
+	return i * (2*m.n - i - 1) / 2
 }
 
 // Get returns the distance between items i and j (0 when i == j).

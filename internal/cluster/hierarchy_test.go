@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -44,6 +45,44 @@ func TestCosineDistances(t *testing.T) {
 	}
 	if got := m.Get(0, 2); math.Abs(got) > 1e-12 {
 		t.Errorf("identical distance = %v, want 0", got)
+	}
+}
+
+// TestCosineDistancesMatchesNaive checks the one-Dot, row-parallel
+// matrix against 1 − vector.Cosine bit for bit, for sizes that stay
+// serial and sizes that fork (400 items is 79,800 pairs, enough for
+// four goroutines), under several GOMAXPROCS settings. A zero vector
+// covers the zero-norm branch.
+func TestCosineDistancesMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, n := range []int{0, 1, 2, 3, 8, 301, 400} {
+				vs := make([]vector.Vector, n)
+				for i := range vs {
+					vs[i] = vector.New(6)
+					if i == 1 {
+						continue
+					}
+					for k := range vs[i] {
+						vs[i][k] = rng.NormFloat64()
+					}
+				}
+				m := CosineDistances(vs)
+				if m.N() != n || len(m.data) != n*(n-1)/2 {
+					t.Fatalf("GOMAXPROCS %d n %d: matrix over %d items with %d cells", procs, n, m.N(), len(m.data))
+				}
+				for i := 0; i < n; i++ {
+					for j := i + 1; j < n; j++ {
+						want := 1 - vector.Cosine(vs[i], vs[j])
+						if got := m.Get(i, j); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("GOMAXPROCS %d n %d: d(%d,%d) = %v, naive %v", procs, n, i, j, got, want)
+						}
+					}
+				}
+			}
+		}()
 	}
 }
 

@@ -15,6 +15,16 @@ import "fmt"
 // and evaluator construction warm Topo, which warms this, and
 // Reevaluate calls adjacency() itself.
 //
+// A snapshot is valid until the next structural change of its Org.
+// invalidate() keeps the dropped snapshot as spare storage and the
+// next adjacency() rebuilds into its arrays, so the search loop's
+// apply → sweep → undo cycle allocates nothing once the arrays have
+// grown to the organization's size. Every reader therefore fetches the
+// snapshot after the change it sweeps and holds it for one call, never
+// across an operation or an Undo. Between structural changes the
+// snapshot is read-only, which is what //lakelint:immutable enforces:
+// adjacency() is its only constructor.
+//
 //lakelint:immutable
 type adjSnapshot struct {
 	childStart  []int32 // len(States)+1 offsets into children
@@ -37,40 +47,58 @@ func (a *adjSnapshot) parentsOf(id StateID) []int32 {
 }
 
 // adjacency returns the cached CSR snapshot, rebuilding it if a
-// structural change dropped it.
+// structural change dropped it. The rebuild reuses the spare
+// snapshot's arrays and allocates only when the organization has
+// outgrown them.
 func (o *Org) adjacency() *adjSnapshot {
 	if o.adj != nil {
 		return o.adj
 	}
-	n := len(o.States)
-	a := &adjSnapshot{
-		childStart:  make([]int32, n+1),
-		parentStart: make([]int32, n+1),
-		kinds:       make([]uint8, n),
+	a := o.spareAdj
+	o.spareAdj = nil
+	if a == nil {
+		a = &adjSnapshot{}
 	}
+	n := len(o.States)
 	nc, np := 0, 0
 	for _, s := range o.States {
 		nc += len(s.Children)
 		np += len(s.Parents)
 	}
-	a.children = make([]int32, 0, nc)
-	a.parents = make([]int32, 0, np)
+	a.childStart = resized(a.childStart, n+1)
+	a.parentStart = resized(a.parentStart, n+1)
+	a.children = resized(a.children, nc)
+	a.parents = resized(a.parents, np)
+	a.kinds = resized(a.kinds, n)
+	a.maxChildren = 0
+	ci, pi := int32(0), int32(0)
 	for i, s := range o.States {
 		a.kinds[i] = uint8(s.Kind)
 		for _, c := range s.Children {
-			a.children = append(a.children, int32(c))
+			a.children[ci] = int32(c)
+			ci++
 		}
 		for _, p := range s.Parents {
-			a.parents = append(a.parents, int32(p))
+			a.parents[pi] = int32(p)
+			pi++
 		}
-		a.childStart[i+1] = int32(len(a.children))
-		a.parentStart[i+1] = int32(len(a.parents))
+		a.childStart[i+1] = ci
+		a.parentStart[i+1] = pi
 		if len(s.Children) > a.maxChildren {
 			a.maxChildren = len(s.Children)
 		}
 	}
 	o.adj = a
 	return a
+}
+
+// resized returns s cut to length n, reallocated only when its
+// capacity falls short. The contents are not preserved.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Topo returns a topological order over all live states reachable from

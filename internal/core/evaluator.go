@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"lakenav/internal/lake"
+	"lakenav/internal/parallel"
 	"lakenav/vector"
 )
 
@@ -253,7 +254,7 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 	// would race.
 	org.Topo()
 	adj := org.adjacency()
-	wk := scaleWorkers(nq*ev.nStates, ev.workers)
+	wk := parallel.Workers(nq*ev.nStates, serialWorkFloor, ev.workers)
 	parallelForWorkers(nq, wk, func(w, lo, hi int) {
 		probs := make([]float64, adj.maxChildren)
 		for q := lo; q < hi; q++ {
@@ -350,7 +351,7 @@ func (ev *Evaluator) MeanReach() []float64 {
 		return out
 	}
 	inv := 1 / float64(len(ev.queries))
-	parallelFor(len(out), scaleWorkers(len(ev.queries)*len(out), ev.workers), func(lo, hi int) {
+	parallelFor(len(out), parallel.Workers(len(ev.queries)*len(out), serialWorkFloor, ev.workers), func(lo, hi int) {
 		for q := range ev.queries {
 			reach := ev.reach[q]
 			for id := lo; id < hi; id++ {
@@ -513,7 +514,7 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 		ev.savedReach = make([]float64, need)
 	}
 	ev.savedReach = ev.savedReach[:need]
-	workers := scaleWorkers(len(ev.queries)*(perQuery+1), ev.workers)
+	workers := parallel.Workers(len(ev.queries)*(perQuery+1), serialWorkFloor, ev.workers)
 	parallelForWorkers(len(ev.queries), workers, func(_, lo, hi int) {
 		for q := lo; q < hi; q++ {
 			reach := ev.reach[q]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 
 	"lakenav/internal/cluster"
@@ -231,7 +232,7 @@ func BuildMultiDimContext(ctx context.Context, l *lake.Lake, cfg MultiDimConfig)
 				}
 			}()
 		}
-		for i := range groups {
+		for _, i := range largestFirst(l, groups) {
 			work <- i
 		}
 		close(work)
@@ -252,6 +253,26 @@ func BuildMultiDimContext(ctx context.Context, l *lake.Lake, cfg MultiDimConfig)
 		}
 	}
 	return m, stats, nil
+}
+
+// largestFirst returns the dimension indices in descending order of
+// their groups' text-attribute counts (each tag's text attributes,
+// summed over the group), ties by index. The dimension pool takes them
+// in this order, so the largest searches start first and the pool does
+// not end with one worker running a large dimension alone. A
+// dimension's seed, checkpoint path and Dim stamp come from its index,
+// so the order changes when a dimension runs, not what it computes.
+func largestFirst(l *lake.Lake, groups [][]string) []int {
+	size := make([]int, len(groups))
+	order := make([]int, len(groups))
+	for i, g := range groups {
+		order[i] = i
+		for _, tag := range g {
+			size[i] += len(l.TextTagAttrs(tag))
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
+	return order
 }
 
 // resumeSearch tries to continue the search cfg describes from its

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"lakenav/internal/lake"
 	"lakenav/internal/synth"
 )
 
@@ -96,22 +97,52 @@ func TestMultiDimEffectivenessAtLeastSingleDim(t *testing.T) {
 	}
 }
 
+// TestMultiDimParallelMatchesSerial builds each lake serially (index
+// order) and on the dimension pool (largest group first) and requires
+// the same organization in every dimension. On the Socrata lake the
+// largest group is not group 0, so the pool really runs the
+// dimensions in a different order.
 func TestMultiDimParallelMatchesSerial(t *testing.T) {
 	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := &OptimizeConfig{MaxIterations: 40}
-	serial, _, err := BuildMultiDim(tc.Lake, MultiDimConfig{K: 3, Optimize: opt, Seed: 5})
+	soc, err := synth.GenerateSocrata(synth.SmallSocrataConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := BuildMultiDim(tc.Lake, MultiDimConfig{K: 3, Optimize: opt, Seed: 5, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(serial.Effectiveness()-parallel.Effectiveness()) > 1e-9 {
-		t.Errorf("parallel %v != serial %v", parallel.Effectiveness(), serial.Effectiveness())
+	for _, c := range []struct {
+		name      string
+		l         *lake.Lake
+		k         int
+		seed      int64
+		reordered bool
+	}{
+		{"tagcloud", tc.Lake, 3, 5, false},
+		{"socrata", soc.Lake, 4, 2, true},
+	} {
+		opt := &OptimizeConfig{MaxIterations: 40}
+		serial, _, err := BuildMultiDim(c.l, MultiDimConfig{K: c.k, Optimize: opt, Seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, _, err := BuildMultiDim(c.l, MultiDimConfig{K: c.k, Optimize: opt, Seed: c.seed, Parallel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.reordered {
+			if order := largestFirst(c.l, parallel.TagGroups); order[0] == 0 {
+				t.Fatalf("%s: dispatch order %v starts at group 0; want a lake whose largest group is not group 0", c.name, order)
+			}
+		}
+		if math.Abs(serial.Effectiveness()-parallel.Effectiveness()) > 1e-9 {
+			t.Errorf("%s: parallel %v != serial %v", c.name, parallel.Effectiveness(), serial.Effectiveness())
+		}
+		for i := range serial.Orgs {
+			if s, p := serial.Orgs[i].Fingerprint(), parallel.Orgs[i].Fingerprint(); s != p {
+				t.Errorf("%s: dimension %d fingerprint parallel %x != serial %x", c.name, i, p, s)
+			}
+		}
 	}
 }
 

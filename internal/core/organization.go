@@ -196,8 +196,11 @@ type Org struct {
 	// when invalidated.
 	levels []int
 	// adj caches the flattened CSR adjacency snapshot the kernels sweep
-	// (see adjacency.go); nil when invalidated.
-	adj *adjSnapshot
+	// (see adjacency.go); nil when invalidated. spareAdj is the
+	// snapshot the last invalidation dropped, whose arrays the next
+	// rebuild reuses.
+	adj      *adjSnapshot
+	spareAdj *adjSnapshot
 
 	// attrStack is scratch for domain propagation: each addSupport or
 	// removeSupport pushes the attributes whose membership it changed,
@@ -297,7 +300,10 @@ func removeID(ids []StateID, id StateID) []StateID {
 func (o *Org) invalidate() {
 	o.topo = nil
 	o.levels = nil
-	o.adj = nil
+	if o.adj != nil {
+		o.spareAdj = o.adj
+		o.adj = nil
+	}
 }
 
 // hasEdge reports whether parent → child exists.

@@ -76,18 +76,3 @@ func parallelForWorkers(n, workers int, fn func(w, lo, hi int)) {
 		metricParallelSerial.Inc()
 	}
 }
-
-// scaleWorkers sizes a worker pool to the work at hand: one worker per
-// serialWorkFloor of estimated cells, capped at the configured pool
-// size. Small jobs run serially (coarse chunks beat fine ones: a fork
-// must amortize its scheduling and cache-warmup cost over real work),
-// and each admitted worker is guaranteed at least a floor's worth.
-func scaleWorkers(work, workers int) int {
-	if work < serialWorkFloor || workers <= 1 {
-		return 1
-	}
-	if byWork := work / serialWorkFloor; byWork < workers {
-		return byWork
-	}
-	return workers
-}

@@ -22,7 +22,6 @@
 package embedding
 
 import (
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"sync"
@@ -50,22 +49,53 @@ type Model interface {
 	Dim() int
 }
 
-// wordSeed derives a stable 64-bit seed from a word and a model seed.
+// FNV-1 and FNV-1a parameters (hash/fnv), inlined so that hashing a
+// word needs neither a hash.Hash nor a []byte copy of it.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// wordSeed derives a stable 64-bit seed from a word and a model seed:
+// the word's FNV-1a hash xor the seed.
 func wordSeed(word string, seed int64) int64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(word)) // hash.Hash.Write never fails
-	return int64(h.Sum64()) ^ seed
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(word); i++ {
+		h ^= uint64(word[i])
+		h *= fnvPrime64
+	}
+	return int64(h) ^ seed
+}
+
+// coverageHash is the FNV-1 hash of word followed by the byte 0xC0,
+// the hash Hashed's coverage decision reads.
+func coverageHash(word string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(word); i++ {
+		h *= fnvPrime64
+		h ^= uint64(word[i])
+	}
+	h *= fnvPrime64
+	return h ^ 0xC0
 }
 
 // gaussianUnit fills a fresh unit vector with Gaussian components drawn
 // from rng. In high dimension such vectors are nearly orthogonal to each
-// other, matching the behaviour of embeddings of unrelated words.
+// other, matching the behaviour of embeddings of unrelated words. It
+// normalizes in place, multiplying by the same 1/‖v‖ vector.Normalize
+// does, so the bits are Normalize's without its copy.
 func gaussianUnit(rng *rand.Rand, dim int) vector.Vector {
 	v := vector.New(dim)
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
-	return vector.Normalize(v)
+	if n := vector.Norm(v); n != 0 {
+		k := 1 / n
+		for i := range v {
+			v[i] *= k
+		}
+	}
+	return v
 }
 
 // Hashed is a stateless Model that deterministically embeds any word by
@@ -101,10 +131,7 @@ func (h *Hashed) Lookup(word string) (vector.Vector, bool) {
 	if h.coverage < 1 {
 		// A second, independent hash decides coverage so that coverage
 		// does not correlate with vector direction.
-		u := fnv.New64()
-		_, _ = u.Write([]byte(word)) // hash.Hash.Write never fails
-		_, _ = u.Write([]byte{0xC0})
-		frac := float64(u.Sum64()%1_000_000) / 1_000_000
+		frac := float64(coverageHash(word)%1_000_000) / 1_000_000
 		if frac >= h.coverage {
 			return nil, false
 		}

@@ -1,6 +1,9 @@
 package embedding
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -140,6 +143,86 @@ func BenchmarkHashedLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Lookup(words[i%len(words)])
+	}
+}
+
+// referenceLookup is Hashed.Lookup as it was written on hash/fnv,
+// a fresh rand.Source and vector.Normalize's copy.
+func referenceLookup(h *Hashed, word string) (vector.Vector, bool) {
+	f := fnv.New64a()
+	_, _ = f.Write([]byte(word))
+	s := int64(f.Sum64()) ^ h.seed
+	if h.coverage < 1 {
+		u := fnv.New64()
+		_, _ = u.Write([]byte(word))
+		_, _ = u.Write([]byte{0xC0})
+		if float64(u.Sum64()%1_000_000)/1_000_000 >= h.coverage {
+			return nil, false
+		}
+	}
+	rng := rand.New(rand.NewSource(s))
+	v := vector.New(h.dim)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return vector.Normalize(v), true
+}
+
+// TestHashedLookupMatchesReference checks Lookup's inlined hashes and
+// in-place normalization against referenceLookup bit for bit: coverage
+// decision and every component, over thousands of words including the
+// empty word and multi-byte ones.
+func TestHashedLookupMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	words := []string{"", "a", "été", "straße", "数据湖", "fisheries"}
+	for len(words) < 4000 {
+		words = append(words, randWord(rng))
+	}
+	for _, m := range []*Hashed{NewHashed(32, 7, 1), NewHashed(24, -3, 0.7)} {
+		hits := 0
+		for _, w := range words {
+			got, ok := m.Lookup(w)
+			want, wantOK := referenceLookup(m, w)
+			if ok != wantOK {
+				t.Fatalf("coverage %v: Lookup(%q) ok %v, reference %v", m.coverage, w, ok, wantOK)
+			}
+			if !ok {
+				continue
+			}
+			hits++
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("coverage %v: Lookup(%q)[%d] = %v, reference %v", m.coverage, w, i, got[i], want[i])
+				}
+			}
+		}
+		if hits == 0 || (m.coverage < 1 && hits == len(words)) {
+			t.Fatalf("coverage %v: %d of %d words hit; want both outcomes under partial coverage", m.coverage, hits, len(words))
+		}
+	}
+}
+
+// TestHashedLookupAllocs pins Lookup at one allocation, the returned
+// vector, and a miss at none.
+func TestHashedLookupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	m := NewHashed(32, 7, 0.5)
+	var hit, miss string
+	for i := 0; hit == "" || miss == ""; i++ {
+		w := fmt.Sprintf("w%d", i)
+		if _, ok := m.Lookup(w); ok {
+			hit = w
+		} else {
+			miss = w
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Lookup(hit) }); n != 1 {
+		t.Errorf("Lookup of a covered word allocates %.1f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Lookup(miss) }); n != 0 {
+		t.Errorf("Lookup of an uncovered word allocates %.1f times, want 0", n)
 	}
 }
 

@@ -42,11 +42,13 @@ func decodeJSON(data []byte, readErr error) (jsonLake, error) {
 const maxDepth = 10000
 
 // jsonDecoder is a cursor over a JSON document: pos is the next byte
-// to read and depth the number of open arrays and objects.
+// to read and depth the number of open arrays and objects. scratch is
+// strs' reused buffer, all empty strings between calls.
 type jsonDecoder struct {
-	data  []byte
-	pos   int
-	depth int
+	data    []byte
+	pos     int
+	depth   int
+	scratch []string
 }
 
 func (d *jsonDecoder) top(in *jsonLake) error {
@@ -69,7 +71,7 @@ func (d *jsonDecoder) table(t *jsonTable) error {
 		case bytes.EqualFold(key, []byte("name")):
 			return d.str(&t.Name)
 		case bytes.EqualFold(key, []byte("tags")):
-			t.Tags, err = decodeArray(d, t.Tags, d.str)
+			t.Tags, err = d.strs(t.Tags)
 		case bytes.EqualFold(key, []byte("attributes")):
 			t.Attrs, err = decodeArray(d, t.Attrs, d.attr)
 		default:
@@ -85,7 +87,7 @@ func (d *jsonDecoder) attr(a *jsonAttr) error {
 		case bytes.EqualFold(key, []byte("name")):
 			return d.str(&a.Name)
 		case bytes.EqualFold(key, []byte("values")):
-			a.Values, err = decodeArray(d, a.Values, d.str)
+			a.Values, err = d.strs(a.Values)
 		default:
 			err = d.skip()
 		}
@@ -162,6 +164,29 @@ func decodeArray[T any](d *jsonDecoder, s []T, elem func(*T) error) ([]T, error)
 		return []T{}, nil
 	}
 	return s[:i], nil
+}
+
+// strs decodes an array of strings into s as decodeArray does. Into a
+// nil s, which is every string array of a lake file without repeated
+// keys, it decodes into the reused scratch buffer and returns an
+// exactly sized copy, so a long array is not grown by doubling. The
+// copy's capacity equals its length, and capacity a reflect-grown
+// slice would have beyond that holds only empty strings, so a
+// repeated key decodes into either to the same result.
+func (d *jsonDecoder) strs(s []string) ([]string, error) {
+	if s != nil || d.peek() != '[' {
+		return decodeArray(d, s, d.str)
+	}
+	buf := d.scratch
+	err := d.array(func() error {
+		buf = append(buf, "")
+		return d.str(&buf[len(buf)-1])
+	})
+	out := make([]string, len(buf))
+	copy(out, buf)
+	clear(buf)
+	d.scratch = buf[:0]
+	return out, err
 }
 
 // skip checks the syntax of one value of any kind and steps over it.

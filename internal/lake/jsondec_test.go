@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -123,3 +124,38 @@ func TestReadJSONReadError(t *testing.T) {
 type errReader struct{ err error }
 
 func (r *errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// TestDecodeJSONExactStringArrays checks that tags and values arrays
+// decode to exactly sized slices, one after another through the shared
+// scratch buffer, with a shorter array after a longer one seeing none
+// of the longer one's strings.
+func TestDecodeJSONExactStringArrays(t *testing.T) {
+	var long []string
+	for i := 0; i < 1000; i++ {
+		long = append(long, fmt.Sprintf("v%d", i))
+	}
+	longJSON, _ := json.Marshal(long)
+	doc := `{"tables":[{"name":"t","tags":["a","b","c"],"attributes":[` +
+		`{"name":"x","values":` + string(longJSON) + `},` +
+		`{"name":"y","values":["p",null,"q"]}]}]}`
+	in, err := decodeJSON([]byte(doc), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := in.Tables[0]
+	for _, c := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"tags", tb.Tags, []string{"a", "b", "c"}},
+		{"values x", tb.Attrs[0].Values, long},
+		{"values y", tb.Attrs[1].Values, []string{"p", "", "q"}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s = %q, want %q", c.name, c.got, c.want)
+		}
+		if cap(c.got) != len(c.got) {
+			t.Errorf("%s: cap %d, len %d; want an exactly sized slice", c.name, cap(c.got), len(c.got))
+		}
+	}
+}

@@ -1,7 +1,8 @@
 // Package parallel is the fixed-chunk fan-out shared by the evaluator's
-// worker pool (internal/core) and the lake's topic kernel
-// (internal/lake). It is a leaf package so both can import it: core's
-// wrappers add the core.parallel.* metrics on top, lake uses it bare.
+// worker pool (internal/core), the lake's topic kernel (internal/lake)
+// and the cosine distance matrix (internal/cluster). It is a leaf
+// package so all of them can import it: core's wrappers add the
+// core.parallel.* metrics on top, the others use it bare.
 package parallel
 
 import "sync"
@@ -48,4 +49,19 @@ func For(n, workers int, fn func(w, lo, hi int)) int {
 	}
 	wg.Wait()
 	return w
+}
+
+// Workers sizes a pool to the work at hand: one goroutine per floor
+// units of estimated work, capped at limit. Work below the floor runs
+// serially (1): coarse chunks beat fine ones, since a fork must
+// amortize its scheduling and cache-warmup cost over real work, and
+// each admitted goroutine is guaranteed at least a floor's worth.
+func Workers(work, floor, limit int) int {
+	if work < floor || limit <= 1 {
+		return 1
+	}
+	if byWork := work / floor; byWork < limit {
+		return byWork
+	}
+	return limit
 }

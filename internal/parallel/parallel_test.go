@@ -36,3 +36,24 @@ func TestForCoversEachIndexOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkers pins the pool-sizing rule: serial below the floor or with
+// a limit of one, one goroutine per floor of work above it, capped at
+// the limit.
+func TestWorkers(t *testing.T) {
+	for _, c := range []struct{ work, floor, limit, want int }{
+		{0, 100, 4, 1},
+		{99, 100, 4, 1},
+		{100, 100, 4, 1},
+		{199, 100, 4, 1},
+		{200, 100, 4, 2},
+		{350, 100, 4, 3},
+		{10000, 100, 4, 4},
+		{10000, 100, 1, 1},
+		{10000, 100, 0, 1},
+	} {
+		if got := Workers(c.work, c.floor, c.limit); got != c.want {
+			t.Errorf("Workers(%d, %d, %d) = %d, want %d", c.work, c.floor, c.limit, got, c.want)
+		}
+	}
+}
