@@ -28,15 +28,15 @@ var hotpathCheck = &Check{
 }
 
 // hotpathRequiredCore are the internal/core functions that must carry
-// the annotation: the zero-alloc navigation kernels and the evaluator's
-// transition-memo read/fill helpers.
+// the annotation: the zero-alloc navigation kernels, the evaluator's
+// transition-memo read/fill helpers and its per-worker reach sweep.
 var hotpathRequiredCore = map[string]bool{
-	"Org.transitionsInto":     true,
-	"Org.reachProbsInto":      true,
-	"Org.leafProbInto":        true,
-	"Evaluator.transRow":      true,
-	"Evaluator.reachFromPlan": true,
-	"Evaluator.leafProbMemo":  true,
+	"Org.transitionsInto":    true,
+	"Org.reachProbsInto":     true,
+	"Org.leafProbInto":       true,
+	"Evaluator.transRow":     true,
+	"Evaluator.sweep":        true,
+	"Evaluator.leafProbMemo": true,
 }
 
 // hotpathRequiredServe are the internal/serve functions that must carry

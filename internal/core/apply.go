@@ -337,6 +337,7 @@ func ReoptimizeLocal(org *Org, cs *ChangeSet, cfg OptimizeConfig) (*OptimizeStat
 	}
 	started := time.Now()
 	stats := &OptimizeStats{InitialEff: ev.Effectiveness()}
+	var step stepScratch
 	for {
 		acceptedThisPass := false
 		meanReach := ev.MeanReach()
@@ -364,7 +365,7 @@ func ReoptimizeLocal(org *Org, cs *ChangeSet, cfg OptimizeConfig) (*OptimizeStat
 			if org.States[sid].deleted {
 				continue // eliminated earlier in this pass
 			}
-			_, accepted, proposed, _, err := proposeAndDecide(org, ev, sid, levels, meanReach, rng, -1)
+			_, accepted, proposed, _, err := proposeAndDecide(org, ev, &step, sid, levels, meanReach, rng, -1)
 			if err != nil {
 				return nil, err
 			}

@@ -28,11 +28,26 @@ func NewChangeSet() *ChangeSet {
 // ChangeSet, returned to the caller. Exactly one recording may be
 // active; ops applied while recording contribute to it.
 func (o *Org) BeginChanges() *ChangeSet {
+	cs := NewChangeSet()
+	o.recordChanges(cs)
+	return cs
+}
+
+// recordChanges is BeginChanges into a caller-owned set, emptied first
+// (a zero ChangeSet gets its maps here), so a search that evaluates
+// many operations reuses one set instead of two maps per operation.
+func (o *Org) recordChanges(cs *ChangeSet) {
 	if o.track != nil {
 		panic("core: BeginChanges while already tracking")
 	}
-	o.track = NewChangeSet()
-	return o.track
+	if cs.ChildrenChanged == nil {
+		*cs = *NewChangeSet()
+	} else {
+		clear(cs.ChildrenChanged)
+		clear(cs.TopicChanged)
+		cs.Eliminated = cs.Eliminated[:0]
+	}
+	o.track = cs
 }
 
 // EndChanges stops recording.

@@ -27,13 +27,14 @@ type Query struct {
 
 // Evaluator computes and incrementally maintains the organization
 // effectiveness P(T|O) (Eq 6) across search operations. It caches, per
-// query, the reach probability of every non-leaf state, the query
-// leaf's discovery probability, the cosine of every state it has scored
-// and the Eq 1 distribution of every parent it has expanded. After an
-// operation it re-evaluates only the states downstream of the change
-// (the paper's pruning), only the cosines of states whose topic moved
-// and only the distributions the operation changed, counting how much
-// work that saved for the Figure 3 experiment.
+// non-leaf state, the reach probability under every query; per query,
+// the query leaf's discovery probability, the cosine of every state it
+// has scored and the Eq 1 distribution of every parent it has
+// expanded. After an operation it re-evaluates only the states
+// downstream of the change (the paper's pruning), only the cosines of
+// states whose topic moved and only the distributions the operation
+// changed, counting how much work that saved for the Figure 3
+// experiment.
 type Evaluator struct {
 	org     *Org
 	queries []Query
@@ -43,7 +44,7 @@ type Evaluator struct {
 	// Operations never replace a leaf, so it is fixed.
 	queryLeaf []StateID
 	// workers bounds the goroutine pool for the per-query loops. Results
-	// are identical for every value (each query owns its reach row and
+	// are identical for every value (each query owns its reach cells and
 	// reductions happen in query order); it only trades latency for CPU.
 	workers int
 
@@ -55,15 +56,18 @@ type Evaluator struct {
 	// checkFresh fails loudly instead of silently scoring the new states
 	// unreachable.
 	nStates int
-	// reachFlat backs every reach row in one contiguous block (query-
-	// major), so a worker sweeping its query chunk walks sequential
-	// memory.
+	// rank[id] is non-leaf state id's row in reachFlat, or -1 for a
+	// leaf. Leaves hold no reach and states never change kind, so the
+	// ranks are fixed at construction.
+	rank []int32
+	// reachFlat is the reach memo, state-major: the row of non-leaf
+	// state id (see reachRow) holds P(id | Topic_q) for every query q,
+	// so the sweep updates one state for a whole query range in one
+	// contiguous loop. It holds nq × (non-leaf states) cells.
 	reachFlat []float64
-	// reach[q][stateID]: P(state | query topic) for non-leaf states.
-	// Rows are capped views into reachFlat.
-	reach [][]float64
-	// simFlat and sims are the per-query cosine memo, laid out like
-	// reachFlat and reach: sims[q][stateID] is cos(μ_state, Topic_q), or
+	// simFlat and sims are the per-query cosine memo, query-major:
+	// row sims[q] is a capped view into simFlat indexed by StateID, and
+	// sims[q][stateID] is cos(μ_state, Topic_q), or
 	// NaN until the kernel next needs it (see transitionsInto). Only the
 	// worker that owns query q touches row q. Reevaluate and Rollback
 	// reset the cells of topicChanged, the states whose topic the last
@@ -101,11 +105,11 @@ type Evaluator struct {
 
 	// Rollback state for the last Reevaluate. The plan is affectedTopo
 	// followed by eliminated (a copy of cs.Eliminated), and savedReach
-	// holds the reach cells the sweep overwrote in its (query, plan
-	// index) layout: cell q*len(plan)+i is query q's old reach of plan
-	// state i. An eliminated state is detached, so it is never also
-	// affected, and the buffer never outgrows nq × nStates cells, the
-	// size of reachFlat; it stays at its high-water mark.
+	// holds the reach rows the sweep overwrote in its (plan index,
+	// query) layout: cells i*nq up to (i+1)*nq are plan state i's old
+	// row. An eliminated state is detached, so it is never also
+	// affected, and the buffer never outgrows reachFlat; it stays at its
+	// high-water mark.
 	savedReach []float64
 	eliminated []StateID
 	savedEff   float64
@@ -231,11 +235,17 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 
 	nq := len(ev.queries)
 	ev.nStates = len(org.States)
-	ev.reachFlat = make([]float64, nq*ev.nStates)
-	ev.reach = make([][]float64, nq)
-	for q := range ev.reach {
-		ev.reach[q] = ev.reachFlat[q*ev.nStates : (q+1)*ev.nStates : (q+1)*ev.nStates]
+	ev.rank = make([]int32, ev.nStates)
+	nonLeaf := 0
+	for id, s := range org.States {
+		if s.Kind == KindLeaf {
+			ev.rank[id] = -1
+			continue
+		}
+		ev.rank[id] = int32(nonLeaf)
+		nonLeaf++
 	}
+	ev.reachFlat = make([]float64, nq*nonLeaf)
 	ev.simFlat = make([]float64, nq*ev.nStates)
 	ev.sims = make([][]float64, nq)
 	for q := range ev.sims {
@@ -257,9 +267,15 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 	wk := parallel.Workers(nq*ev.nStates, serialWorkFloor, ev.workers)
 	parallelForWorkers(nq, wk, func(w, lo, hi int) {
 		probs := make([]float64, adj.maxChildren)
+		reach := make([]float64, ev.nStates)
 		for q := lo; q < hi; q++ {
 			fillNaN(ev.sims[q])
-			org.reachProbsInto(ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], ev.reach[q], probs)
+			org.reachProbsInto(ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], reach, probs)
+			for id, r := range ev.rank {
+				if r >= 0 {
+					ev.reachFlat[int(r)*nq+q] = reach[id]
+				}
+			}
 			ev.leafProb[q] = ev.leafProbMemo(adj, q)
 		}
 	})
@@ -295,6 +311,14 @@ func markRowsStale(slot []float64, fan int) {
 	for c := 0; c < len(slot); c += fan {
 		slot[c] = nan
 	}
+}
+
+// reachRow returns non-leaf state id's reach row, one cell per query.
+// A leaf has no row (its rank is -1, so the slice expression panics).
+func (ev *Evaluator) reachRow(id StateID) []float64 {
+	nq := len(ev.queries)
+	off := int(ev.rank[id]) * nq
+	return ev.reachFlat[off : off+nq : off+nq]
 }
 
 // Approximate reports whether the evaluator runs in representative mode
@@ -337,10 +361,11 @@ func (ev *Evaluator) computeEff() float64 {
 }
 
 // MeanReach returns, per state, the reachability probability P(s|O)
-// (Eq 10): the mean reach over all queries. Deleted states score 0.
-// The reduction is partitioned by state, so each output cell is summed
-// by exactly one worker in ascending query order — the same order (and
-// therefore the same floating-point result) as a serial pass.
+// (Eq 10): the mean reach over all queries. Deleted states and leaves
+// score 0. The reduction is partitioned by state, so each output cell
+// is one worker's sum of its state's contiguous row in ascending query
+// order — the same order (and therefore the same floating-point result)
+// as a serial pass.
 func (ev *Evaluator) MeanReach() []float64 {
 	metricMeanReaches.Inc()
 	// Cached rows cover exactly the construction-time state set; a grown
@@ -352,18 +377,15 @@ func (ev *Evaluator) MeanReach() []float64 {
 	}
 	inv := 1 / float64(len(ev.queries))
 	parallelFor(len(out), parallel.Workers(len(ev.queries)*len(out), serialWorkFloor, ev.workers), func(lo, hi int) {
-		for q := range ev.queries {
-			reach := ev.reach[q]
-			for id := lo; id < hi; id++ {
-				out[id] += reach[id]
-			}
-		}
 		for id := lo; id < hi; id++ {
-			if ev.org.States[id].deleted {
-				out[id] = 0
+			if ev.rank[id] < 0 || ev.org.States[id].deleted {
 				continue
 			}
-			out[id] *= inv
+			var sum float64
+			for _, r := range ev.reachRow(StateID(id)) {
+				sum += r
+			}
+			out[id] = sum * inv
 		}
 	})
 	return out
@@ -504,10 +526,10 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 	ev.savedEff = ev.eff
 	ev.pending = true
 
-	// Each query q owns row ev.reach[q], its transition-memo rows and
-	// the segment [q*perQuery, (q+1)*perQuery) of savedReach, so the
-	// parallel sweep is race-free and the saved cells are the same for
-	// every worker count.
+	// Each query q owns column q of every reach row and of savedReach,
+	// its transition-memo rows and its cosine row, so the parallel sweep
+	// is race-free and the saved cells are the same for every worker
+	// count.
 	perQuery := len(affectedTopo) + len(ev.eliminated)
 	need := len(ev.queries) * perQuery
 	if cap(ev.savedReach) < need {
@@ -516,19 +538,7 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 	ev.savedReach = ev.savedReach[:need]
 	workers := parallel.Workers(len(ev.queries)*(perQuery+1), serialWorkFloor, ev.workers)
 	parallelForWorkers(len(ev.queries), workers, func(_, lo, hi int) {
-		for q := lo; q < hi; q++ {
-			reach := ev.reach[q]
-			saved := ev.savedReach[q*perQuery : (q+1)*perQuery]
-			ev.invalidateSims(q)
-			for i, id := range affectedTopo {
-				saved[i] = reach[id]
-				reach[id] = ev.reachFromPlan(adj, q, i)
-			}
-			for i, e := range ev.eliminated {
-				saved[len(affectedTopo)+i] = reach[e]
-				reach[e] = 0
-			}
-		}
+		ev.sweep(adj, lo, hi)
 	})
 
 	// Re-evaluate leaf probabilities for queries whose leaf hangs under
@@ -611,23 +621,52 @@ func (ev *Evaluator) transRow(adj *adjSnapshot, p StateID, q int) []float64 {
 	return row
 }
 
-// reachFromPlan is Eq 2–4 for affected state affectedTopo[i] under query
-// q: the reach of each parent times the parent's memoized transition
-// probability into it, summed in adjacency parent order. A parent with
-// zero reach adds exactly zero, so it is skipped and its row is not
-// filled.
+// sweep is Reevaluate's reach pass (Eq 2–4) over queries [lo, hi): it
+// resets those queries' cosine cells of the moved topics, then, for
+// each plan state in order, saves the range of its row into savedReach
+// and recomputes it, one plan pair at a time. A pair's parent row,
+// transition slot and child position are read once; the query loop
+// then adds reach × transition into the state's row, so each query
+// still sums its parents in adjacency order from zero — the bits of a
+// per-query sum. A parent with zero reach adds exactly zero, so it is
+// skipped and its transition row is not filled. Eliminated states are
+// zeroed. Only the worker that owns [lo, hi) may call it.
 //
 //lakelint:hotpath
-func (ev *Evaluator) reachFromPlan(adj *adjSnapshot, q, i int) float64 {
-	reach := ev.reach[q]
-	var r float64
-	for k := ev.planPairStart[i]; k < ev.planPairStart[i+1]; k++ {
-		p := ev.planPairParent[k]
-		if reach[p] != 0 {
-			r += reach[p] * ev.transRow(adj, StateID(p), q)[ev.planPairIdx[k]]
+func (ev *Evaluator) sweep(adj *adjSnapshot, lo, hi int) {
+	for q := lo; q < hi; q++ {
+		ev.invalidateSims(q)
+	}
+	nq := len(ev.queries)
+	for i, id := range ev.affectedTopo {
+		dst := ev.reachRow(id)[lo:hi]
+		copy(ev.savedReach[i*nq+lo:i*nq+hi], dst)
+		clear(dst)
+		for k := ev.planPairStart[i]; k < ev.planPairStart[i+1]; k++ {
+			p := StateID(ev.planPairParent[k])
+			ci := int(ev.planPairIdx[k])
+			src := ev.reachRow(p)[lo:hi]
+			slot := ev.trans[p]
+			fan := int(adj.childStart[p+1] - adj.childStart[p])
+			for j, r := range src {
+				if r == 0 {
+					continue
+				}
+				q := lo + j
+				row := slot[q*fan : (q+1)*fan]
+				if math.IsNaN(row[0]) {
+					ev.org.transitionsInto(adj, p, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], row)
+				}
+				dst[j] += r * row[ci]
+			}
 		}
 	}
-	return r
+	base := len(ev.affectedTopo) * nq
+	for i, e := range ev.eliminated {
+		row := ev.reachRow(e)[lo:hi]
+		copy(ev.savedReach[base+i*nq+lo:base+i*nq+hi], row)
+		clear(row)
+	}
 }
 
 // leafProbMemo is leafProbInto for query q's own leaf, reading its tag
@@ -640,16 +679,17 @@ func (ev *Evaluator) leafProbMemo(adj *adjSnapshot, q int) float64 {
 	if leaf < 0 {
 		return 0
 	}
-	reach := ev.reach[q]
+	nq := len(ev.queries)
 	var p float64
 	for _, t := range adj.parentsOf(leaf) {
-		if reach[t] == 0 {
+		r := ev.reachFlat[int(ev.rank[t])*nq+q]
+		if r == 0 {
 			continue
 		}
 		row := ev.transRow(adj, StateID(t), q)
 		for i, c := range adj.childrenOf(StateID(t)) {
 			if StateID(c) == leaf {
-				p += reach[t] * row[i]
+				p += r * row[i]
 				break
 			}
 		}
@@ -696,16 +736,13 @@ func (ev *Evaluator) Rollback() error {
 			ev.markStale(p)
 		}
 	}
-	nAffected := len(ev.affectedTopo)
-	perQuery := nAffected + len(ev.eliminated)
-	for q, reach := range ev.reach {
-		saved := ev.savedReach[q*perQuery : (q+1)*perQuery]
-		for i := len(ev.eliminated) - 1; i >= 0; i-- {
-			reach[ev.eliminated[i]] = saved[nAffected+i]
-		}
-		for i := nAffected - 1; i >= 0; i-- {
-			reach[ev.affectedTopo[i]] = saved[i]
-		}
+	nq := len(ev.queries)
+	for i, id := range ev.affectedTopo {
+		copy(ev.reachRow(id), ev.savedReach[i*nq:(i+1)*nq])
+	}
+	base := len(ev.affectedTopo) * nq
+	for i, e := range ev.eliminated {
+		copy(ev.reachRow(e), ev.savedReach[base+i*nq:base+(i+1)*nq])
 	}
 	for q, dirty := range ev.leafDirty {
 		if dirty {

@@ -47,57 +47,17 @@ func TestMeanReachRoot(t *testing.T) {
 	}
 }
 
-// applyRandomOp applies one applicable operation, preferring variety by
-// round, and returns the change set and undo log, or false if nothing
+// applyRandomOp applies one operation drawn from searchStepCandidates
+// and returns the change set and undo log, or false if nothing
 // applied.
 func applyRandomOp(o *Org, rng *rand.Rand) (*ChangeSet, *UndoLog, bool) {
-	type candidate struct {
-		apply func() *UndoLog
-	}
-	var cands []candidate
-	for _, s := range o.States {
-		if s.deleted {
-			continue
-		}
-		sid := s.ID
-		if s.Kind != KindLeaf {
-			for _, n := range o.States {
-				if n.Kind == KindInterior && !n.deleted && o.CanAddParent(n.ID, sid) {
-					nid := n.ID
-					cands = append(cands, candidate{func() *UndoLog { return o.AddParentOp(nid, sid) }})
-					break
-				}
-			}
-			for _, p := range s.Parents {
-				if o.CanDeleteParent(sid, p) {
-					pid := p
-					cands = append(cands, candidate{func() *UndoLog { return o.DeleteParentOp(sid, pid) }})
-					break
-				}
-			}
-		} else {
-			for _, ts := range o.TagStates() {
-				if o.CanAddParent(ts, sid) {
-					tid := ts
-					cands = append(cands, candidate{func() *UndoLog { return o.addLeafParentOp(tid, sid) }})
-					break
-				}
-			}
-			for _, p := range s.Parents {
-				if o.CanRemoveLeafParent(p, sid) {
-					pid := p
-					cands = append(cands, candidate{func() *UndoLog { return o.RemoveLeafParentOp(pid, sid) }})
-					break
-				}
-			}
-		}
-	}
+	cands := searchStepCandidates(o)
 	if len(cands) == 0 {
 		return nil, nil, false
 	}
 	pick := cands[rng.Intn(len(cands))]
 	cs := o.BeginChanges()
-	u := pick.apply()
+	u := pick.apply(o)
 	o.EndChanges()
 	return cs, u, true
 }
@@ -541,6 +501,57 @@ func TestReevaluateRollbackBytesFlat(t *testing.T) {
 	}
 	if total > logBytes/16 {
 		t.Errorf("narrow/wide Reevaluate+Rollback allocated %d bytes after the first wide call, want at most %d (1/16 of one %d-cell log)", total, logBytes/16, wideCells)
+	}
+}
+
+// The reach memo holds one row of nq cells per non-leaf state and none
+// for leaves: the block is nq × (non-leaf states), in exact and
+// approximate mode, and stays so through operations that eliminate
+// states and roll them back.
+func TestReachBlockSizedByNonLeafStates(t *testing.T) {
+	for _, frac := range []float64{0, 0.2} {
+		o := kernelTestOrg(t, 5)
+		nonLeaf := 0
+		for _, s := range o.States {
+			if s.Kind != KindLeaf {
+				nonLeaf++
+			}
+		}
+		if nonLeaf == len(o.States) {
+			t.Fatal("organization has no leaves")
+		}
+		ev, err := NewEvaluatorWorkers(o, frac, rand.New(rand.NewSource(3)), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(ev.queries) * nonLeaf
+		rng := rand.New(rand.NewSource(43))
+		for step := 0; step < 20; step++ {
+			if got := len(ev.reachFlat); got != want {
+				t.Fatalf("frac %v step %d: reach block holds %d cells, want %d queries × %d non-leaf states", frac, step, got, len(ev.queries), nonLeaf)
+			}
+			if cap(ev.savedReach) > want {
+				t.Fatalf("frac %v step %d: rollback buffer grew to %d cells, past the %d-cell reach block", frac, step, cap(ev.savedReach), want)
+			}
+			cs, u, ok := applyRandomOp(o, rng)
+			if !ok {
+				break
+			}
+			ev.Reevaluate(cs)
+			if rng.Intn(2) == 0 {
+				o.Undo(u)
+				if err := ev.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := ev.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id, r := range ev.MeanReach() {
+			if o.States[id].Kind == KindLeaf && r != 0 {
+				t.Fatalf("frac %v: leaf %d has mean reach %v, want 0", frac, id, r)
+			}
+		}
 	}
 }
 

@@ -5,13 +5,17 @@ import "fmt"
 // The two search operations of Sec 3.3 — ADD_PARENT and DELETE_PARENT —
 // plus their leaf-level variants (Example 4 adds a second tag-state
 // parent to a leaf). Every operation returns an UndoLog; applying the
-// log restores the organization exactly, which the optimizer's
-// Metropolis reject path depends on.
+// log restores the organization's edge sets, deleted flags, domains and
+// support counts exactly, which the optimizer's Metropolis reject path
+// depends on. It does not restore bits it never saved: a restored edge
+// is re-appended, so a child or parent list can come back in another
+// order, and the moved topics are recomputed through the
+// vector.Running accumulators, where (s+x)−x need not equal s.
 //
 // Operations are composed from four reversible primitives. Because a
 // linkChild immediately followed (in reverse order) by an unlinkChild of
-// the same edge is an exact inverse — domains involved are stable within
-// a single operation — undo is simply the inverse primitives in reverse
+// the same edge is its inverse — domains involved are stable within a
+// single operation — undo is simply the inverse primitives in reverse
 // order, with no support snapshotting.
 
 type actionKind int
@@ -50,7 +54,9 @@ func (u *UndoLog) record(o *Org, kind actionKind, p, c StateID) {
 	u.actions = append(u.actions, action{kind, p, c})
 }
 
-// Undo reverses the operation that produced u. It must be applied to the
+// Undo reverses the operation that produced u: edge sets, deleted flags,
+// domains and support counts come back exactly, adjacency order and
+// topic bits need not (see above). It must be applied to the
 // organization in exactly the state the operation left it in.
 func (o *Org) Undo(u *UndoLog) {
 	for i := len(u.actions) - 1; i >= 0; i-- {

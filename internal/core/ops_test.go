@@ -179,6 +179,64 @@ func TestCanAddParentRules(t *testing.T) {
 	}
 }
 
+// The cycle check behind CanAddParent allocates nothing once its
+// Org-owned marks and stack have grown to the organization, whether it
+// finds the candidate below or exhausts the subgraph.
+func TestCanAddParentZeroAllocs(t *testing.T) {
+	o := kernelTestOrg(t, 5)
+	root := o.States[o.Root]
+	var top StateID = -1
+	for _, c := range root.Children {
+		if o.States[c].Kind == KindInterior {
+			top = c
+			break
+		}
+	}
+	if top < 0 {
+		t.Fatal("no interior child under the root")
+	}
+	// A state with a cycle check that descends and fails: an interior
+	// state not above top that is not yet its parent.
+	var other StateID = -1
+	for _, s := range o.States {
+		if s.Kind == KindInterior && !s.deleted && s.ID != o.Root && s.ID != top && !o.isDescendant(s.ID, top) && !o.isDescendant(top, s.ID) {
+			other = s.ID
+			break
+		}
+	}
+	if other < 0 {
+		t.Fatal("no interior state beside the root's interior child")
+	}
+	// A cycle found below the first level: an interior descendant of
+	// top that is not its child cannot become top's parent.
+	deep := top
+	for _, s := range o.States {
+		if s.Kind == KindInterior && !s.deleted && s.ID != top && !containsID(o.States[top].Children, s.ID) && o.isDescendant(top, s.ID) {
+			deep = s.ID
+			break
+		}
+	}
+	if deep == top {
+		t.Fatal("no interior state below the root's interior child's children")
+	}
+	cases := []struct {
+		name string
+		n, s StateID
+		want bool
+	}{
+		{"cycle", deep, top, false},
+		{"legal", other, top, o.CanAddParent(other, top)},
+	}
+	for _, c := range cases {
+		if got := o.CanAddParent(c.n, c.s); got != c.want {
+			t.Fatalf("%s: CanAddParent(%d, %d) = %v, want %v", c.name, c.n, c.s, got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { o.CanAddParent(c.n, c.s) }); n != 0 {
+			t.Errorf("%s: CanAddParent allocates %.1f per call, want 0", c.name, n)
+		}
+	}
+}
+
 func TestDeleteParentOpFlattens(t *testing.T) {
 	o := clusteredOrg(t)
 	r := pickInterior(t, o)

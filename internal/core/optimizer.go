@@ -290,6 +290,9 @@ type search struct {
 	// dim and tagGroup stamp checkpoints with their dimension identity.
 	dim      int
 	tagGroup []string
+
+	// step is proposeAndDecide's reused scratch.
+	step stepScratch
 }
 
 func (s *search) canceled() bool { return s.ctx.Err() != nil }
@@ -370,7 +373,7 @@ func (s *search) traverse() (int, error) {
 				}
 				leafBudget--
 			}
-			undo, accepted, wasProposed, v, err := proposeAndDecide(org, ev, sid, levels, meanReach, s.rng, cfg.AcceptExponent)
+			undo, accepted, wasProposed, v, err := proposeAndDecide(org, ev, &s.step, sid, levels, meanReach, s.rng, cfg.AcceptExponent)
 			if err != nil {
 				return proposed, err
 			}
@@ -561,20 +564,22 @@ func orgSane(o *Org) error {
 // It returns the applied operation's undo log when accepted, reports
 // (accepted, proposed), and returns the chosen candidate's visit counts:
 // the quantity Figure 3 tracks is how much of the organization one
-// modification forces the evaluator to touch.
-func proposeAndDecide(org *Org, ev *Evaluator, sid StateID, levels []int, meanReach []float64, rng *rand.Rand, acceptExp float64) (*UndoLog, bool, bool, visits, error) {
-	candidates := pickOperations(org, sid, levels, meanReach, rng)
+// modification forces the evaluator to touch. Every trial records into
+// sc's one change set, which the evaluator reads only inside Reevaluate.
+func proposeAndDecide(org *Org, ev *Evaluator, sc *stepScratch, sid StateID, levels []int, meanReach []float64, rng *rand.Rand, acceptExp float64) (*UndoLog, bool, bool, visits, error) {
+	candidates := sc.pickOperations(org, sid, levels, meanReach, rng)
 	if len(candidates) == 0 {
 		return nil, false, false, visits{}, nil
 	}
 	oldEff := ev.Effectiveness()
+	cs := &sc.cs
 
 	// Trial-evaluate every candidate, remembering the best.
 	bestIdx, bestEff := -1, -1.0
 	var best visits
-	for i, apply := range candidates {
-		cs := org.BeginChanges()
-		undo := apply()
+	for i, op := range candidates {
+		org.recordChanges(cs)
+		undo := op.apply(org)
 		org.EndChanges()
 		eff := ev.Reevaluate(cs)
 		if eff > bestEff {
@@ -594,8 +599,8 @@ func proposeAndDecide(org *Org, ev *Evaluator, sid StateID, levels []int, meanRe
 		return nil, false, true, best, nil
 	}
 	// Re-apply the winning candidate for real.
-	cs := org.BeginChanges()
-	undo := candidates[bestIdx]()
+	org.recordChanges(cs)
+	undo := candidates[bestIdx].apply(org)
 	org.EndChanges()
 	ev.Reevaluate(cs)
 	if err := ev.Commit(); err != nil {
@@ -604,39 +609,82 @@ func proposeAndDecide(org *Org, ev *Evaluator, sid StateID, levels []int, meanRe
 	return undo, true, true, best, nil
 }
 
-// pickOperations assembles the candidate operations for sid. Interior
-// and tag states get ADD_PARENT candidates one level up — the most
-// reachable legal state (the paper's rule), the most topic-similar one,
-// and a random one — plus DELETE_PARENT of their least reachable
-// parent; leaves analogously over tag states.
-func pickOperations(org *Org, sid StateID, levels []int, meanReach []float64, rng *rand.Rand) []func() *UndoLog {
+// stepScratch is what proposeAndDecide reuses from one call to the
+// next: the change set every trial records into, the candidate
+// operations and the candidate parents. A search owns one; the zero
+// value is ready to use.
+type stepScratch struct {
+	cs    ChangeSet
+	ops   []candidateOp
+	cands []StateID
+}
+
+// opKind names one of the search's operations.
+type opKind uint8
+
+const (
+	opAddParent opKind = iota
+	opDeleteParent
+	opRemoveLeafParent
+)
+
+// candidateOp is one proposed operation: AddParentOp(a, b),
+// DeleteParentOp(a, b) or RemoveLeafParentOp(a, b).
+type candidateOp struct {
+	kind opKind
+	a, b StateID
+}
+
+// apply performs the operation on org and returns its undo log.
+func (c candidateOp) apply(org *Org) *UndoLog {
+	switch c.kind {
+	case opAddParent:
+		return org.AddParentOp(c.a, c.b)
+	case opDeleteParent:
+		return org.DeleteParentOp(c.a, c.b)
+	default:
+		return org.RemoveLeafParentOp(c.a, c.b)
+	}
+}
+
+// pickOperations assembles the candidate operations for sid into sc's
+// buffer. Interior and tag states get ADD_PARENT candidates one level
+// up — the most reachable legal state (the paper's rule), the most
+// topic-similar one, and a random one — plus DELETE_PARENT of their
+// least reachable parent; leaves analogously over tag states.
+func (sc *stepScratch) pickOperations(org *Org, sid StateID, levels []int, meanReach []float64, rng *rand.Rand) []candidateOp {
 	s := org.State(sid)
-	var ops []func() *UndoLog
-	addedParent := map[StateID]bool{}
+	ops := sc.ops[:0]
 	addParentOp := func(n StateID) {
-		if n < 0 || addedParent[n] {
+		if n < 0 {
 			return
 		}
-		addedParent[n] = true
-		ops = append(ops, func() *UndoLog { return org.AddParentOp(n, sid) })
+		for _, op := range ops {
+			if op.kind == opAddParent && op.a == n {
+				return
+			}
+		}
+		ops = append(ops, candidateOp{opAddParent, n, sid})
 	}
 
 	if s.Kind == KindLeaf {
-		var cands []StateID
+		cands := sc.cands[:0]
 		for _, ts := range org.TagStates() {
 			if org.CanAddParent(ts, sid) {
 				cands = append(cands, ts)
 			}
 		}
+		sc.cands = cands
 		addParentOp(argmaxID(cands, func(id StateID) float64 { return meanReach[id] }))
 		addParentOp(argmaxID(cands, func(id StateID) float64 {
 			return stateCos(org.States[id], s)
 		}))
 		if t := worstLeafParent(org, sid, meanReach); t >= 0 {
-			ops = append(ops, func() *UndoLog { return org.RemoveLeafParentOp(t, sid) })
+			ops = append(ops, candidateOp{opRemoveLeafParent, t, sid})
 		}
 	} else {
-		cands := legalNewParents(org, sid, levels)
+		cands := legalNewParents(org, sid, levels, sc.cands[:0])
+		sc.cands = cands
 		addParentOp(argmaxID(cands, func(id StateID) float64 { return meanReach[id] }))
 		addParentOp(argmaxID(cands, func(id StateID) float64 {
 			return stateCos(org.States[id], s)
@@ -645,20 +693,20 @@ func pickOperations(org *Org, sid StateID, levels []int, meanReach []float64, rn
 			addParentOp(cands[rng.Intn(len(cands))])
 		}
 		if r := worstParent(org, sid, meanReach); r >= 0 {
-			ops = append(ops, func() *UndoLog { return org.DeleteParentOp(sid, r) })
+			ops = append(ops, candidateOp{opDeleteParent, sid, r})
 		}
 	}
+	sc.ops = ops
 	return ops
 }
 
-// legalNewParents lists the interior states exactly one level above sid
-// that can legally become its parent.
-func legalNewParents(org *Org, sid StateID, levels []int) []StateID {
+// legalNewParents appends to out the interior states exactly one level
+// above sid that can legally become its parent.
+func legalNewParents(org *Org, sid StateID, levels []int, out []StateID) []StateID {
 	l := levels[sid]
 	if l <= 0 {
-		return nil
+		return out
 	}
-	var out []StateID
 	for _, cand := range org.States {
 		if cand.deleted || cand.Kind != KindInterior {
 			continue
@@ -693,18 +741,6 @@ func worstParent(org *Org, sid StateID, meanReach []float64) StateID {
 		}
 		if m := meanReach[p]; m < bm {
 			bm, best = m, p
-		}
-	}
-	return best
-}
-
-// bestLeafParent returns the most reachable tag state that can adopt
-// leaf sid, or -1.
-func bestLeafParent(org *Org, sid StateID, meanReach []float64) StateID {
-	best, bm := StateID(-1), -1.0
-	for _, ts := range org.TagStates() {
-		if m := meanReach[ts]; m > bm && org.CanAddParent(ts, sid) {
-			bm, best = m, ts
 		}
 	}
 	return best

@@ -209,6 +209,13 @@ type Org struct {
 	// view of a leaf child (domainView).
 	attrStack []lake.AttrID
 	leafDom   [1]lake.AttrID
+
+	// descMark, descEpoch and descStack are isDescendant's scratch: a
+	// state is visited in the current search while its mark equals the
+	// epoch, so no search clears the marks or allocates.
+	descMark  []uint32
+	descEpoch uint32
+	descStack []StateID
 }
 
 // DefaultGamma is the navigation-model γ used when a config does not
@@ -542,34 +549,46 @@ func (o *Org) Levels() []int {
 
 // isDescendant reports whether candidate is reachable from ancestor
 // (strictly below it, or equal). Childless states (leaves, emptied
-// states) lead nowhere, so they are compared but never pushed; the
-// search below a tag state therefore allocates nothing.
+// states) lead nowhere, so they are compared but never pushed. The
+// visited marks and the stack are Org-owned scratch, so a check
+// allocates only when the organization outgrew them, and, like the
+// operations it guards, it must not run concurrently on one Org.
 func (o *Org) isDescendant(ancestor, candidate StateID) bool {
 	if ancestor == candidate {
 		return true
 	}
-	var stack []StateID
-	var seen map[StateID]bool
+	if len(o.descMark) < len(o.States) {
+		o.descMark = make([]uint32, len(o.States))
+		o.descEpoch = 0
+	}
+	if o.descEpoch++; o.descEpoch == 0 {
+		clear(o.descMark)
+		o.descEpoch = 1
+	}
+	mark, epoch := o.descMark, o.descEpoch
+	stack := o.descStack[:0]
+	found := false
+search:
 	for id := ancestor; ; {
 		for _, c := range o.States[id].Children {
 			if c == candidate {
-				return true
+				found = true
+				break search
 			}
-			if len(o.States[c].Children) == 0 || seen[c] {
+			if len(o.States[c].Children) == 0 || mark[c] == epoch {
 				continue
 			}
-			if seen == nil {
-				seen = make(map[StateID]bool)
-			}
-			seen[c] = true
+			mark[c] = epoch
 			stack = append(stack, c)
 		}
 		if len(stack) == 0 {
-			return false
+			break
 		}
 		id = stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 	}
+	o.descStack = stack[:0]
+	return found
 }
 
 // Validate checks the organization's structural invariants: a single

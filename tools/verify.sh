@@ -46,7 +46,9 @@ stage "go test -race ./..." go test -race ./...
 # container; binfmt checkpoint resume; journal recovery; the HTTP
 # batch body decoder; lakelint's directive parser; the lake JSON
 # decoder and the value tokenizer, each of the last two against the
-# code it replaced). -fuzzminimizetime is capped
+# code it replaced), plus the local search's apply / Reevaluate /
+# Commit or Undo + Rollback cycle against a fresh evaluator, the naive
+# domains and a fresh CSR snapshot. -fuzzminimizetime is capped
 # because the default 60s-per-input minimization starves short windows
 # on small machines.
 fuzz_smoke() {
@@ -58,8 +60,9 @@ fuzz_smoke() {
 	go test ./cmd/lakelint -fuzz FuzzParseDirective -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/lake -fuzz FuzzReadJSON -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/embedding -fuzz FuzzTokens -fuzztime 5s -fuzzminimizetime 10x -run '^$'
+	go test ./internal/core -fuzz FuzzSearchStep -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 }
-stage "go test -fuzz (5s smoke x8)" fuzz_smoke
+stage "go test -fuzz (5s smoke x9)" fuzz_smoke
 
 # Benchmarks compile and run: one iteration of everything keeps the
 # micro-benchmarks from bit-rotting. Performance is measured end to end
