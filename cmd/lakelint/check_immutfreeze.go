@@ -9,8 +9,7 @@ import (
 
 // immutfreeze enforces the frozen-snapshot contract the serving layer
 // is built on: a type marked //lakelint:immutable (serve.Snapshot,
-// serve.Generation, the CSR adjacency snapshot) is constructed once and
-// then shared across goroutines without further synchronization, so any
+// serve.Generation) is constructed once and then shared across goroutines without further synchronization, so any
 // field store, increment, whole-value overwrite, or field address-take
 // outside the type's own constructors is a data race waiting for a
 // query to hit it. A constructor is a function in the type's own

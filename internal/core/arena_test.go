@@ -98,15 +98,14 @@ func TestArenaRebindAfterGrowth(t *testing.T) {
 // evaluator's transition-memo helpers reading and refilling rows.
 func TestKernelHotPathZeroAllocs(t *testing.T) {
 	o := kernelTestOrg(t, 31)
-	adj := o.adjacency()
 	topic := o.State(o.Leaf(o.Attrs()[0])).Topic()
 	norm := vector.Norm(topic)
-	probs := make([]float64, adj.maxChildren)
+	probs := make([]float64, o.maxFanOut())
 	reach := make([]float64, len(o.States))
 	attr := o.Attrs()[1]
 
 	if n := testing.AllocsPerRun(100, func() {
-		o.transitionsInto(adj, o.Root, topic, norm, nil, probs)
+		o.transitionsInto(o.Root, topic, norm, nil, probs)
 	}); n != 0 {
 		t.Errorf("transitionsInto allocates %.1f per call, want 0", n)
 	}
@@ -125,7 +124,7 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 	sims := make([]float64, len(o.States))
 	if n := testing.AllocsPerRun(100, func() {
 		fillNaN(sims)
-		o.transitionsInto(adj, o.Root, topic, norm, sims, probs)
+		o.transitionsInto(o.Root, topic, norm, sims, probs)
 	}); n != 0 {
 		t.Errorf("transitionsInto storing into a memo row allocates %.1f per call, want 0", n)
 	}
@@ -145,9 +144,9 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("leafProbInto with a memo row allocates %.1f per call, want 0", n)
 	}
-	trans := make([]float64, len(adj.children))
+	trans := o.newTransMemo()
 	if n := testing.AllocsPerRun(100, func() {
-		fillNaN(trans)
+		fillNaN(trans.cells)
 		o.leafProbInto(attr, topic, norm, sims, trans, reach, probs)
 	}); n != 0 {
 		t.Errorf("leafProbInto filling a transition row allocates %.1f per call, want 0", n)
@@ -172,7 +171,6 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 	u := o.AddParentOp(np, s)
 	o.EndChanges()
 	ev.Reevaluate(cs)
-	opAdj := o.adjacency()
 	if len(ev.affectedTopo) == 0 {
 		t.Fatal("the operation affected no state")
 	}
@@ -180,7 +178,7 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 		for _, p := range ev.planPairParent {
 			ev.trans[p][0] = math.NaN()
 		}
-		for _, p := range opAdj.parentsOf(ev.queryLeaf[0]) {
+		for _, p := range o.States[ev.queryLeaf[0]].Parents {
 			ev.trans[p][0] = math.NaN()
 		}
 	}
@@ -189,9 +187,9 @@ func TestKernelHotPathZeroAllocs(t *testing.T) {
 			if fill {
 				markPlanStale()
 			}
-			ev.transRow(opAdj, StateID(ev.planPairParent[0]), 0)
-			ev.sweep(opAdj, 0, 1)
-			ev.leafProbMemo(opAdj, 0)
+			ev.transRow(ev.planPairParent[0], 0)
+			ev.sweep(0, 1)
+			ev.leafProbMemo(0)
 		}); n != 0 {
 			t.Errorf("transition-memo helpers (refill %v) allocate %.1f per call, want 0", fill, n)
 		}

@@ -139,11 +139,11 @@ type Evaluator struct {
 	indeg        []int32
 	affectedTopo []StateID
 	// For affected state affectedTopo[i], pairs planPairStart[i] up to
-	// planPairStart[i+1] name its parents in adjacency order
+	// planPairStart[i+1] name its parents in Parents order
 	// (planPairParent) and its position among each parent's children
 	// (planPairIdx), resolved once per call instead of once per query.
 	planPairStart  []int32
-	planPairParent []int32
+	planPairParent []StateID
 	planPairIdx    []int32
 
 	// last is the last Reevaluate's visit counts, for Figure 3.
@@ -259,14 +259,13 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 	ev.affGen = make([]uint64, ev.nStates)
 	ev.staleGen = make([]uint64, ev.nStates)
 	ev.indeg = make([]int32, ev.nStates)
-	// Warm the caches the workers share read-only (topo order and the
-	// CSR adjacency snapshot); computing them lazily inside the pool
-	// would race.
+	// Warm the topo order the workers share read-only; computing it
+	// lazily inside the pool would race.
 	org.Topo()
-	adj := org.adjacency()
+	fan := org.maxFanOut()
 	wk := parallel.Workers(nq*ev.nStates, serialWorkFloor, ev.workers)
 	parallelForWorkers(nq, wk, func(w, lo, hi int) {
-		probs := make([]float64, adj.maxChildren)
+		probs := make([]float64, fan)
 		reach := make([]float64, ev.nStates)
 		for q := lo; q < hi; q++ {
 			fillNaN(ev.sims[q])
@@ -276,7 +275,7 @@ func NewEvaluatorWorkers(org *Org, repFraction float64, rng *rand.Rand, workers 
 					ev.reachFlat[int(r)*nq+q] = reach[id]
 				}
 			}
-			ev.leafProb[q] = ev.leafProbMemo(adj, q)
+			ev.leafProb[q] = ev.leafProbMemo(q)
 		}
 	})
 	ev.eff = ev.computeEff()
@@ -400,9 +399,7 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 	}
 	ev.checkFresh("Reevaluate")
 	o := ev.org
-	// Rebuilding the CSR snapshot here, serially, also warms it for the
-	// workers below.
-	adj := o.adjacency()
+	states := o.States
 	ev.gen++
 	gen := ev.gen
 
@@ -444,11 +441,11 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range adj.childrenOf(id) {
-			if adj.kinds[c] != uint8(KindLeaf) && ev.affGen[c] != gen {
+		for _, c := range states[id].Children {
+			if states[c].Kind != KindLeaf && ev.affGen[c] != gen {
 				ev.affGen[c] = gen
-				ev.affected = append(ev.affected, StateID(c))
-				stack = append(stack, StateID(c))
+				ev.affected = append(ev.affected, c)
+				stack = append(stack, c)
 			}
 		}
 	}
@@ -456,11 +453,11 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 
 	// Order the affected states by Kahn's algorithm over the affected
 	// subgraph. Reach needs only every affected parent finished first,
-	// and each state sums over its parents in adjacency order, so any
+	// and each state sums over its parents in Parents order, so any
 	// valid order gives the same bits.
 	for _, id := range ev.affected {
 		n := int32(0)
-		for _, p := range adj.parentsOf(id) {
+		for _, p := range states[id].Parents {
 			if ev.affGen[p] == gen {
 				n++
 			}
@@ -474,10 +471,10 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 		}
 	}
 	for head := 0; head < len(ev.affectedTopo); head++ {
-		for _, c := range adj.childrenOf(ev.affectedTopo[head]) {
+		for _, c := range states[ev.affectedTopo[head]].Children {
 			if ev.affGen[c] == gen {
 				if ev.indeg[c]--; ev.indeg[c] == 0 {
-					ev.affectedTopo = append(ev.affectedTopo, StateID(c))
+					ev.affectedTopo = append(ev.affectedTopo, c)
 				}
 			}
 		}
@@ -493,10 +490,10 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 	ev.planPairParent = ev.planPairParent[:0]
 	ev.planPairIdx = ev.planPairIdx[:0]
 	for _, id := range affectedTopo {
-		for _, p := range adj.parentsOf(id) {
+		for _, p := range states[id].Parents {
 			ci := int32(-1)
-			for i, c := range adj.childrenOf(StateID(p)) {
-				if StateID(c) == id {
+			for i, c := range states[p].Children {
+				if c == id {
 					ci = int32(i)
 					break
 				}
@@ -538,7 +535,7 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 	ev.savedReach = ev.savedReach[:need]
 	workers := parallel.Workers(len(ev.queries)*(perQuery+1), serialWorkFloor, ev.workers)
 	parallelForWorkers(len(ev.queries), workers, func(_, lo, hi int) {
-		ev.sweep(adj, lo, hi)
+		ev.sweep(lo, hi)
 	})
 
 	// Re-evaluate leaf probabilities for queries whose leaf hangs under
@@ -552,14 +549,14 @@ func (ev *Evaluator) Reevaluate(cs *ChangeSet) float64 {
 			if leaf < 0 {
 				continue
 			}
-			for _, t := range adj.parentsOf(leaf) {
+			for _, t := range states[leaf].Parents {
 				if ev.affGen[t] == gen || ev.outGen[t] == gen {
 					ev.leafDirty[q] = true
 					break
 				}
 			}
 			if ev.leafDirty[q] {
-				ev.leafNew[q] = ev.leafProbMemo(adj, q)
+				ev.leafNew[q] = ev.leafProbMemo(q)
 			}
 		}
 	})
@@ -607,16 +604,16 @@ func (ev *Evaluator) markStale(id StateID) bool {
 }
 
 // transRow returns query q's transition-memo row of state p — p's Eq 1
-// distribution over its children, parallel to adj.childrenOf(p) —
+// distribution over its children, parallel to States[p].Children —
 // filling it through transitionsInto first if it is stale. p must have
 // children. Only the worker that owns query q may call it.
 //
 //lakelint:hotpath
-func (ev *Evaluator) transRow(adj *adjSnapshot, p StateID, q int) []float64 {
-	fan := int(adj.childStart[p+1] - adj.childStart[p])
+func (ev *Evaluator) transRow(p StateID, q int) []float64 {
+	fan := len(ev.org.States[p].Children)
 	row := ev.trans[p][q*fan : (q+1)*fan]
 	if math.IsNaN(row[0]) {
-		ev.org.transitionsInto(adj, p, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], row)
+		ev.org.transitionsInto(p, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], row)
 	}
 	return row
 }
@@ -627,27 +624,28 @@ func (ev *Evaluator) transRow(adj *adjSnapshot, p StateID, q int) []float64 {
 // and recomputes it, one plan pair at a time. A pair's parent row,
 // transition slot and child position are read once; the query loop
 // then adds reach × transition into the state's row, so each query
-// still sums its parents in adjacency order from zero — the bits of a
+// still sums its parents in Parents order from zero — the bits of a
 // per-query sum. A parent with zero reach adds exactly zero, so it is
 // skipped and its transition row is not filled. Eliminated states are
 // zeroed. Only the worker that owns [lo, hi) may call it.
 //
 //lakelint:hotpath
-func (ev *Evaluator) sweep(adj *adjSnapshot, lo, hi int) {
+func (ev *Evaluator) sweep(lo, hi int) {
 	for q := lo; q < hi; q++ {
 		ev.invalidateSims(q)
 	}
 	nq := len(ev.queries)
+	states := ev.org.States
 	for i, id := range ev.affectedTopo {
 		dst := ev.reachRow(id)[lo:hi]
 		copy(ev.savedReach[i*nq+lo:i*nq+hi], dst)
 		clear(dst)
 		for k := ev.planPairStart[i]; k < ev.planPairStart[i+1]; k++ {
-			p := StateID(ev.planPairParent[k])
+			p := ev.planPairParent[k]
 			ci := int(ev.planPairIdx[k])
 			src := ev.reachRow(p)[lo:hi]
 			slot := ev.trans[p]
-			fan := int(adj.childStart[p+1] - adj.childStart[p])
+			fan := len(states[p].Children)
 			for j, r := range src {
 				if r == 0 {
 					continue
@@ -655,7 +653,7 @@ func (ev *Evaluator) sweep(adj *adjSnapshot, lo, hi int) {
 				q := lo + j
 				row := slot[q*fan : (q+1)*fan]
 				if math.IsNaN(row[0]) {
-					ev.org.transitionsInto(adj, p, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], row)
+					ev.org.transitionsInto(p, ev.queries[q].Topic, ev.queryNorm[q], ev.sims[q], row)
 				}
 				dst[j] += r * row[ci]
 			}
@@ -674,21 +672,22 @@ func (ev *Evaluator) sweep(adj *adjSnapshot, lo, hi int) {
 // the same values in the same order, so the same bits.
 //
 //lakelint:hotpath
-func (ev *Evaluator) leafProbMemo(adj *adjSnapshot, q int) float64 {
+func (ev *Evaluator) leafProbMemo(q int) float64 {
 	leaf := ev.queryLeaf[q]
 	if leaf < 0 {
 		return 0
 	}
 	nq := len(ev.queries)
+	states := ev.org.States
 	var p float64
-	for _, t := range adj.parentsOf(leaf) {
+	for _, t := range states[leaf].Parents {
 		r := ev.reachFlat[int(ev.rank[t])*nq+q]
 		if r == 0 {
 			continue
 		}
-		row := ev.transRow(adj, StateID(t), q)
-		for i, c := range adj.childrenOf(StateID(t)) {
-			if StateID(c) == leaf {
+		row := ev.transRow(t, q)
+		for i, c := range states[t].Children {
+			if c == leaf {
 				p += r * row[i]
 				break
 			}
@@ -718,8 +717,10 @@ func (ev *Evaluator) Commit() error {
 // accumulators, which need not reproduce the pre-operation bits, so a
 // saved cosine or distribution could differ from the one the kernel
 // computes against the restored arena. The transition rows marked stale
-// are the ones Reevaluate marked, now sized by the restored fan-outs,
-// plus those of the restored parents of every moved topic.
+// are the ones Reevaluate marked, now sized by the restored fan-outs.
+// They cover every restored parent of a moved topic: a parent whose
+// edge the operation removed has its child list changed, and a parent
+// kept through the operation was marked as a parent of that topic.
 func (ev *Evaluator) Rollback() error {
 	if !ev.pending {
 		return fmt.Errorf("core: Rollback without a pending Reevaluate")
@@ -730,11 +731,6 @@ func (ev *Evaluator) Rollback() error {
 	ev.gen++
 	for _, id := range ev.staleOut {
 		ev.markStale(id)
-	}
-	for _, id := range ev.topicChanged {
-		for _, p := range ev.org.States[id].Parents {
-			ev.markStale(p)
-		}
 	}
 	nq := len(ev.queries)
 	for i, id := range ev.affectedTopo {

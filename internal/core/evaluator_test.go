@@ -308,8 +308,7 @@ func TestEvaluatorTransitionMemoCoherent(t *testing.T) {
 		checked := 0
 		check := func(stage string, step int) {
 			t.Helper()
-			adj := o.adjacency()
-			fresh := make([]float64, adj.maxChildren)
+			fresh := make([]float64, o.maxFanOut())
 			nq := len(ev.queries)
 			for id, s := range o.States {
 				if s.deleted || s.Kind == KindLeaf {
@@ -325,7 +324,7 @@ func TestEvaluatorTransitionMemoCoherent(t *testing.T) {
 					if fan == 0 || math.IsNaN(row[0]) {
 						continue
 					}
-					want := o.transitionsInto(adj, StateID(id), query.Topic, ev.queryNorm[q], nil, fresh)
+					want := o.transitionsInto(StateID(id), query.Topic, ev.queryNorm[q], nil, fresh)
 					for i := range row {
 						if row[i] != want[i] {
 							t.Fatalf("frac %v step %d %s: query %d state %d memo[%d] = %v, fresh transition %v", frac, step, stage, q, id, i, row[i], want[i])
@@ -465,14 +464,13 @@ func TestReevaluateRollbackBytesFlat(t *testing.T) {
 	}
 	// cycle applies op, re-evaluates and rolls it back, and returns the
 	// bytes the two evaluator calls allocated and the rollback cells the
-	// call saved. The organization's own work (the operation, its undo
-	// and the adjacency rebuild) is outside the measured windows.
+	// call saved. The organization's own work (the operation and its
+	// undo) is outside the measured windows.
 	var ms runtime.MemStats
 	cycle := func(op func() *UndoLog) (bytes uint64, cells int) {
 		cs := o.BeginChanges()
 		u := op()
 		o.EndChanges()
-		o.adjacency()
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		ev.Reevaluate(cs)

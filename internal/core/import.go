@@ -133,7 +133,9 @@ func newRebuild(l *lake.Lake, gamma float64) (*rebuild, error) {
 
 // addState appends the next stored state with a fresh dense ID. name is
 // a leaf's qualified attribute name or a tag state's tag; interiors
-// ignore it. No topic is set: the caller derives or installs it.
+// ignore it. An attribute has one leaf and a tag one tag state, so a
+// second of either is an error. No topic is set: the caller derives or
+// installs it.
 func (r *rebuild) addState(k Kind, name string) (*State, error) {
 	o := r.o
 	switch k {
@@ -142,11 +144,17 @@ func (r *rebuild) addState(k Kind, name string) (*State, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: rebuild references unknown attribute %q", name)
 		}
+		if _, dup := o.leafOf[a]; dup {
+			return nil, fmt.Errorf("core: rebuild has a second leaf for attribute %q", name)
+		}
 		s := o.newState(KindLeaf)
 		s.Attr = a
 		o.leafOf[a] = s.ID
 		return s, nil
 	case KindTag:
+		if _, dup := o.tagState[name]; dup {
+			return nil, fmt.Errorf("core: rebuild has a second tag state for tag %q", name)
+		}
 		s := o.newState(KindTag)
 		s.Tags = []string{name}
 		s.run = vector.NewRunning(o.Lake.Dim())

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lakenav/internal/lake"
+	"lakenav/vector"
 )
 
 func TestImportRoundTrip(t *testing.T) {
@@ -141,6 +143,76 @@ func TestImportValidation(t *testing.T) {
 		}
 	})
 	mutate("duplicate state id", func(s []ExportedState) { s[1].ID = s[0].ID })
+}
+
+// An attribute has one leaf and a tag one tag state. A stored
+// organization with a second of either is rejected by Import (which
+// checkpoints load through) and by the binary decoder, instead of
+// loading with one of the two unindexed.
+func TestImportRejectsDuplicateLeafAndTagState(t *testing.T) {
+	o := clusteredOrg(t)
+	var leaf, tag *State
+	for _, s := range o.States {
+		if s.Kind == KindLeaf && leaf == nil {
+			leaf = s
+		}
+		if s.Kind == KindTag && tag == nil {
+			tag = s
+		}
+	}
+	base := o.Export()
+	nextID := len(o.States)
+	withState := func(parent StateID, dup ExportedState) *ExportedOrg {
+		ex := *base
+		ex.States = append([]ExportedState(nil), base.States...)
+		dup.ID = nextID
+		for i := range ex.States {
+			if ex.States[i].ID == int(parent) {
+				ex.States[i].Children = append(append([]int(nil), ex.States[i].Children...), dup.ID)
+			}
+		}
+		ex.States = append(ex.States, dup)
+		return &ex
+	}
+	dupLeaf := withState(tag.ID, ExportedState{Kind: "leaf", Attr: o.Lake.Attr(leaf.Attr).QualifiedName(o.Lake)})
+	if _, err := Import(o.Lake, dupLeaf); err == nil || !strings.Contains(err.Error(), "second leaf") {
+		t.Errorf("Import of a second leaf for one attribute: err = %v", err)
+	}
+	dupTag := withState(o.Root, ExportedState{Kind: "tag", Tags: tag.Tags, Children: []int{int(tag.Children[0])}})
+	if _, err := Import(o.Lake, dupTag); err == nil || !strings.Contains(err.Error(), "second tag state") {
+		t.Errorf("Import of a second tag state for one tag: err = %v", err)
+	}
+
+	// The binary decoder, on containers encoded from organizations
+	// given the same duplicates in memory.
+	encodeWith := func(add func(o *Org)) []byte {
+		o := clusteredOrg(t)
+		add(o)
+		data, err := EncodeBinOrg(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	leafData := encodeWith(func(o *Org) {
+		s := o.newState(KindLeaf)
+		s.Attr = leaf.Attr
+		s.setTopic(o.Lake.Attr(leaf.Attr).Topic)
+		o.linkChild(tag.ID, s.ID)
+	})
+	if _, err := DecodeBinOrg(o.Lake, leafData); err == nil || !strings.Contains(err.Error(), "second leaf") {
+		t.Errorf("DecodeBinOrg of a second leaf for one attribute: err = %v", err)
+	}
+	tagData := encodeWith(func(o *Org) {
+		s := o.newState(KindTag)
+		s.Tags = []string{tag.Tags[0]}
+		s.run = vector.NewRunning(o.Lake.Dim())
+		o.linkChild(s.ID, tag.Children[0])
+		o.linkChild(o.Root, s.ID)
+	})
+	if _, err := DecodeBinOrg(o.Lake, tagData); err == nil || !strings.Contains(err.Error(), "second tag state") {
+		t.Errorf("DecodeBinOrg of a second tag state for one tag: err = %v", err)
+	}
 }
 
 func TestImportNeedsTopics(t *testing.T) {

@@ -131,12 +131,11 @@ func BenchmarkTransitionsInto(b *testing.B) {
 	forBenchDims(b, func(b *testing.B, o *Org) {
 		states, topic := benchStatesAndTopic(b, o)
 		norm := vector.Norm(topic)
-		adj := o.adjacency()
-		probs := make([]float64, adj.maxChildren)
+		probs := make([]float64, o.maxFanOut())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o.transitionsInto(adj, states[i%len(states)], topic, norm, nil, probs)
+			o.transitionsInto(states[i%len(states)], topic, norm, nil, probs)
 		}
 	})
 }

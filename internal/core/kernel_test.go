@@ -440,7 +440,7 @@ func (o *Org) reachProbs(topic vector.Vector) []float64 {
 
 // leafProb is Definition 1 under topic, given reach from reachProbs.
 func (o *Org) leafProb(a lake.AttrID, topic vector.Vector, reach []float64) float64 {
-	probs := make([]float64, o.adjacency().maxChildren)
+	probs := make([]float64, o.maxFanOut())
 	return o.leafProbInto(a, topic, vector.Norm(topic), nil, nil, reach, probs)
 }
 

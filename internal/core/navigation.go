@@ -15,10 +15,10 @@ import (
 // what drives the model away from flat organizations.
 //
 // It writes into the caller-provided scratch (cap(probs) must be at
-// least the fan-out; size it with adjSnapshot.maxChildren) and returns
-// probs resliced to the fan-out, or nil for a childless state. The sweep
-// walks the CSR children run and the flat topic arena directly —
-// contiguous float64 and int32 blocks, no *State dereferences — which is
+// least the fan-out; size it with maxFanOut) and returns probs resliced
+// to the fan-out, or nil for a childless state. The sweep reads s's
+// child list and scores each child against the flat topic arena — one
+// contiguous float64 block, no per-child *State dereference — which is
 // what lets evaluator workers scale with cores instead of stalling on
 // cache misses.
 //
@@ -30,8 +30,8 @@ import (
 // is the same product of the same values, so results are bit-identical.
 //
 //lakelint:hotpath
-func (o *Org) transitionsInto(a *adjSnapshot, s StateID, topic vector.Vector, topicNorm float64, sims, probs []float64) []float64 {
-	children := a.childrenOf(s)
+func (o *Org) transitionsInto(s StateID, topic vector.Vector, topicNorm float64, sims, probs []float64) []float64 {
+	children := o.States[s].Children
 	if len(children) == 0 {
 		return nil
 	}
@@ -77,7 +77,7 @@ func fillNaN(sims []float64) {
 
 // reachProbsInto is the Eq 2–4 reach sweep: it fills reach
 // (len(o.States), zeroed here) with P(s|X, O) using probs as the
-// transition scratch (cap ≥ adjacency().maxChildren) and sims as the
+// transition scratch (cap ≥ maxFanOut()) and sims as the
 // topic's cosine memo row (nil for none; see transitionsInto), and
 // returns reach.
 // One topological sweep pushes each state's reach mass to its children
@@ -86,21 +86,20 @@ func fillNaN(sims []float64) {
 //
 //lakelint:hotpath
 func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, sims, reach, probs []float64) []float64 {
-	a := o.adjacency()
-	reach = reach[:len(o.States)]
+	states := o.States
+	reach = reach[:len(states)]
 	for i := range reach {
 		reach[i] = 0
 	}
 	reach[o.Root] = 1
-	interior := uint8(KindInterior)
-	leaf := uint8(KindLeaf)
 	for _, id := range o.Topo() {
-		if a.kinds[id] != interior || reach[id] == 0 {
+		s := states[id]
+		if s.Kind != KindInterior || reach[id] == 0 {
 			continue
 		}
-		p := o.transitionsInto(a, id, topic, topicNorm, sims, probs)
-		for i, c := range a.childrenOf(id) {
-			if a.kinds[c] != leaf {
+		p := o.transitionsInto(id, topic, topicNorm, sims, probs)
+		for i, c := range s.Children {
+			if states[c].Kind != KindLeaf {
 				reach[c] += reach[id] * p[i]
 			}
 		}
@@ -112,40 +111,36 @@ func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, sims, reach
 // probability of attribute a under query topic, given reach from
 // reachProbsInto over the same topic — the reach mass of a's
 // tag-state parents times the leaf-level transition probabilities.
-// probs is the caller-owned transition scratch (cap ≥
-// adjacency().maxChildren); sims is the topic's cosine memo row, or nil.
+// probs is the caller-owned transition scratch (cap ≥ maxFanOut());
+// sims is the topic's cosine memo row, or nil.
 //
-// trans, when non-nil, is the topic's transition memo indexed by CSR
-// child position (len ≥ len(adjacency().children)): tag state t's
-// distribution is trans[childStart[t]:childStart[t+1]], computed into
-// place when its first cell is NaN and reused otherwise. CSR positions
-// shift with every structural change, so a trans row is valid only
-// while the organization is not modified — within one request on a
-// serving snapshot. A nil trans computes every distribution into probs.
+// trans, when non-nil, is the topic's transition memo (see transMemo):
+// tag state t's distribution is computed into its cells when the first
+// one is NaN and reused otherwise. A nil trans computes every
+// distribution into probs.
 //
 //lakelint:hotpath
-func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, sims, trans, reach, probs []float64) float64 {
+func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64, sims []float64, trans *transMemo, reach, probs []float64) float64 {
 	leaf, ok := o.leafOf[a]
 	if !ok {
 		return 0
 	}
-	adj := o.adjacency()
 	var p float64
-	for _, t := range adj.parentsOf(leaf) {
+	for _, t := range o.States[leaf].Parents {
 		if reach[t] == 0 {
 			continue
 		}
 		var tp []float64
 		if trans != nil {
-			tp = trans[adj.childStart[t]:adj.childStart[t+1]]
+			tp = trans.cells[trans.start[t]:trans.start[t+1]]
 			if math.IsNaN(tp[0]) {
-				o.transitionsInto(adj, StateID(t), topic, topicNorm, sims, tp)
+				o.transitionsInto(t, topic, topicNorm, sims, tp)
 			}
 		} else {
-			tp = o.transitionsInto(adj, StateID(t), topic, topicNorm, sims, probs)
+			tp = o.transitionsInto(t, topic, topicNorm, sims, probs)
 		}
-		for i, c := range adj.childrenOf(StateID(t)) {
-			if StateID(c) == leaf {
+		for i, c := range o.States[t].Children {
+			if c == leaf {
 				p += reach[t] * tp[i]
 				break
 			}
@@ -154,22 +149,49 @@ func (o *Org) leafProbInto(a lake.AttrID, topic vector.Vector, topicNorm float64
 	return p
 }
 
+// transMemo is one topic's Eq 1 transition memo: state s's distribution
+// over its children is cells[start[s]:start[s+1]], stale while its
+// first cell is NaN. start is a prefix sum of the fan-outs, so the memo
+// is valid only while the organization is not modified — within one
+// request on a serving snapshot.
+type transMemo struct {
+	start []int32
+	cells []float64
+}
+
+// newTransMemo lays out a transition memo over o's current fan-outs,
+// every distribution stale.
+func (o *Org) newTransMemo() *transMemo {
+	start := make([]int32, len(o.States)+1)
+	for i, s := range o.States {
+		start[i+1] = start[i] + int32(len(s.Children))
+	}
+	cells := make([]float64, start[len(o.States)])
+	fillNaN(cells)
+	return &transMemo{start: start, cells: cells}
+}
+
+// maxFanOut returns the widest child list, which sizes transition
+// scratch.
+func (o *Org) maxFanOut() int {
+	n := 0
+	for _, s := range o.States {
+		n = max(n, len(s.Children))
+	}
+	return n
+}
+
 // newScratch allocates one reach row and one transition buffer sized
 // for the kernels, for the allocating entry points below.
 func (o *Org) newScratch() (reach, probs []float64) {
-	return make([]float64, len(o.States)), make([]float64, o.adjacency().maxChildren)
+	return make([]float64, len(o.States)), make([]float64, o.maxFanOut())
 }
 
 // TransitionProbs returns P(c|s, X, O) (Eq 1) for every child of s,
 // parallel to s.Children, for callers outside the optimizer (navigation
 // UIs, the user-study simulator).
 func (o *Org) TransitionProbs(s StateID, topic vector.Vector) []float64 {
-	a := o.adjacency()
-	children := a.childrenOf(s)
-	if len(children) == 0 {
-		return nil
-	}
-	return o.transitionsInto(a, s, topic, vector.Norm(topic), nil, make([]float64, len(children)))
+	return o.transitionsInto(s, topic, vector.Norm(topic), nil, make([]float64, len(o.States[s].Children)))
 }
 
 // discoveryProbInto is P(A|O): one reach sweep and one leaf evaluation
@@ -198,8 +220,7 @@ func (o *Org) DiscoveryProbs(topic vector.Vector) []float64 {
 	reach, probs := o.newScratch()
 	sims := make([]float64, len(o.States))
 	fillNaN(sims)
-	trans := make([]float64, len(o.adjacency().children))
-	fillNaN(trans)
+	trans := o.newTransMemo()
 	o.reachProbsInto(topic, norm, sims, reach, probs)
 	out := make([]float64, len(o.attrs))
 	for i, a := range o.attrs {
@@ -291,16 +312,15 @@ func (o *Org) Effectiveness() float64 {
 // reproducible; a nil rng takes the most probable child at every step.
 func (o *Org) Walk(topic vector.Vector, rng *rand.Rand) []StateID {
 	topicNorm := vector.Norm(topic)
-	a := o.adjacency()
-	scratch := make([]float64, a.maxChildren)
+	scratch := make([]float64, o.maxFanOut())
 	path := []StateID{o.Root}
 	cur := o.Root
 	for {
-		children := a.childrenOf(cur)
+		children := o.States[cur].Children
 		if len(children) == 0 {
 			return path
 		}
-		probs := o.transitionsInto(a, cur, topic, topicNorm, nil, scratch)
+		probs := o.transitionsInto(cur, topic, topicNorm, nil, scratch)
 		var next StateID
 		if rng == nil {
 			best, bp := 0, -1.0
@@ -309,15 +329,15 @@ func (o *Org) Walk(topic vector.Vector, rng *rand.Rand) []StateID {
 					bp, best = p, i
 				}
 			}
-			next = StateID(children[best])
+			next = children[best]
 		} else {
 			u := rng.Float64()
 			acc := 0.0
-			next = StateID(children[len(children)-1])
+			next = children[len(children)-1]
 			for i, p := range probs {
 				acc += p
 				if u <= acc {
-					next = StateID(children[i])
+					next = children[i]
 					break
 				}
 			}

@@ -669,9 +669,9 @@ func (sc *stepScratch) pickOperations(org *Org, sid StateID, levels []int, meanR
 
 	if s.Kind == KindLeaf {
 		cands := sc.cands[:0]
-		for _, ts := range org.TagStates() {
-			if org.CanAddParent(ts, sid) {
-				cands = append(cands, ts)
+		for _, ts := range org.States {
+			if ts.Kind == KindTag && !ts.deleted && org.CanAddParent(ts.ID, sid) {
+				cands = append(cands, ts.ID)
 			}
 		}
 		sc.cands = cands

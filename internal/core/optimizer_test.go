@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"lakenav/internal/synth"
@@ -191,3 +192,37 @@ func TestOptimizeRestartsBuildError(t *testing.T) {
 }
 
 var errBuild = fmt.Errorf("build failed")
+
+// TestPickOperationsZeroAllocs pins candidate assembly at zero
+// allocations once its buffers have grown, for a leaf (tag-state
+// candidates) and for an interior state (candidates one level up), so
+// that proposals add no garbage to a build.
+func TestPickOperationsZeroAllocs(t *testing.T) {
+	o := kernelTestOrg(t, 5)
+	ev, err := NewEvaluatorWorkers(o, 0, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels, meanReach := o.Levels(), ev.MeanReach()
+	rng := rand.New(rand.NewSource(1))
+	var sc stepScratch
+	leaf, interior := StateID(-1), StateID(-1)
+	for _, s := range o.States {
+		switch {
+		case leaf < 0 && s.Kind == KindLeaf:
+			leaf = s.ID
+		case interior < 0 && s.Kind == KindInterior && s.ID != o.Root:
+			interior = s.ID
+		}
+	}
+	for _, sid := range []StateID{leaf, interior} {
+		if len(sc.pickOperations(o, sid, levels, meanReach, rng)) == 0 {
+			t.Fatalf("state %d (%v) has no candidate operation", sid, o.States[sid].Kind)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			sc.pickOperations(o, sid, levels, meanReach, rng)
+		}); n != 0 {
+			t.Errorf("pickOperations for state %d (%v) allocates %.1f per call, want 0", sid, o.States[sid].Kind, n)
+		}
+	}
+}

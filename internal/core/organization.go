@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"lakenav/internal/lake"
 	"lakenav/vector"
@@ -195,13 +194,6 @@ type Org struct {
 	// levels caches each state's shortest-path depth from the root; nil
 	// when invalidated.
 	levels []int
-	// adj caches the flattened CSR adjacency snapshot the kernels sweep
-	// (see adjacency.go); nil when invalidated. spareAdj is the
-	// snapshot the last invalidation dropped, whose arrays the next
-	// rebuild reuses.
-	adj      *adjSnapshot
-	spareAdj *adjSnapshot
-
 	// attrStack is scratch for domain propagation: each addSupport or
 	// removeSupport pushes the attributes whose membership it changed,
 	// and the propagation frame that called it pops them once every
@@ -240,15 +232,14 @@ func (o *Org) Leaf(a lake.AttrID) StateID {
 	return -1
 }
 
-// TagStates returns the IDs of all live tag states.
+// TagStates returns the IDs of all live tag states in ascending order.
 func (o *Org) TagStates() []StateID {
 	out := make([]StateID, 0, len(o.tagState))
-	for _, id := range o.tagState {
-		if !o.States[id].deleted {
-			out = append(out, id)
+	for _, s := range o.States {
+		if s.Kind == KindTag && !s.deleted {
+			out = append(out, s.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -307,10 +298,6 @@ func removeID(ids []StateID, id StateID) []StateID {
 func (o *Org) invalidate() {
 	o.topo = nil
 	o.levels = nil
-	if o.adj != nil {
-		o.spareAdj = o.adj
-		o.adj = nil
-	}
 }
 
 // hasEdge reports whether parent → child exists.
@@ -518,6 +505,61 @@ func (o *Org) linkChild(parent, child StateID) {
 func (o *Org) unlinkChild(parent, child StateID) {
 	o.removeEdge(parent, child)
 	o.propagateRemove(parent, o.domainView(child))
+}
+
+// Topo returns a topological order over all live states reachable from
+// the root (parents before children), computing and caching it on
+// demand. It panics if a cycle is detected — operations are responsible
+// for never creating one.
+//
+// The order is the same as Kahn's algorithm seeded at the root with a
+// FIFO queue and children visited in insertion order; it is fully
+// deterministic.
+func (o *Org) Topo() []StateID {
+	if o.topo != nil {
+		return o.topo
+	}
+	// Reachability from the root, counting each reached state's edges
+	// into the in-degrees.
+	reach := make([]bool, len(o.States))
+	indeg := make([]int32, len(o.States))
+	reached := 0
+	stack := []StateID{o.Root}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if reach[id] {
+			continue
+		}
+		reach[id] = true
+		reached++
+		for _, c := range o.States[id].Children {
+			indeg[c]++
+			if !reach[c] {
+				stack = append(stack, c)
+			}
+		}
+	}
+	order := make([]StateID, 0, reached)
+	queue := make([]StateID, 0, reached)
+	if indeg[o.Root] == 0 {
+		queue = append(queue, o.Root)
+	}
+	for head := 0; head < len(queue); head++ {
+		id := queue[head]
+		order = append(order, id)
+		for _, c := range o.States[id].Children {
+			indeg[c]--
+			if indeg[c] == 0 {
+				queue = append(queue, c)
+			}
+		}
+	}
+	if len(order) != reached {
+		panic(fmt.Sprintf("core: cycle detected (%d of %d states ordered)", len(order), reached))
+	}
+	o.topo = order
+	return order
 }
 
 // Levels returns each live reachable state's shortest-path depth from

@@ -12,7 +12,7 @@ import (
 // oracle every fast path in this package is differentially tested
 // against. They walk the *State pointer graph and call vector.Cosine
 // (which recomputes both norms on every call), sharing nothing with the
-// CSR/arena kernels of navigation.go.
+// arena kernels of navigation.go.
 
 // naiveChildTransitions is Eq 1: a softmax over the children of s with
 // logit (γ/|ch(s)|)·cos(μ_c, μ_X), parallel to s.Children.

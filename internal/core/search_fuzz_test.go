@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"lakenav/internal/lake"
 	"lakenav/internal/synth"
+	"lakenav/vector"
 )
 
 // searchStepScript turns the first steps of a math/rand stream into a
@@ -93,24 +95,76 @@ func snapshotStructure(o *Org) structureSnapshot {
 	return snap
 }
 
+// checkReference compares the fast kernels with the naive ones of
+// reference_test.go within 1e-12: ev's effectiveness and every AttrProb
+// (ev must be exact), then, under the topic of the leaf that pick
+// selects, the reach of every state and DiscoveryProbs, which exercises
+// its transition memo, and the Eq 1 distribution of the live state with
+// children that pick selects.
+func checkReference(t *testing.T, o *Org, ev *Evaluator, pick int, stage string) {
+	t.Helper()
+	const tol = 1e-12
+	want := naiveAttrProbs(o)
+	if got, w := ev.Effectiveness(), naiveMeanTableProb(o.Lake, want); math.Abs(got-w) > tol {
+		t.Fatalf("%s: eff %v != reference %v", stage, got, w)
+	}
+	attrs := o.Attrs()
+	for i, a := range attrs {
+		if got := ev.AttrProb(i); math.Abs(got-want[a]) > tol {
+			t.Fatalf("%s: attr %d prob %v != reference %v", stage, i, got, want[a])
+		}
+	}
+	topic := o.States[o.Leaf(attrs[pick%len(attrs)])].topic
+	reach := naiveReachProbs(o, topic)
+	scratch, probs := o.newScratch()
+	for id, got := range o.reachProbsInto(topic, vector.Norm(topic), nil, scratch, probs) {
+		if math.Abs(got-reach[id]) > tol {
+			t.Fatalf("%s: state %d reach %v != reference %v", stage, id, got, reach[id])
+		}
+	}
+	for i, got := range o.DiscoveryProbs(topic) {
+		if w := naiveLeafProb(o, attrs[i], topic, reach); math.Abs(got-w) > tol {
+			t.Fatalf("%s: DiscoveryProbs[%d] %v != reference %v", stage, i, got, w)
+		}
+	}
+	var parents []StateID
+	for _, s := range o.States {
+		if !s.deleted && len(s.Children) > 0 {
+			parents = append(parents, s.ID)
+		}
+	}
+	s := parents[pick%len(parents)]
+	got, w := o.TransitionProbs(s, topic), naiveChildTransitions(o, s, topic)
+	if len(got) != len(w) {
+		t.Fatalf("%s: state %d has %d transitions, reference %d", stage, s, len(got), len(w))
+	}
+	for i := range got {
+		if math.Abs(got[i]-w[i]) > tol {
+			t.Fatalf("%s: state %d transition %d %v != reference %v", stage, s, i, got[i], w[i])
+		}
+	}
+}
+
 // FuzzSearchStep drives the local search's cycle — apply an operation,
 // Reevaluate, then Commit, or Undo and Rollback — on a small generated
 // TagCloud organization with an exact evaluator. The inputs are the
 // lake seed, its size (10 gives the kernelTestOrg shape), the evaluator
 // pool size and a script of (candidate pick, resolution) byte pairs.
 // After every step it checks the incremental evaluator against a fresh
-// one (1e-9, as TestIncrementalMatchesFullRecompute), that Rollback
-// puts back effectiveness, every AttrProb and MeanReach bit for bit,
-// that Undo restores edge sets, deleted flags and domains exactly, that
-// the CSR snapshot equals a fresh build, that domains and support
-// counts equal the naive recount, and Validate.
+// one (1e-9, as TestIncrementalMatchesFullRecompute) and against the
+// naive kernels of reference_test.go (1e-12): effectiveness, every
+// AttrProb, every state's reach and DiscoveryProbs under one leaf's
+// topic, and the Eq 1 distribution of one live state. It also checks that Rollback puts
+// back effectiveness, every AttrProb and MeanReach bit for bit, that
+// Undo restores edge sets, deleted flags and domains exactly, that
+// domains and support counts equal the naive recount, and Validate.
 func FuzzSearchStep(f *testing.F) {
-	// The organizations and random streams of the evaluator,
-	// adjacency and domain tests: TestIncrementalMatchesFullRecompute
-	// (17), TestRollbackRestoresExactly (19), TestEvaluatorSimMemoCoherent
+	// The organizations and random streams of the evaluator and domain
+	// tests: TestIncrementalMatchesFullRecompute (17),
+	// TestRollbackRestoresExactly (19), TestEvaluatorSimMemoCoherent
 	// (org 5, stream 41, 4 workers), TestEvaluatorTransitionMemoCoherent
-	// (org 5, stream 43), TestAdjacencyReuseMatchesFresh (3 and 11, 2
-	// workers) and TestDomainMaintenanceMatchesReference (3 and 41).
+	// (org 5, stream 43) and TestDomainMaintenanceMatchesReference (3 and
+	// 41), plus orgs 3 and 11 on 2 workers.
 	f.Add(uint8(17), uint8(10), uint8(1), searchStepScript(17, 25))
 	f.Add(uint8(19), uint8(10), uint8(1), searchStepScript(19, 20))
 	f.Add(uint8(5), uint8(10), uint8(4), searchStepScript(41, 24))
@@ -164,9 +218,7 @@ func FuzzSearchStep(f *testing.F) {
 					t.Fatalf("step %d %s: attr %d incremental %v != fresh %v", step, stage, i, got, want)
 				}
 			}
-			if got, want := o.adjacency(), freshAdjacency(o); !reflect.DeepEqual(*got, *want) {
-				t.Fatalf("step %d %s: CSR snapshot differs from a fresh build", step, stage)
-			}
+			checkReference(t, o, ev, step+1, fmt.Sprintf("step %d %s", step, stage))
 			assertDomainsMatchReference(t, o, stage)
 		}
 		check(-1, "construction")

@@ -48,7 +48,7 @@ stage "go test -race ./..." go test -race ./...
 # decoder and the value tokenizer, each of the last two against the
 # code it replaced), plus the local search's apply / Reevaluate /
 # Commit or Undo + Rollback cycle against a fresh evaluator, the naive
-# domains and a fresh CSR snapshot. -fuzzminimizetime is capped
+# navigation kernels and the naive domains. -fuzzminimizetime is capped
 # because the default 60s-per-input minimization starves short windows
 # on small machines.
 fuzz_smoke() {
