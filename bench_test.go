@@ -323,14 +323,9 @@ func BenchmarkIncrementalReevaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkOrganizeSocrata10Dim times one construction of the lakebench
-// build workload's shape: LoadJSON of the default 750-table Socrata
-// lake and OrganizeContext into 10 dimensions with 150 proposals per
-// dimension. It needs no server, so -cpuprofile and -memprofile see
-// construction alone:
-//
-//	go test -run '^$' -bench OrganizeSocrata10Dim -benchtime 20x -cpuprofile cpu.out
-func BenchmarkOrganizeSocrata10Dim(b *testing.B) {
+// socrataLakeFile saves the default 750-table Socrata lake, the
+// lakebench build workload's input, as JSON and returns its path.
+func socrataLakeFile(b *testing.B) string {
 	soc, err := synth.GenerateSocrata(synth.DefaultSocrataConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -348,9 +343,28 @@ func BenchmarkOrganizeSocrata10Dim(b *testing.B) {
 	if err := l.Save(path, FormatJSON); err != nil {
 		b.Fatal(err)
 	}
+	return path
+}
+
+// socrata10DimConfig is the lakebench build workload's construction:
+// 10 dimensions, 150 proposals per dimension.
+func socrata10DimConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Dimensions = 10
 	cfg.MaxIterations = 150
+	return cfg
+}
+
+// BenchmarkOrganizeSocrata10Dim times one construction of the lakebench
+// build workload's shape: LoadJSON of the default 750-table Socrata
+// lake and OrganizeContext into 10 dimensions with 150 proposals per
+// dimension. It needs no server, so -cpuprofile and -memprofile see
+// construction alone:
+//
+//	go test -run '^$' -bench OrganizeSocrata10Dim -benchtime 20x -cpuprofile cpu.out
+func BenchmarkOrganizeSocrata10Dim(b *testing.B) {
+	path := socrataLakeFile(b)
+	cfg := socrata10DimConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -359,6 +373,33 @@ func BenchmarkOrganizeSocrata10Dim(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := OrganizeContext(context.Background(), built, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadMultiDim10Dim times the organization half of a navserver
+// cold start on the lakebench build workload's inputs: LoadOrganization
+// of a 10-dimension org.bin over the 750-table Socrata lake, whose
+// topics are derived before the timer starts. The keyword-index half is
+// textsearch's BenchmarkIndexLake.
+func BenchmarkLoadMultiDim10Dim(b *testing.B) {
+	l, err := LoadJSON(socrataLakeFile(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	org, err := OrganizeContext(context.Background(), l, socrata10DimConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	orgPath := filepath.Join(b.TempDir(), "org.bin")
+	if err := org.Save(orgPath, FormatBin); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadOrganization(l, orgPath); err != nil {
 			b.Fatal(err)
 		}
 	}

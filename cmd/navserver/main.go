@@ -75,7 +75,6 @@ func main() {
 		// observe history appearing mid-flight.
 		opts.Generations = *generations
 	}
-	s := navhttp.New(lakenav.NewSearchEngine(l), opts)
 	ingestCfg := lakenav.IngestConfig{Reoptimize: *reoptimize, Seed: 1}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -84,18 +83,36 @@ func main() {
 	// second one kill the process outright.
 	context.AfterFunc(ctx, stop)
 
+	// A preloaded organization and the keyword index only read the
+	// loaded lake, so the index is built on a second goroutine while the
+	// organization loads; the handler is created once both are done.
+	var search *lakenav.SearchEngine
+	var org *lakenav.Organization
+	if *orgPath != "" {
+		log.Printf("loading organization from %s…", *orgPath)
+		var indexWG sync.WaitGroup
+		indexWG.Add(1)
+		go func() {
+			defer indexWG.Done()
+			search = lakenav.NewSearchEngine(l)
+		}()
+		org, err = lakenav.LoadOrganization(l, *orgPath)
+		indexWG.Wait()
+		if err != nil {
+			log.Fatal("navserver: ", err)
+		}
+	} else {
+		search = lakenav.NewSearchEngine(l)
+	}
+	s := navhttp.New(search, opts)
+
 	// buildWG joins the background organization build on shutdown:
 	// OrganizeContext honors ctx, so cancelling and waiting bounds exit
 	// latency while guaranteeing the goroutine is gone before main
 	// returns (no half-finished SetOrganization racing process exit).
 	var buildWG sync.WaitGroup
 
-	if *orgPath != "" {
-		log.Printf("loading organization from %s…", *orgPath)
-		org, err := lakenav.LoadOrganization(l, *orgPath)
-		if err != nil {
-			log.Fatal("navserver: ", err)
-		}
+	if org != nil {
 		if *journalPath != "" {
 			// Serving switches to frozen generations: the working lake and
 			// organization belong to the ingester from here on.

@@ -43,6 +43,13 @@ func newTopicArena(dim int) *topicArena {
 	return &topicArena{dim: dim, scratch: vector.New(dim)}
 }
 
+// reserve sizes an empty arena for n slots, so a caller that knows how
+// many states it will add fills the blocks without regrowing them.
+func (a *topicArena) reserve(n int) {
+	a.vecs = make([]float64, 0, n*a.dim)
+	a.norms = make([]float64, 0, n)
+}
+
 // slots returns the number of materialized slots.
 func (a *topicArena) slots() int { return len(a.norms) }
 

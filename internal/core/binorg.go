@@ -22,7 +22,7 @@ import (
 //   - structural: states, edges, and the string table only — exactly
 //     the information of an ExportedOrg, which Import rebuilds. It
 //     exists only embedded in checkpoints, whose cost is write-side;
-//     DecodeBinOrg rejects it at top level.
+//     the org decoder rejects it at top level.
 //
 // Both flavors are rebuilt by the one rule in import.go (rebuild,
 // linkOrder), so a decoded org is bit-identical — Parents order and
@@ -262,19 +262,17 @@ func encodeBinExportedOrg(ex *ExportedOrg) (*binfmt.Writer, error) {
 	return w, nil
 }
 
-// DecodeBinOrg decodes a full-flavor org container over its lake.
-// Errors, never panics, on corrupt input; every allocation is bounded
-// by the input's actual section sizes.
-func DecodeBinOrg(l *lake.Lake, data []byte) (*Org, error) {
+// decodeBinOrg decodes a full-flavor org container over its lake,
+// resolving leaves through attrOf, the lake's attrIndex, which the
+// dimensions of one multidim load share. Errors, never panics, on
+// corrupt input; every allocation is bounded by the input's actual
+// section sizes.
+func decodeBinOrg(l *lake.Lake, attrOf map[string]lake.AttrID, data []byte) (*Org, error) {
 	c, err := binfmt.New(data)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
-	return decodeBinOrg(l, c)
-}
-
-func decodeBinOrg(l *lake.Lake, c *binfmt.Container) (*Org, error) {
 	meta, err := readBinOrgMeta(c)
 	if err != nil {
 		return nil, err
@@ -282,7 +280,7 @@ func decodeBinOrg(l *lake.Lake, c *binfmt.Container) (*Org, error) {
 	if meta[orgMetaFlags] != orgFlagFull {
 		return nil, fmt.Errorf("core: binorg decode flags %#x: only full-flavor organization containers load", meta[orgMetaFlags])
 	}
-	return decodeBinOrgFull(l, c, meta)
+	return decodeBinOrgFull(l, attrOf, c, meta)
 }
 
 // readBinOrgMeta checks an org container's kind and version and returns
@@ -385,7 +383,7 @@ func (sh *binOrgShape) state(i int) (Kind, string, error) {
 // install topics straight from the (possibly mmap'd) vector block into
 // the arena, restore run accumulators and support tables verbatim, and
 // link edges in linkOrder — no propagation.
-func decodeBinOrgFull(l *lake.Lake, c *binfmt.Container, meta []uint64) (*Org, error) {
+func decodeBinOrgFull(l *lake.Lake, attrOf map[string]lake.AttrID, c *binfmt.Container, meta []uint64) (*Org, error) {
 	dim := int(meta[orgMetaDim])
 	if dim != l.Dim() {
 		return nil, fmt.Errorf("core: binorg decode dim %d, lake has %d", dim, l.Dim())
@@ -423,7 +421,7 @@ func decodeBinOrgFull(l *lake.Lake, c *binfmt.Container, meta []uint64) (*Org, e
 		return nil, fmt.Errorf("core: binorg decode run sum block has %d floats, want %d", len(runSums), len(runCounts)*dim)
 	}
 
-	r, err := newRebuild(l, math.Float64frombits(meta[orgMetaGamma]))
+	r, err := newRebuild(l, attrOf, math.Float64frombits(meta[orgMetaGamma]), sh.n)
 	if err != nil {
 		return nil, err
 	}
@@ -652,19 +650,37 @@ func DecodeBinMultiDim(l *lake.Lake, c *binfmt.Container) (*MultiDim, error) {
 	if next != len(groupRefs) {
 		return nil, fmt.Errorf("core: binorg decode multidim has %d dangling tag refs", len(groupRefs)-next)
 	}
-	m := &MultiDim{Lake: l, TagGroups: groups}
+	// Sections are read serially up to the first missing one; the
+	// dimensions read then decode in parallel over one shared
+	// attrIndex. A failure reports the lowest failing dimension, section
+	// read or decode, exactly as a serial loop over the dimensions would.
+	var blobs [][]byte
+	var sectionErr error
 	for i := uint64(0); i < norgs; i++ {
 		blob, err := c.Section(uint32(secMDOrgBase + i))
 		if err != nil {
-			return nil, fmt.Errorf("core: binorg decode dimension %d: %w", i, err)
+			sectionErr = fmt.Errorf("core: binorg decode dimension %d: %w", i, err)
+			break
 		}
-		o, err := DecodeBinOrg(l, blob)
+		blobs = append(blobs, blob)
+	}
+	attrOf := attrIndex(l)
+	orgs := make([]*Org, len(blobs))
+	errs := make([]error, len(blobs))
+	ParallelFor(len(blobs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			orgs[i], errs[i] = decodeBinOrg(l, attrOf, blobs[i])
+		}
+	})
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: binorg decode dimension %d: %w", i, err)
 		}
-		m.Orgs = append(m.Orgs, o)
 	}
-	return m, nil
+	if sectionErr != nil {
+		return nil, sectionErr
+	}
+	return &MultiDim{Lake: l, Orgs: orgs, TagGroups: groups}, nil
 }
 
 // LoadMultiDim loads a multi-dimensional organization saved by

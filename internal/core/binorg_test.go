@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lakenav/internal/binfmt"
@@ -26,6 +28,12 @@ func canonical(t *testing.T, l *lake.Lake, o *Org) *Org {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// DecodeBinOrg decodes one dimension's org container the way
+// DecodeBinMultiDim does, over a fresh attrIndex of l.
+func DecodeBinOrg(l *lake.Lake, data []byte) (*Org, error) {
+	return decodeBinOrg(l, attrIndex(l), data)
 }
 
 // TestBinOrgRoundTrip is the golden pin of the PR: a JSON-canonical
@@ -252,6 +260,122 @@ func TestBinMultiDimRejectsCorruptFiles(t *testing.T) {
 		if _, err := LoadMultiDim(tc.Lake, bad); err == nil {
 			t.Fatalf("corrupt byte at %d accepted", off)
 		}
+	}
+}
+
+// serialDimensions decodes a multidim container's dimensions one after
+// another, each over its own attrIndex, stopping at the first failure:
+// the loop DecodeBinMultiDim ran before it decoded them in parallel
+// over one shared index.
+func serialDimensions(l *lake.Lake, c *binfmt.Container) ([]*Org, error) {
+	meta, err := c.Uint64s(secMDMeta)
+	if err != nil {
+		return nil, err
+	}
+	var orgs []*Org
+	for i := uint64(0); i < meta[0]; i++ {
+		blob, err := c.Section(uint32(secMDOrgBase + i))
+		if err != nil {
+			return nil, fmt.Errorf("core: binorg decode dimension %d: %w", i, err)
+		}
+		o, err := DecodeBinOrg(l, blob)
+		if err != nil {
+			return nil, fmt.Errorf("core: binorg decode dimension %d: %w", i, err)
+		}
+		orgs = append(orgs, o)
+	}
+	return orgs, nil
+}
+
+// multiDimContainer encodes m and opens the result as a container.
+func multiDimContainer(t *testing.T, m *MultiDim) *binfmt.Container {
+	t.Helper()
+	w, err := EncodeBinMultiDim(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := binfmt.New(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestBinMultiDimParallelMatchesSerial decodes a 10-dimension container
+// in parallel and checks every dimension's fingerprint against the
+// serial decode, over one lake.
+func TestBinMultiDimParallelMatchesSerial(t *testing.T) {
+	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, _, err := BuildMultiDim(tc.Lake, MultiDimConfig{K: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ImportMultiDim(tc.Lake, built.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Orgs) != 10 {
+		t.Fatalf("built %d dimensions, want 10", len(m.Orgs))
+	}
+	c := multiDimContainer(t, m)
+	got, err := DecodeBinMultiDim(tc.Lake, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serialDimensions(tc.Lake, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Orgs) != len(want) {
+		t.Fatalf("parallel decode has %d dimensions, serial %d", len(got.Orgs), len(want))
+	}
+	for i := range want {
+		if g, w := got.Orgs[i].Fingerprint(), want[i].Fingerprint(); g != w {
+			t.Errorf("dimension %d: parallel fingerprint %016x, serial %016x", i, g, w)
+		}
+	}
+	if g, w := got.Fingerprint(), m.Fingerprint(); g != w {
+		t.Errorf("decoded multidim fingerprint %016x, encoded %016x", g, w)
+	}
+}
+
+// TestBinMultiDimReportsLowestFailingDimension corrupts two dimensions
+// differently; the parallel decode must fail with the serial decode's
+// error, which names the lower one.
+func TestBinMultiDimReportsLowestFailingDimension(t *testing.T) {
+	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := BuildMultiDim(tc.Lake, MultiDimConfig{K: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Dimension 1 puts a leaf under its root (a kind-rule violation);
+	// dimension 3 carries a non-positive gamma.
+	lower := m.Orgs[1]
+	for _, s := range lower.States {
+		if s.Kind == KindLeaf && !s.deleted {
+			lower.linkChild(lower.Root, s.ID)
+			break
+		}
+	}
+	m.Orgs[3].Gamma = -1
+	c := multiDimContainer(t, m)
+	_, want := serialDimensions(tc.Lake, c)
+	if want == nil || !strings.Contains(want.Error(), "dimension 1:") {
+		t.Fatalf("serial decode error %v, want one naming dimension 1", want)
+	}
+	_, got := DecodeBinMultiDim(tc.Lake, c)
+	if got == nil || got.Error() != want.Error() {
+		t.Fatalf("parallel decode error\n  %v\nwant the serial decode's\n  %v", got, want)
 	}
 }
 

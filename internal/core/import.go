@@ -24,7 +24,7 @@ import (
 // best-so-far restore, ingest freezes), not for migrating structures
 // across lakes.
 func Import(l *lake.Lake, ex *ExportedOrg) (*Org, error) {
-	r, err := newRebuild(l, ex.Gamma)
+	r, err := newRebuild(l, attrIndex(l), ex.Gamma, len(ex.States))
 	if err != nil {
 		return nil, err
 	}
@@ -103,22 +103,30 @@ type rebuild struct {
 	attrOf map[string]lake.AttrID
 }
 
-func newRebuild(l *lake.Lake, gamma float64) (*rebuild, error) {
-	if l.Dim() == 0 {
-		return nil, fmt.Errorf("core: rebuild needs computed lake topics")
-	}
-	if !(gamma > 0) {
-		return nil, fmt.Errorf("core: rebuild gamma %v not positive", gamma)
-	}
-	// Qualified attribute names → IDs for leaf resolution. Removed
-	// attributes are invisible: a structure referencing one is stale
-	// relative to this lake and must fail, and a re-added table must
-	// resolve to its live attribute slots, not its tombstones.
+// attrIndex maps the qualified name of each of l's live attributes to
+// its ID, for leaf resolution. Removed attributes are invisible: a
+// structure referencing one is stale relative to this lake and must
+// fail, and a re-added table must resolve to its live attribute slots,
+// not its tombstones. A load builds it once and shares it read-only
+// between the rebuilds of all its dimensions.
+func attrIndex(l *lake.Lake) map[string]lake.AttrID {
 	attrOf := make(map[string]lake.AttrID, len(l.Attrs))
 	for _, a := range l.Attrs {
 		if !a.Removed {
 			attrOf[a.QualifiedName(l)] = a.ID
 		}
+	}
+	return attrOf
+}
+
+// newRebuild starts a rebuild of n stored states over l, resolving
+// leaves through attrOf, l's attrIndex, which it only reads.
+func newRebuild(l *lake.Lake, attrOf map[string]lake.AttrID, gamma float64, n int) (*rebuild, error) {
+	if l.Dim() == 0 {
+		return nil, fmt.Errorf("core: rebuild needs computed lake topics")
+	}
+	if !(gamma > 0) {
+		return nil, fmt.Errorf("core: rebuild gamma %v not positive", gamma)
 	}
 	o := &Org{
 		Lake:     l,
@@ -126,8 +134,10 @@ func newRebuild(l *lake.Lake, gamma float64) (*rebuild, error) {
 		Root:     -1,
 		leafOf:   make(map[lake.AttrID]StateID),
 		tagState: make(map[string]StateID),
+		States:   make([]*State, 0, n),
 		arena:    newTopicArena(l.Dim()),
 	}
+	o.arena.reserve(n)
 	return &rebuild{o: o, attrOf: attrOf}, nil
 }
 

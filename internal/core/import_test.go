@@ -215,6 +215,58 @@ func TestImportRejectsDuplicateLeafAndTagState(t *testing.T) {
 	}
 }
 
+// Leaves hang only under tag states and tag states only under interior
+// states. No operation breaks that rule, so a stored organization that
+// does is rejected by Import and by the binary decoder; a leaf under
+// the root used to load and move effectiveness.
+func TestLoadersRejectKindRuleViolations(t *testing.T) {
+	o := clusteredOrg(t)
+	var leaf StateID = -1
+	var tags []StateID
+	for _, s := range o.States {
+		if s.Kind == KindLeaf && leaf < 0 {
+			leaf = s.ID
+		}
+		if s.Kind == KindTag {
+			tags = append(tags, s.ID)
+		}
+	}
+	if o.States[o.Root].Kind != KindInterior || leaf < 0 || len(tags) < 2 {
+		t.Fatal("test organization needs an interior root, a leaf and two tag states")
+	}
+	cases := []struct {
+		name          string
+		parent, child StateID
+		want          string
+	}{
+		{"leaf under the root", o.Root, leaf, "leaf state"},
+		{"tag state under a tag state", tags[0], tags[1], "tag state"},
+	}
+	base := o.Export()
+	for _, tc := range cases {
+		ex := *base
+		ex.States = append([]ExportedState(nil), base.States...)
+		for i := range ex.States {
+			if ex.States[i].ID == int(tc.parent) {
+				ex.States[i].Children = append(append([]int(nil), ex.States[i].Children...), int(tc.child))
+			}
+		}
+		if _, err := Import(o.Lake, &ex); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Import of a %s: err = %v", tc.name, err)
+		}
+
+		bad := clusteredOrg(t)
+		bad.linkChild(tc.parent, tc.child)
+		data, err := EncodeBinOrg(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeBinOrg(bad.Lake, data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DecodeBinOrg of a %s: err = %v", tc.name, err)
+		}
+	}
+}
+
 func TestImportNeedsTopics(t *testing.T) {
 	o := clusteredOrg(t)
 	ex := o.Export()

@@ -82,7 +82,10 @@ func fillNaN(sims []float64) {
 // returns reach.
 // One topological sweep pushes each state's reach mass to its children
 // through the transition softmax. Only interior states propagate —
-// leaves are terminal and tag states' children are leaves.
+// leaves are terminal and tag states' children are leaves — and no
+// interior state has a leaf child (the kind rule Validate enforces on
+// every loaded organization and CanAddParent on every built one), so a
+// leaf's reach stays 0.
 //
 //lakelint:hotpath
 func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, sims, reach, probs []float64) []float64 {
@@ -99,9 +102,7 @@ func (o *Org) reachProbsInto(topic vector.Vector, topicNorm float64, sims, reach
 		}
 		p := o.transitionsInto(id, topic, topicNorm, sims, probs)
 		for i, c := range s.Children {
-			if states[c].Kind != KindLeaf {
-				reach[c] += reach[id] * p[i]
-			}
+			reach[c] += reach[id] * p[i]
 		}
 	}
 	return reach

@@ -634,9 +634,10 @@ search:
 }
 
 // Validate checks the organization's structural invariants: a single
-// root, acyclicity, edge symmetry, the inclusion property, and topic
-// accumulator consistency. Intended for tests and debugging; it is
-// O(V·|D|).
+// root, acyclicity, edge symmetry, the kind rules (a leaf's parents are
+// tag states, a tag state's parents interior states), the inclusion
+// property, and topic accumulator consistency. Every rebuild of a
+// stored organization runs it, as do tests; it is O(V·|D|).
 func (o *Org) Validate() error {
 	root := o.States[o.Root]
 	if root.deleted {
@@ -645,9 +646,19 @@ func (o *Org) Validate() error {
 	if len(root.Parents) != 0 {
 		return fmt.Errorf("core: root has parents %v", root.Parents)
 	}
+	// Dense per-attribute scratch, indexed by AttrID, for the state at
+	// hand: inDom marks its domain, and supply counts the children whose
+	// domain holds each attribute. Each state clears the cells it set.
+	inDom := make([]bool, len(o.Lake.Attrs))
+	supply := make([]int32, len(o.Lake.Attrs))
+	var one, childOne [1]lake.AttrID
 	for _, s := range o.States {
 		if s.deleted {
 			continue
+		}
+		dom := domainView(s, &one)
+		for _, a := range dom {
+			inDom[a] = true
 		}
 		for _, c := range s.Children {
 			child := o.States[c]
@@ -658,18 +669,27 @@ func (o *Org) Validate() error {
 				return fmt.Errorf("core: edge %d→%d missing back-edge", s.ID, c)
 			}
 			// Inclusion property: D_c ⊆ D_s.
-			for _, a := range child.Domain() {
-				if !s.HasAttr(a) {
+			for _, a := range domainView(child, &childOne) {
+				if !inDom[a] {
 					return fmt.Errorf("core: inclusion violated: attr %d in child %d not in parent %d", a, c, s.ID)
 				}
 			}
 		}
+		for _, a := range dom {
+			inDom[a] = false
+		}
 		for _, p := range s.Parents {
-			if o.States[p].deleted {
+			parent := o.States[p]
+			if parent.deleted {
 				return fmt.Errorf("core: state %d has deleted parent %d", s.ID, p)
 			}
-			if !containsID(o.States[p].Children, s.ID) {
+			if !containsID(parent.Children, s.ID) {
 				return fmt.Errorf("core: edge %d→%d missing forward edge", p, s.ID)
+			}
+			// Kind rules: leaves hang only under tag states, and tag
+			// states only under interior states.
+			if (s.Kind == KindLeaf && parent.Kind != KindTag) || (s.Kind == KindTag && parent.Kind != KindInterior) {
+				return fmt.Errorf("core: %v state %d under %v state %d", s.Kind, s.ID, parent.Kind, p)
 			}
 		}
 		// The cached topic norm must match the topic it was derived from
@@ -708,24 +728,42 @@ func (o *Org) Validate() error {
 					return fmt.Errorf("core: state %d domain not strictly ascending at %d", s.ID, i)
 				}
 			}
-			want := make(map[lake.AttrID]int)
+			supplied := 0
 			for _, c := range s.Children {
-				for _, a := range o.States[c].Domain() {
-					want[a]++
+				for _, a := range domainView(o.States[c], &childOne) {
+					if supply[a] == 0 {
+						supplied++
+					}
+					supply[a]++
 				}
 			}
-			if len(want) != len(s.dom) {
-				return fmt.Errorf("core: state %d support has %d attrs, children supply %d", s.ID, len(s.dom), len(want))
+			if supplied != len(s.dom) {
+				return fmt.Errorf("core: state %d support has %d attrs, children supply %d", s.ID, len(s.dom), supplied)
 			}
 			for i, a := range s.dom {
-				if int(s.sup[i]) != want[a] {
-					return fmt.Errorf("core: state %d support[%d] = %d, want %d", s.ID, a, s.sup[i], want[a])
+				if s.sup[i] != supply[a] {
+					return fmt.Errorf("core: state %d support[%d] = %d, want %d", s.ID, a, s.sup[i], supply[a])
+				}
+			}
+			for _, c := range s.Children {
+				for _, a := range domainView(o.States[c], &childOne) {
+					supply[a] = 0
 				}
 			}
 		}
 	}
 	o.Topo() // panics on cycle
 	return nil
+}
+
+// domainView returns D_s without Domain's copy, for read-only scans: a
+// leaf's single attribute is stored in one.
+func domainView(s *State, one *[1]lake.AttrID) []lake.AttrID {
+	if s.Kind == KindLeaf {
+		one[0] = s.Attr
+		return one[:]
+	}
+	return s.dom
 }
 
 func containsID(ids []StateID, id StateID) bool {

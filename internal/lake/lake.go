@@ -60,7 +60,7 @@ type Attribute struct {
 // QualifiedName returns "table.attribute" for display, mirroring the
 // paper's d6.a2 notation.
 func (a *Attribute) QualifiedName(l *Lake) string {
-	return fmt.Sprintf("%s.%s", l.Tables[a.Table].Name, a.Name)
+	return l.Tables[a.Table].Name + "." + a.Name
 }
 
 // Table is a named set of attributes with table-level tags.
@@ -213,9 +213,16 @@ func (l *Lake) AddTag(id TableID, tag string) {
 // non-empty values do not parse as numbers. Organizations are built over
 // text attributes only: the paper found numeric set overlap semantically
 // misleading (Sec 3.1).
+//
+// The scan stops once the numeric values are at least half of all
+// values read or unread, a majority the unread ones cannot overturn, so
+// a numeric column parses about half its values, not all.
 func IsTextDomain(values []string) bool {
 	nonEmpty, numeric := 0, 0
-	for _, v := range values {
+	for i, v := range values {
+		if 2*numeric >= nonEmpty+len(values)-i {
+			return false
+		}
 		v = strings.TrimSpace(v)
 		if v == "" {
 			continue
@@ -225,10 +232,7 @@ func IsTextDomain(values []string) bool {
 			numeric++
 		}
 	}
-	if nonEmpty == 0 {
-		return false
-	}
-	return float64(numeric)/float64(nonEmpty) < 0.5
+	return 2*numeric < nonEmpty
 }
 
 // isNumeric reports whether a trimmed value parses as a float once its

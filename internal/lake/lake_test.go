@@ -2,6 +2,7 @@ package lake
 
 import (
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -148,6 +149,31 @@ func TestIsTextDomainMatchesReference(t *testing.T) {
 	}
 	if got, want := IsTextDomain(values), referenceIsTextDomain(values); got != want {
 		t.Errorf("IsTextDomain(all) = %v, reference %v", got, want)
+	}
+}
+
+// TestIsTextDomainEarlyExitMatchesFullCount checks the majority
+// short-cut against the full-count rule over random domains of every
+// length up to 24, drawn from numeric, comma-grouped, text, empty and
+// whitespace-only values so that ties, all-blank domains and majorities
+// decided at every position all occur.
+func TestIsTextDomainEarlyExitMatchesFullCount(t *testing.T) {
+	pool := []string{
+		"1", "-2.5", "1,000", "1,000,000.5", ",5", "inf", "NaN", " 7 ",
+		"fish", "Nevada", "1 2", "12abc", "-x", ",",
+		"", " ", "\t", "　",
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 24; n++ {
+		for trial := 0; trial < 400; trial++ {
+			values := make([]string, n)
+			for i := range values {
+				values[i] = pool[rng.Intn(len(pool))]
+			}
+			if got, want := IsTextDomain(values), referenceIsTextDomain(values); got != want {
+				t.Fatalf("IsTextDomain(%q) = %v, full count %v", values, got, want)
+			}
+		}
 	}
 }
 

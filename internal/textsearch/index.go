@@ -31,14 +31,20 @@ type Doc struct {
 type Index struct {
 	k1, b    float64
 	docs     []Doc
-	postings map[string]map[int]int // term → docIdx → term frequency
+	terms    map[string]int32 // term → its row of postings
+	postings [][]posting      // per term, its documents in insertion order
 	docLen   []int
 	totalLen int
 }
 
+// posting is one document's term frequency in a term's posting list.
+type posting struct {
+	doc, tf int32
+}
+
 // NewIndex returns an empty index with standard BM25 parameters.
 func NewIndex() *Index {
-	return &Index{k1: defaultK1, b: defaultB, postings: make(map[string]map[int]int)}
+	return &Index{k1: defaultK1, b: defaultB, terms: make(map[string]int32)}
 }
 
 // Add indexes a document composed of the given text fields and returns
@@ -52,12 +58,20 @@ func (x *Index) Add(doc Doc, fields ...string) int {
 		toks.Split(f)
 		for i := 0; i < toks.Len(); i++ {
 			length++
-			m := x.postings[string(toks.At(i))] // no copy to look up
-			if m == nil {
-				m = make(map[int]int)
-				x.postings[string(toks.At(i))] = m
+			t, ok := x.terms[string(toks.At(i))] // no copy to look up
+			if !ok {
+				t = int32(len(x.postings))
+				x.terms[string(toks.At(i))] = t
+				x.postings = append(x.postings, nil)
 			}
-			m[idx]++
+			// Documents are added in order, so this document's posting,
+			// if the term has one yet, is the row's last.
+			ps := x.postings[t]
+			if n := len(ps); n > 0 && ps[n-1].doc == int32(idx) {
+				ps[n-1].tf++
+			} else {
+				x.postings[t] = append(ps, posting{doc: int32(idx), tf: 1})
+			}
 		}
 	}
 	x.docLen = append(x.docLen, length)
@@ -127,17 +141,18 @@ func (x *Index) search(terms []weightedTerm, k int) []Result {
 	}
 	scores := make(map[int]float64)
 	for _, wt := range terms {
-		posting, ok := x.postings[wt.term]
+		t, ok := x.terms[wt.term]
 		if !ok {
 			continue
 		}
-		df := float64(len(posting))
+		ps := x.postings[t]
+		df := float64(len(ps))
 		idf := math.Log(1 + (n-df+0.5)/(df+0.5))
-		for docIdx, tf := range posting {
-			tfF := float64(tf)
-			dl := float64(x.docLen[docIdx])
+		for _, p := range ps {
+			tfF := float64(p.tf)
+			dl := float64(x.docLen[p.doc])
 			denom := tfF + x.k1*(1-x.b+x.b*dl/float64(avgLen))
-			scores[docIdx] += wt.weight * idf * tfF * (x.k1 + 1) / denom
+			scores[int(p.doc)] += wt.weight * idf * tfF * (x.k1 + 1) / denom
 		}
 	}
 	out := make([]Result, 0, len(scores))

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"lakenav/internal/synth"
 )
 
 // demoLake builds a small lake with four topical areas through the
@@ -328,6 +333,93 @@ func TestOrganizationSaveLoad(t *testing.T) {
 	}
 	if _, err := LoadOrganization(l, filepath.Join(t.TempDir(), "none.bin")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// A navserver cold start builds the keyword index on a second goroutine
+// while LoadOrganization derives the lake's topics and decodes the
+// organization. Both only read what the other writes, so the
+// concurrent start must load the fingerprint and search results of the
+// sequential one; under -race it also checks that they share no
+// unsynchronized write.
+func TestConcurrentColdStartMatchesSequential(t *testing.T) {
+	soc, err := synth.GenerateSocrata(synth.SmallSocrataConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLake()
+	words := map[string]bool{}
+	for _, tb := range soc.Lake.Tables {
+		cols := make([]Column, len(tb.Attrs))
+		for c, id := range tb.Attrs {
+			a := soc.Lake.Attr(id)
+			cols[c] = Column{Name: a.Name, Values: a.Values}
+			for _, v := range a.Values {
+				for _, w := range strings.Fields(v) {
+					words[w] = true
+				}
+			}
+		}
+		l.AddTable(tb.Name, tb.Tags, cols...)
+	}
+	dir := t.TempDir()
+	lakePath, orgPath := filepath.Join(dir, "lake.json"), filepath.Join(dir, "org.bin")
+	if err := l.Save(lakePath, FormatJSON); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Dimensions = 3
+	cfg.MaxIterations = 20
+	built, err := Organize(l, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Dimensions() < 2 {
+		t.Fatalf("built %d dimensions; the test needs several to decode at once", built.Dimensions())
+	}
+	if err := built.Save(orgPath, FormatBin); err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]string, 0, len(words))
+	for w := range words {
+		queries = append(queries, w)
+	}
+	sort.Strings(queries)
+
+	coldStart := func(concurrent bool) (*SearchEngine, *Organization) {
+		l, err := LoadJSON(lakePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var search *SearchEngine
+		var org *Organization
+		if concurrent {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				search = NewSearchEngine(l)
+			}()
+			org, err = LoadOrganization(l, orgPath)
+			wg.Wait()
+		} else {
+			search = NewSearchEngine(l)
+			org, err = LoadOrganization(l, orgPath)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return search, org
+	}
+	seqSearch, seqOrg := coldStart(false)
+	conSearch, conOrg := coldStart(true)
+	if got, want := conOrg.Fingerprint(), seqOrg.Fingerprint(); got != want {
+		t.Errorf("concurrent cold start fingerprint %s, sequential %s", got, want)
+	}
+	for _, q := range queries {
+		if got, want := conSearch.Search(q, 10), seqSearch.Search(q, 10); !slices.Equal(got, want) {
+			t.Fatalf("Search(%q): concurrent %v, sequential %v", q, got, want)
+		}
 	}
 }
 
