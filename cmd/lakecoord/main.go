@@ -9,7 +9,10 @@
 //	lakecoord -map fleet.json [-addr :7000] [-map-poll 5s]
 //	          [-max-inflight 256] [-max-batch 256]
 //	          [-check-interval 2s] [-timeout 5s] [-retries 1]
-//	          [-retry-base 50ms] [-hedge 0]
+//	          [-retry-base 50ms]
+//
+// Each shard call runs on the caller's goroutine: up to 1+retries
+// attempts with doubling backoff, each bounded by -timeout.
 //
 // The shard map file is the unit of fleet change: with -map-poll the
 // coordinator re-reads it on modification and swaps the ring in
@@ -43,7 +46,6 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Second, "per-attempt shard request timeout")
 	retries := flag.Int("retries", 1, "extra attempts after a transport error (HTTP error statuses are answers, not failures)")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff; doubles per retry")
-	hedge := flag.Duration("hedge", 0, "launch a second concurrent attempt if the first has not resolved within this delay; 0 disables")
 	flag.Parse()
 	if *mapPath == "" {
 		log.Fatal("lakecoord: missing -map")
@@ -61,7 +63,6 @@ func main() {
 			Timeout:   *timeout,
 			Retries:   *retries,
 			RetryBase: *retryBase,
-			Hedge:     *hedge,
 		},
 	})
 

@@ -27,8 +27,8 @@ import (
 const directivePrefix = "//lakelint:"
 
 // directiveCheck is the pseudo-check name under which malformed,
-// unknown, and unused directives are reported. It cannot be ignored or
-// baselined: the escape hatch does not get its own escape hatch.
+// unknown, and unused directives are reported. It cannot be ignored:
+// the escape hatch does not get its own escape hatch.
 const directiveCheck = "directive"
 
 // Directive is one parsed //lakelint: comment.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -88,95 +87,6 @@ func TestCacheReuseAndInvalidate(t *testing.T) {
 	third := analyzeWithCache(t, dir, cacheDir)
 	if len(third) != len(first)+1 {
 		t.Fatalf("after edit: %d findings, want %d: %v", len(third), len(first)+1, third)
-	}
-}
-
-// TestBaselineApply covers the ratchet rules directly: matching entries
-// filter, entries without reasons error, directive entries error, and
-// stale entries error.
-func TestBaselineApply(t *testing.T) {
-	findings := []Finding{
-		{File: "lib/a.go", Line: 3, Col: 1, Check: "errdrop", Msg: "statement discards the error from fail"},
-		{File: "lib/a.go", Line: 9, Col: 1, Check: "goroleak", Msg: "goroutine has no join or cancel path"},
-		{File: "lib/b.go", Line: 4, Col: 1, Check: "directive", Msg: "unused suppression (errdrop)"},
-	}
-
-	bl := &Baseline{Entries: []BaselineEntry{
-		{Check: "errdrop", File: "lib/a.go", Msg: "from fail", Reason: "legacy tool write"},
-	}}
-	kept, errs := bl.Apply(findings)
-	if len(errs) != 0 {
-		t.Fatalf("valid baseline produced errors: %v", errs)
-	}
-	if len(kept) != 2 || kept[0].Check != "goroleak" || kept[1].Check != "directive" {
-		t.Fatalf("baseline filtered wrong findings: %v", kept)
-	}
-
-	for _, tc := range []struct {
-		name   string
-		entry  BaselineEntry
-		errSub string
-	}{
-		{"missing reason", BaselineEntry{Check: "errdrop", File: "lib/a.go"}, "has no reason"},
-		{"stale", BaselineEntry{Check: "errdrop", File: "lib/gone.go", Reason: "was fixed"}, "is stale"},
-		{"directive entry", BaselineEntry{Check: "directive", File: "lib/b.go", Reason: "r"}, "cannot be baselined"},
-	} {
-		bad := &Baseline{Entries: []BaselineEntry{tc.entry}}
-		if _, errs := bad.Apply(findings); len(errs) == 0 || !strings.Contains(errs[0], tc.errSub) {
-			t.Errorf("%s: errors = %v, want one containing %q", tc.name, errs, tc.errSub)
-		}
-	}
-
-	// A directive finding is never swallowed, even by a file-wide entry.
-	wide := &Baseline{Entries: []BaselineEntry{{Check: "directive", File: "lib/b.go", Reason: "r"}}}
-	kept, _ = wide.Apply(findings)
-	for _, f := range kept {
-		if f.Check == "directive" {
-			return // still reported: correct
-		}
-	}
-	t.Error("a baseline entry swallowed a directive finding")
-}
-
-// TestBaselineCLI exercises the -baseline flag end to end: a baseline
-// covering every finding yields exit 0, and an unjustified entry is
-// exit 2 regardless of what it matches.
-func TestBaselineCLI(t *testing.T) {
-	write := func(bl Baseline) string {
-		t.Helper()
-		data, err := json.Marshal(bl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "baseline.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	fixture := filepath.Join("testdata", "errdrop")
-
-	var stdout, stderr bytes.Buffer
-	covered := write(Baseline{Entries: []BaselineEntry{
-		{Check: "errdrop", File: "lib/lib.go", Reason: "fixture findings are intentional"},
-	}})
-	if code := run([]string{"-baseline", covered, fixture}, &stdout, &stderr); code != 0 {
-		t.Errorf("covered baseline: exit %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	unjustified := write(Baseline{Entries: []BaselineEntry{
-		{Check: "errdrop", File: "lib/lib.go"},
-	}})
-	if code := run([]string{"-baseline", unjustified, fixture}, &stdout, &stderr); code != 2 {
-		t.Errorf("unjustified baseline: exit %d, want 2", code)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", filepath.Join(t.TempDir(), "missing.json"), fixture}, &stdout, &stderr); code != 2 {
-		t.Errorf("missing baseline file: exit %d, want 2", code)
 	}
 }
 

@@ -98,7 +98,7 @@ var AllChecks = []*Check{
 
 // RunChecks runs the named checks (nil = all) over a loaded module and
 // returns the merged findings sorted by position then check name. It
-// is Analyze without a cache or baseline — the entry point the fixture
+// is Analyze without a cache — the entry point the fixture
 // tests use.
 func RunChecks(m *Module, names []string) ([]Finding, error) {
 	return Analyze(m, Options{Checks: names})

@@ -14,14 +14,13 @@ func main() {
 }
 
 // run is the testable CLI body. Exit codes: 0 clean, 1 findings,
-// 2 usage, load, or baseline failure.
+// 2 usage or load failure.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lakelint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.String("json", "", "write findings as JSON to this file ('-' for stdout)")
 	sarifOut := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file ('-' for stdout)")
 	checksFlag := fs.String("checks", "", "comma-separated checks to run (default: all)")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings (each entry needs a reason); new findings still fail")
 	cacheDir := fs.String("cache", "", "directory for the per-(check,package) result cache (default: off)")
 	only := fs.String("only", "", "report only findings under this module-relative path prefix (analysis still covers the module)")
 	list := fs.Bool("list", false, "list the invariant checks and exit")
@@ -64,22 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
-	}
-
-	if *baselinePath != "" {
-		bl, err := LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		var blErrs []string
-		findings, blErrs = bl.Apply(findings)
-		if len(blErrs) > 0 {
-			for _, e := range blErrs {
-				fmt.Fprintf(stderr, "lakelint: baseline: %s\n", e)
-			}
-			return 2
-		}
 	}
 
 	// With -json - or -sarif -, stdout carries a report; keep it

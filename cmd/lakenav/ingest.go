@@ -43,8 +43,6 @@ func cmdIngest(args []string) error {
 	status := fs.Bool("status", false, "print the replayed batch count and structure hash")
 	export := fs.String("export", "", "write the replayed organization to this path as a JSON export (not loadable by -org)")
 	reoptimize := fs.Bool("reoptimize", false, "run a localized, deterministically seeded search after each batch (must match the serving navserver's flag)")
-	seed := fs.Int64("seed", 1, "reoptimization seed (with -reoptimize)")
-	iters := fs.Int("iters", 0, "reoptimization iteration cap per batch; 0 selects the default")
 	_ = fs.Parse(args) // ExitOnError: Parse exits on bad flags
 
 	if *journalPath == "" {
@@ -67,11 +65,7 @@ func cmdIngest(args []string) error {
 	}
 	defer w.Close()
 
-	p, err := lakenav.NewIngestPipeline(l, org, lakenav.IngestConfig{
-		Reoptimize:    *reoptimize,
-		Seed:          *seed,
-		MaxIterations: *iters,
-	})
+	p, err := lakenav.NewIngestPipeline(l, org, lakenav.IngestConfig{Reoptimize: *reoptimize})
 	if err != nil {
 		return err
 	}

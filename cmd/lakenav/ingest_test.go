@@ -1,12 +1,19 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"lakenav"
 	"lakenav/internal/journal"
+	"lakenav/internal/navhttp"
 )
 
 // ingestFixture writes a small base lake and organization, the
@@ -193,4 +200,88 @@ func TestCmdIngestKillAnywhere(t *testing.T) {
 			t.Fatalf("cut at %d recovered %d batches with hash %s, want %s", cut, n, h, wantHash[n])
 		}
 	}
+}
+
+// ingestStatus runs `lakenav ingest -status` with extra flags and
+// returns the structure hash it prints.
+func ingestStatus(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = cmdIngest(append(args, "-status"))
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(printed), "\n") {
+		if h, ok := strings.CutPrefix(line, "hash: "); ok {
+			return h
+		}
+	}
+	t.Fatalf("ingest -status printed no hash:\n%s", printed)
+	return ""
+}
+
+// The writer and the server agree under reoptimization too: the hash
+// `lakenav ingest -reoptimize -status` prints for a journal equals the
+// hash of the generation navserver publishes for it with -reoptimize,
+// whose ingest settings are IngestConfig{Reoptimize: true}.
+func TestCmdIngestReoptimizeMatchesServer(t *testing.T) {
+	lakePath, orgPath, journalPath := ingestFixture(t)
+	harbors := writeTableFile(t, "harbors.json",
+		`{"name":"harbors","tags":["fisheries","port"],"columns":[{"name":"dock","values":["salmon pier","trawler berth"]}]}`)
+	mills := writeTableFile(t, "mills.json",
+		`{"name":"mills","tags":["agriculture","port"],"columns":[{"name":"mill","values":["stone mill","grain silo"]}]}`)
+	base := []string{"-lake", lakePath, "-org", orgPath, "-journal", journalPath, "-reoptimize"}
+	for _, args := range [][]string{{"-add", harbors}, {"-add", mills, "-remove", "transit"}} {
+		if err := cmdIngest(append(base, args...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writer := ingestStatus(t, base...)
+
+	l, err := lakenav.LoadJSON(lakePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	org, err := lakenav.LoadOrganization(l, orgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := navhttp.New(lakenav.NewSearchEngine(l), navhttp.Options{Generations: 3})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := navhttp.StartIngest(ctx, s, l, org, journalPath, time.Hour, lakenav.IngestConfig{Reoptimize: true}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/admin/generations", nil))
+	var resp struct {
+		Generations []struct {
+			Seq     int    `json:"seq"`
+			Hash    string `json:"hash"`
+			Current bool   `json:"current"`
+		} `json:"generations"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("/admin/generations: %v (%s)", err, rec.Body)
+	}
+	for _, g := range resp.Generations {
+		if g.Current {
+			if g.Seq != 2 || g.Hash != writer {
+				t.Fatalf("server generation %d hash %s, writer printed %s after 2 batches", g.Seq, g.Hash, writer)
+			}
+			return
+		}
+	}
+	t.Fatalf("no current generation in %s", rec.Body)
 }

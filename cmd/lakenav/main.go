@@ -171,7 +171,6 @@ func cmdOrganize(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint the search to this path (dimension i appends .dim<i>); Ctrl-C stops gracefully with the best-so-far result")
 	resume := fs.Bool("resume", false, "resume the search from -checkpoint files when present")
 	timeout := fs.Duration("timeout", 0, "optional build time budget; on expiry the best organization so far is returned")
-	restarts := fs.Int("restarts", 1, "independent searches per dimension, keeping the most effective (restart r appends .r<r> to checkpoint files)")
 	progress := fs.String("progress", "", "stream optimizer progress to this file as NDJSON, one event per iteration")
 	formatName := fs.String("format", "bin", "format for -export files: bin (loadable by navserver -org and ingest -org) or json (export only); checkpoints are always bin")
 	_ = fs.Parse(args) // ExitOnError: Parse exits on bad flags
@@ -189,7 +188,6 @@ func cmdOrganize(args []string) error {
 	cfg.Seed = *seed
 	cfg.CheckpointPath = *checkpoint
 	cfg.Resume = *resume
-	cfg.Restarts = *restarts
 	var sink *obs.Sink
 	if *progress != "" {
 		if !cfg.Optimize {

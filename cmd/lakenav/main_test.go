@@ -113,7 +113,7 @@ func TestCmdOrganizeProgressNDJSON(t *testing.T) {
 		}
 	}
 	if finals != 1 {
-		t.Errorf("%d closing events for a 1-dimension 1-restart build", finals)
+		t.Errorf("%d closing events for a 1-dimension build", finals)
 	}
 	// Every iteration got its own line: per-iteration events plus the
 	// closing ones account for the whole file.

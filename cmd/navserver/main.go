@@ -7,7 +7,7 @@
 //	navserver -lake lake.json [-org org.bin] [-dims N] [-addr :8080]
 //	          [-checkpoint search.ck] [-resume] [-max-inflight 64]
 //	          [-pprof localhost:6060] [-cache-size 4096] [-max-batch 256]
-//	          [-journal commits.journal] [-shard-id s0]
+//	          [-journal commits.journal] [-reoptimize] [-shard-id s0]
 //
 // The server is built to stay up: keyword search is served from the lake
 // the moment the listener is open, while the organization — when not
@@ -17,6 +17,12 @@
 // read/write/idle timeouts, and SIGINT/SIGTERM drain in-flight requests
 // before exiting. A background build checkpoints to -checkpoint and a
 // restart with -resume continues it rather than starting over.
+//
+// With -journal the server tails the commit journal `lakenav ingest`
+// writes and serves one frozen generation per batch. Give -reoptimize
+// to both or to neither: the reoptimization seed, iteration cap and
+// exact evaluation are fixed in the ingest pipeline, so two processes
+// that agree on the flag agree on every structure hash.
 //
 // As one shard of a fleet (see cmd/lakecoord), the server is started
 // with -shard-id: /admin/shard then reports the shard's identity and
@@ -47,7 +53,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "checkpoint the background build to this path (dimension i appends .dim<i>)")
 	resume := flag.Bool("resume", false, "resume the background build from -checkpoint files when present")
 	maxInflight := flag.Int("max-inflight", 64, "maximum concurrently served requests before shedding with 503")
-	restarts := flag.Int("restarts", 1, "independent searches per dimension in the background build, keeping the most effective")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables")
 	cacheSize := flag.Int("cache-size", 0, "query-result cache capacity in entries; 0 uses the default, negative disables caching")
 	maxBatch := flag.Int("max-batch", 256, "maximum queries per /batch request")
@@ -75,7 +80,7 @@ func main() {
 		// observe history appearing mid-flight.
 		opts.Generations = *generations
 	}
-	ingestCfg := lakenav.IngestConfig{Reoptimize: *reoptimize, Seed: 1}
+	ingestCfg := lakenav.IngestConfig{Reoptimize: *reoptimize}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -127,7 +132,6 @@ func main() {
 		cfg.Dimensions = *dims
 		cfg.CheckpointPath = *checkpoint
 		cfg.Resume = *resume
-		cfg.Restarts = *restarts
 		// Optimizer progress events drive the build.* gauges, so an
 		// operator can watch a long build converge via /metrics.
 		cfg.Progress = s.NoteBuildProgress

@@ -14,17 +14,16 @@ type IngestConfig struct {
 	// Reoptimize runs a localized search pass after each batch, over
 	// only the states the batch disturbed. Without it the structure
 	// stays exactly the incremental-apply result (bit-identical to a
-	// from-scratch flat rebuild for add-only batches).
+	// from-scratch flat rebuild for add-only batches). The searches
+	// evaluate exactly under the default iteration cap, and batch k of
+	// dimension i derives its seed from ingestSeed, k and i, so every
+	// replay of the same journal — `lakenav ingest` and navserver alike
+	// — walks the same trajectory.
 	Reoptimize bool
-	// Seed drives the per-batch reoptimization searches; batch k derives
-	// its seed from it, so replaying the same journal always walks the
-	// same trajectory.
-	Seed int64
-	// MaxIterations caps each per-batch search; 0 selects the default.
-	MaxIterations int
-	// RepFraction approximates search evaluation (see Config).
-	RepFraction float64
 }
+
+// ingestSeed is the base seed of the per-batch reoptimization searches.
+const ingestSeed = 1
 
 // IngestPipeline replays journal batches into a working lake and its
 // organization. The pipeline owns its working state: Apply mutates the
@@ -101,14 +100,10 @@ func (p *IngestPipeline) Apply(b journal.Batch) error {
 	p.applied++
 	if p.cfg.Reoptimize {
 		for i, cs := range css {
-			_, err := core.ReoptimizeLocal(p.org.m.Orgs[i], cs, core.OptimizeConfig{
-				RepFraction:   p.cfg.RepFraction,
-				MaxIterations: p.cfg.MaxIterations,
-				// Distinct stream per (batch, dimension), fully derived
-				// from the journal position: replay is deterministic.
-				Seed: p.cfg.Seed + int64(p.applied)*7919 + int64(i)*104729,
-			})
-			if err != nil {
+			// Distinct stream per (batch, dimension), fully derived from
+			// the journal position: replay is deterministic.
+			seed := ingestSeed + int64(p.applied)*7919 + int64(i)*104729
+			if _, err := core.ReoptimizeLocal(p.org.m.Orgs[i], cs, seed); err != nil {
 				return fail(err)
 			}
 		}

@@ -125,9 +125,7 @@ func TestIngestPipelineReplayDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewIngestPipeline(l, org, IngestConfig{
-			Reoptimize: true, Seed: 11, MaxIterations: 50,
-		})
+		p, err := NewIngestPipeline(l, org, IngestConfig{Reoptimize: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -300,19 +300,15 @@ func (m *MultiDim) ApplyLakeBatch(sum *lake.ChangeSummary) ([]*ChangeSet, error)
 // disturbed: the change set's members plus the parents of every state
 // whose topic moved (softmax denominators are shared across siblings).
 // Passes repeat — with reachability refreshed per pass, like Optimize's
-// traversals — until a full pass accepts nothing or cfg.MaxIterations
-// proposals have been made. Acceptance is always greedy regardless of
-// cfg.AcceptExponent: there is no best-trail unwinding here, so a
-// downhill move would be kept.
+// traversals — until a full pass accepts nothing or
+// defaultMaxIterations proposals have been made. Evaluation is exact,
+// seed drives the proposals, and acceptance is greedy: there is no
+// best-trail unwinding here, so a downhill move would be kept.
 //
 // The evaluator is built fresh after the batch was applied (its
 // per-state arrays are sized at construction), which is why this is a
 // separate entry point rather than a resumed Optimize.
-func ReoptimizeLocal(org *Org, cs *ChangeSet, cfg OptimizeConfig) (*OptimizeStats, error) {
-	cfg.defaults()
-	if cfg.Checkpoint != nil {
-		return nil, fmt.Errorf("core: ReoptimizeLocal cannot checkpoint")
-	}
+func ReoptimizeLocal(org *Org, cs *ChangeSet, seed int64) (*OptimizeStats, error) {
 	affected := make(map[StateID]bool)
 	add := func(id StateID) {
 		if id != org.Root && !org.States[id].deleted {
@@ -329,9 +325,8 @@ func ReoptimizeLocal(org *Org, cs *ChangeSet, cfg OptimizeConfig) (*OptimizeStat
 		}
 	}
 
-	src := newSearchSource(cfg.Seed)
-	rng := newSearchRand(src)
-	ev, err := NewEvaluator(org, cfg.RepFraction, rng)
+	rng := newSearchRand(newSearchSource(seed))
+	ev, err := NewEvaluator(org, 0, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +354,7 @@ func ReoptimizeLocal(org *Org, cs *ChangeSet, cfg OptimizeConfig) (*OptimizeStat
 			return a < b
 		})
 		for _, sid := range order {
-			if stats.Iterations >= cfg.MaxIterations {
+			if stats.Iterations >= defaultMaxIterations {
 				break
 			}
 			if org.States[sid].deleted {
@@ -380,7 +375,7 @@ func ReoptimizeLocal(org *Org, cs *ChangeSet, cfg OptimizeConfig) (*OptimizeStat
 				stats.Rejected++
 			}
 		}
-		if !acceptedThisPass || stats.Iterations >= cfg.MaxIterations {
+		if !acceptedThisPass || stats.Iterations >= defaultMaxIterations {
 			break
 		}
 	}

@@ -139,7 +139,7 @@ func TestReoptimizeLocalDeterministicAndMonotone(t *testing.T) {
 				{Name: "entry", Values: []string{"taxc", "taxd"}},
 			}},
 		}, nil)
-		stats, err := ReoptimizeLocal(org, cs, OptimizeConfig{Seed: 7, MaxIterations: 200})
+		stats, err := ReoptimizeLocal(org, cs, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,6 +25,17 @@ func ckOptConfig(path string) OptimizeConfig {
 	}
 }
 
+// onIteration adapts a faultinject hook, which takes the iteration
+// count because faultinject cannot import core, to a Progress callback
+// that calls it after every completed iteration.
+func onIteration(hook func(int)) func(ProgressEvent) {
+	return func(p ProgressEvent) {
+		if !p.Final {
+			hook(p.Iteration)
+		}
+	}
+}
+
 func checkpointLakeOrg(t *testing.T) (*synth.TagCloud, *Org) {
 	t.Helper()
 	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
@@ -67,10 +78,10 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfgI := ckOptConfig(pathI)
-	cfgI.Probe = faultinject.CancelWhen(cancel, func() bool {
+	cfgI.Progress = onIteration(faultinject.CancelWhen(cancel, func() bool {
 		_, err := os.Stat(pathI)
 		return err == nil
-	})
+	}))
 	orgHalf, statsHalf, err := OptimizeContext(ctx, orgI0, cfgI)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +104,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgR, statsR, err := ResumeOptimizeRuntime(context.Background(), tcI.Lake, ck, RuntimeConfig{})
+	orgR, statsR, err := ResumeOptimizeRuntime(context.Background(), tcI.Lake, ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +173,7 @@ func TestOptimizeContextCancelAtIteration(t *testing.T) {
 		MaxIterations: 400,
 		Window:        200,
 		Seed:          5,
-		Probe:         faultinject.CancelAtIteration(cancel, 10),
+		Progress:      onIteration(faultinject.CancelAtIteration(cancel, 10)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,14 +373,14 @@ func TestBuildMultiDimContextCancelAndResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfgI := mk(baseI)
-	cfgI.Optimize.Probe = faultinject.CancelWhen(cancel, func() bool {
+	cfgI.Optimize.Progress = onIteration(faultinject.CancelWhen(cancel, func() bool {
 		for i := 0; i < 2; i++ {
 			if _, err := os.Stat(DimCheckpointPath(baseI, i)); err == nil {
 				return true
 			}
 		}
 		return false
-	})
+	}))
 	mHalf, _, err := BuildMultiDimContext(ctx, tcI.Lake, cfgI)
 	if err != nil {
 		t.Fatal(err)
@@ -396,6 +407,86 @@ func TestBuildMultiDimContextCancelAndResume(t *testing.T) {
 	if d := math.Abs(mR.Effectiveness() - mU.Effectiveness()); d > 1e-9 {
 		t.Errorf("resumed multidim eff %v != uninterrupted %v (diff %v)",
 			mR.Effectiveness(), mU.Effectiveness(), d)
+	}
+}
+
+// Resume keeps a dimension's progress: a build canceled once the
+// dimension has checkpointed leaves its own .dim<i> file behind, and a
+// resumed build continues from it, redoes only the work since that
+// snapshot, and finishes identical to a never-interrupted build.
+func TestMultiDimResumeKeepsProgress(t *testing.T) {
+	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	iterations := 0
+	count := onIteration(func(int) { iterations++ })
+	mk := func(base string) MultiDimConfig {
+		return MultiDimConfig{
+			K:          1,
+			Optimize:   &OptimizeConfig{MaxIterations: 400, Window: 200, Progress: count},
+			Seed:       7,
+			Checkpoint: &CheckpointConfig{Path: base, EveryAccepted: 3},
+		}
+	}
+
+	mU, _, err := BuildMultiDimContext(context.Background(), tc.Lake, mk(filepath.Join(dir, "u.ck")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mU.Truncated {
+		t.Fatal("uninterrupted build truncated")
+	}
+	uninterrupted := iterations
+
+	// Cancel once the dimension has checkpointed, so it loses its
+	// post-snapshot work.
+	baseI := filepath.Join(dir, "i.ck")
+	dimPath := DimCheckpointPath(baseI, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfgI := mk(baseI)
+	cfgI.Optimize.Progress = onIteration(faultinject.CancelWhen(cancel, func() bool {
+		_, err := os.Stat(dimPath)
+		return err == nil
+	}))
+	mHalf, _, err := BuildMultiDimContext(ctx, tc.Lake, cfgI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mHalf.Truncated {
+		t.Fatal("canceled build not truncated")
+	}
+	ck, err := LoadCheckpoint(dimPath)
+	if err != nil {
+		t.Fatalf("interrupted build left no checkpoint to resume: %v", err)
+	}
+	if ck.Dim != 0 || ck.Config.Seed != mk(baseI).Seed {
+		t.Errorf("checkpoint stamped dim %d seed %d, want dim 0 seed %d", ck.Dim, ck.Config.Seed, mk(baseI).Seed)
+	}
+
+	iterations = 0
+	cfgR := mk(baseI)
+	cfgR.Resume = true
+	mR, statsR, err := BuildMultiDimContext(context.Background(), tc.Lake, cfgR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mR.Truncated {
+		t.Fatal("resumed build truncated")
+	}
+	if !statsR[0].Resumed {
+		t.Error("resumed build did not resume its dimension")
+	}
+	if iterations >= uninterrupted {
+		t.Errorf("resumed build ran %d iterations, uninterrupted %d: no progress kept", iterations, uninterrupted)
+	}
+	if mR.Fingerprint() != mU.Fingerprint() {
+		t.Error("resumed build differs from the uninterrupted one")
+	}
+	if _, err := os.Stat(dimPath); !os.IsNotExist(err) {
+		t.Error("resumed build left its checkpoint after completing")
 	}
 }
 

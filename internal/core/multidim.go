@@ -50,18 +50,12 @@ type MultiDimConfig struct {
 	// Checkpoint.Path + ".dim<i>". A dimension that finishes its search
 	// uninterrupted removes its file.
 	Checkpoint *CheckpointConfig
-	// Resume, together with Checkpoint, resumes every search (each
-	// restart of each dimension) whose checkpoint file exists, parses,
-	// and matches the search's dimension, tag group and seed; stale or
-	// corrupt files are ignored and that search starts from scratch —
-	// resume never fails a build.
+	// Resume, together with Checkpoint, resumes every dimension's
+	// search whose checkpoint file exists, parses, and matches the
+	// search's dimension, tag group and seed; stale or corrupt files are
+	// ignored and that search starts from scratch — resume never fails
+	// a build.
 	Resume bool
-	// Restarts runs each dimension's local search that many times with
-	// derived seeds and keeps the most effective result (values < 2 run
-	// the search once). With Checkpoint set, restart r of dimension i
-	// snapshots to Checkpoint.Path + ".dim<i>.r<r>" so restarts never
-	// clobber each other's progress files.
-	Restarts int
 }
 
 // DimCheckpointPath returns the checkpoint file used for dimension dim
@@ -186,31 +180,27 @@ func BuildMultiDimContext(ctx context.Context, l *lake.Lake, cfg MultiDimConfig)
 			cc.TagGroup = groups[i]
 			oc.Checkpoint = &cc
 		}
-		o, st, err := optimizeRestarts(ctx, oc, cfg.Restarts, func(rc OptimizeConfig) (*Org, *OptimizeStats, error) {
-			if cfg.Resume {
-				if o, st := resumeSearch(ctx, l, rc); o != nil {
-					return o, st, nil
-				}
-			}
+		var o *Org
+		var st *OptimizeStats
+		if cfg.Resume {
+			o, st = resumeSearch(ctx, l, oc)
+		}
+		if o == nil {
 			built, err := NewClustered(l, bc)
-			if err != nil {
-				return nil, nil, err
+			if err == nil {
+				o, st, err = OptimizeContext(ctx, built, oc)
 			}
-			return OptimizeContext(ctx, built, rc)
-		})
-		if err != nil {
-			errs[i] = fmt.Errorf("core: dimension %d: %w", i, err)
-			return
+			if err != nil {
+				errs[i] = fmt.Errorf("core: dimension %d: %w", i, err)
+				return
+			}
 		}
 		if oc.Checkpoint != nil && oc.Checkpoint.Path != "" && !st.Truncated {
-			// The search converged; the checkpoints have served their
+			// The search converged; the checkpoint has served its
 			// purpose and must not seed a future unrelated build. A
 			// failed removal is harmless — resume validation rejects a
-			// stale file — so the errors are deliberately dropped.
+			// stale file — so the error is deliberately dropped.
 			_ = os.Remove(oc.Checkpoint.Path)
-			for r := 0; r < cfg.Restarts; r++ {
-				_ = os.Remove(RestartCheckpointPath(oc.Checkpoint.Path, r))
-			}
 		}
 		stats[i] = st
 		m.Orgs[i] = o
@@ -290,9 +280,9 @@ func resumeSearch(ctx context.Context, l *lake.Lake, cfg OptimizeConfig) (*Org, 
 	if err != nil || !ck.MatchesDimension(c.Dim, c.TagGroup) || ck.Config.Seed != cfg.Seed {
 		return nil, nil
 	}
-	// The checkpoint dictates the trajectory; the caller's observation
-	// hooks carry over.
-	o, st, err := ResumeOptimizeRuntime(ctx, l, ck, RuntimeConfig{Progress: cfg.Progress, Probe: cfg.Probe})
+	// The checkpoint dictates the trajectory; the caller's Progress
+	// callback carries over.
+	o, st, err := ResumeOptimizeRuntime(ctx, l, ck, cfg.Progress)
 	if err != nil {
 		return nil, nil
 	}

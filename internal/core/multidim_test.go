@@ -48,6 +48,14 @@ func TestBuildMultiDim(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A dimension whose construction fails fails the whole build, with
+	// or without the search.
+	for _, opt := range []*OptimizeConfig{nil, {MaxIterations: 10}} {
+		bad := MultiDimConfig{K: 2, Seed: 1, Build: BuildConfig{Gamma: -1}, Optimize: opt}
+		if _, _, err := BuildMultiDim(tc.Lake, bad); err == nil {
+			t.Errorf("dimension build error swallowed (optimize %v)", opt != nil)
+		}
+	}
 }
 
 func TestMultiDimCoversAllAttrs(t *testing.T) {

@@ -95,10 +95,10 @@ func TestProgressFinalEventReportsTruncation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var last ProgressEvent
 	_, stats, err := OptimizeContext(ctx, o, OptimizeConfig{
-		Seed:     7,
-		Progress: func(p ProgressEvent) { last = p },
-		Probe: func(iteration int) {
-			if iteration == 3 {
+		Seed: 7,
+		Progress: func(p ProgressEvent) {
+			last = p
+			if p.Iteration == 3 {
 				cancel()
 			}
 		},
@@ -114,9 +114,8 @@ func TestProgressFinalEventReportsTruncation(t *testing.T) {
 	}
 }
 
-// Multi-dimensional builds stamp each dimension's events, and multi-
-// restart searches stamp each restart's, so one interleaved consumer
-// can demultiplex the streams.
+// Multi-dimensional builds stamp each dimension's events, so one
+// interleaved consumer can demultiplex the streams.
 func TestProgressStampsDimensionAndRestart(t *testing.T) {
 	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
 	if err != nil {
@@ -142,22 +141,6 @@ func TestProgressStampsDimensionAndRestart(t *testing.T) {
 	}
 	if len(dims) < 2 {
 		t.Errorf("events carried dims %v, want both dimensions", dims)
-	}
-
-	restarts := map[int]bool{}
-	_, _, err = optimizeRestartsContext(context.Background(), func() (*Org, error) {
-		o, err := NewClustered(tc.Lake, BuildConfig{})
-		return o, err
-	}, OptimizeConfig{
-		MaxIterations: 10,
-		Seed:          3,
-		Progress:      func(p ProgressEvent) { restarts[p.Restart] = true },
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !restarts[0] || !restarts[1] {
-		t.Errorf("events carried restarts %v, want 0 and 1", restarts)
 	}
 }
 

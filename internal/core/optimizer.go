@@ -50,11 +50,6 @@ type OptimizeConfig struct {
 	// Only OptimizeContext supports it: resuming and boundary
 	// reconstruction may return a different *Org than the input.
 	Checkpoint *CheckpointConfig
-	// Probe, when non-nil, is invoked after every completed iteration
-	// with the running iteration count. It exists for fault-injection
-	// tests (cancel at iteration k, latency injection); production
-	// callers leave it nil.
-	Probe func(iteration int)
 	// Progress, when non-nil, receives one ProgressEvent per completed
 	// iteration plus a final event (Final set) when the search stops.
 	// It is invoked synchronously on the search goroutine — and, in
@@ -71,8 +66,6 @@ type OptimizeConfig struct {
 type ProgressEvent struct {
 	// Dim is the dimension index in a multi-dimensional build.
 	Dim int `json:"dim"`
-	// Restart is the restart index in a multi-restart search.
-	Restart int `json:"restart"`
 	// Iteration counts proposed operations so far (monotone within one
 	// search; resumed searches include pre-checkpoint work).
 	Iteration int `json:"iteration"`
@@ -101,19 +94,13 @@ type ProgressEvent struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
-// RuntimeConfig carries the knobs of a resumed search that are not
-// part of the checkpointed trajectory: observation hooks that watch the
-// search, never steer it.
-type RuntimeConfig struct {
-	// Progress receives per-iteration events (see OptimizeConfig).
-	Progress func(ProgressEvent)
-	// Probe is the fault-injection test hook (see OptimizeConfig).
-	Probe func(iteration int)
-}
+// defaultMaxIterations is the iteration cap a zero MaxIterations
+// selects.
+const defaultMaxIterations = 2000
 
 func (c *OptimizeConfig) defaults() {
 	if c.MaxIterations == 0 {
-		c.MaxIterations = 2000
+		c.MaxIterations = defaultMaxIterations
 	}
 	if c.Window == 0 {
 		c.Window = 50
@@ -224,12 +211,12 @@ func OptimizeContext(ctx context.Context, org *Org, cfg OptimizeConfig) (*Org, *
 // to the file the checkpoint was loaded from. Because checkpoints are
 // written at reconstruction boundaries, the resumed trajectory is
 // identical to the one an uninterrupted process would have followed:
-// only the work since the last checkpoint is redone. rt carries only
-// the observation hooks the checkpoint deliberately does not store.
-func ResumeOptimizeRuntime(ctx context.Context, l *lake.Lake, ck *Checkpoint, rt RuntimeConfig) (*Org, *OptimizeStats, error) {
+// only the work since the last checkpoint is redone. progress is the
+// Progress callback (see OptimizeConfig), which the checkpoint
+// deliberately does not store.
+func ResumeOptimizeRuntime(ctx context.Context, l *lake.Lake, ck *Checkpoint, progress func(ProgressEvent)) (*Org, *OptimizeStats, error) {
 	cfg := ck.searchConfig()
-	cfg.Progress = rt.Progress
-	cfg.Probe = rt.Probe
+	cfg.Progress = progress
 	cfg.defaults()
 	org, ev, src, err := rebuildSearchState(l, cfg, ck)
 	if err != nil {
@@ -391,8 +378,8 @@ func (s *search) traverse() (int, error) {
 }
 
 // noteIteration books one proposed operation into the stats, the
-// best-seen trail, and the plateau rule, reports it with its visit
-// counts v on the progress stream, then fires the test probe.
+// best-seen trail, and the plateau rule, and reports it with its visit
+// counts v on the progress stream.
 func (s *search) noteIteration(undo *UndoLog, accepted bool, v visits) {
 	st := s.stats
 	st.Iterations++
@@ -418,9 +405,6 @@ func (s *search) noteIteration(undo *UndoLog, accepted bool, v visits) {
 		s.sinceImprove++
 	}
 	s.emitProgress(eff, v, false)
-	if s.cfg.Probe != nil {
-		s.cfg.Probe(st.Iterations)
-	}
 }
 
 // emitProgress fires the Progress callback with the search's current
@@ -759,67 +743,4 @@ func worstLeafParent(org *Org, sid StateID, meanReach []float64) StateID {
 		}
 	}
 	return best
-}
-
-// RestartCheckpointPath derives the checkpoint file restart r of a
-// multi-restart search writes to: base + ".r<r>". Restarts are
-// independent searches with different seeds, so they must never share a
-// file — a shared path would have each restart clobber the previous
-// one's snapshot, and a resume would then continue restart 0 from
-// restart N-1's state.
-func RestartCheckpointPath(base string, r int) string {
-	return fmt.Sprintf("%s.r%d", base, r)
-}
-
-// optimizeRestarts is the restart loop of multi-dimensional builds:
-// restart r calls search with cfg's
-// derived seed, progress stamp and checkpoint path, and the most
-// effective result wins.
-func optimizeRestarts(ctx context.Context, cfg OptimizeConfig, restarts int, search func(OptimizeConfig) (*Org, *OptimizeStats, error)) (*Org, *OptimizeStats, error) {
-	if restarts < 1 {
-		restarts = 1
-	}
-	var bestOrg *Org
-	var bestStats *OptimizeStats
-	for r := 0; r < restarts; r++ {
-		if r > 0 && ctx.Err() != nil {
-			// Canceled between restarts: the remaining ones are skipped,
-			// and the result is best-so-far, marked truncated.
-			bestStats.Truncated = true
-			break
-		}
-		runCfg := cfg
-		runCfg.Seed = cfg.Seed + int64(r)*104729
-		if cfg.Progress != nil {
-			// Stamp each restart's events with its index so a consumer
-			// interleaving them (NDJSON, gauges) can tell the searches
-			// apart.
-			restart, base := r, cfg.Progress
-			runCfg.Progress = func(p ProgressEvent) {
-				p.Restart = restart
-				base(p)
-			}
-		}
-		if cfg.Checkpoint != nil && cfg.Checkpoint.Path != "" && restarts > 1 {
-			ck := *cfg.Checkpoint
-			ck.Path = RestartCheckpointPath(cfg.Checkpoint.Path, r)
-			runCfg.Checkpoint = &ck
-		}
-		res, stats, err := search(runCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if bestStats == nil || stats.FinalEff > bestStats.FinalEff {
-			bestOrg, bestStats = res, stats
-		}
-		if stats.Truncated {
-			// The in-flight restart was cut short; whatever won so far is
-			// the final answer, and the caller must see the truncation
-			// even when an earlier, completed restart holds the best
-			// effectiveness.
-			bestStats.Truncated = true
-			break
-		}
-	}
-	return bestOrg, bestStats, nil
 }

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"context"
-	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -149,50 +148,6 @@ func TestOptimizePlateauTermination(t *testing.T) {
 	}
 }
 
-func TestOptimizeRestarts(t *testing.T) {
-	tc, err := synth.GenerateTagCloud(synth.SmallTagCloudConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() (*Org, error) { return NewClustered(tc.Lake, BuildConfig{}) }
-	org, stats, err := optimizeRestartsContext(context.Background(), build, OptimizeConfig{MaxIterations: 40, RepFraction: 0.1, Seed: 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if org == nil || stats == nil {
-		t.Fatal("nil result")
-	}
-	if err := org.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The multi-start best is at least as good as a single run with the
-	// base seed.
-	single, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Optimize(single, OptimizeConfig{MaxIterations: 40, RepFraction: 0.1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FinalEff < st.FinalEff-1e-12 {
-		t.Errorf("restarts best %v below single %v", stats.FinalEff, st.FinalEff)
-	}
-	// restarts < 1 clamps.
-	if _, _, err := optimizeRestartsContext(context.Background(), build, OptimizeConfig{MaxIterations: 10}, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOptimizeRestartsBuildError(t *testing.T) {
-	bad := func() (*Org, error) { return nil, errBuild }
-	if _, _, err := optimizeRestartsContext(context.Background(), bad, OptimizeConfig{}, 2); err == nil {
-		t.Error("build error swallowed")
-	}
-}
-
-var errBuild = fmt.Errorf("build failed")
-
 // TestPickOperationsZeroAllocs pins candidate assembly at zero
 // allocations once its buffers have grown, for a leaf (tag-state
 // candidates) and for an interior state (candidates one level up), so
@@ -224,5 +179,142 @@ func TestPickOperationsZeroAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("pickOperations for state %d (%v) allocates %.1f per call, want 0", sid, o.States[sid].Kind, n)
 		}
+	}
+}
+
+// countingSource is a copyable rand.Source over the search generator
+// that counts the values it hands out and keeps the last one.
+type countingSource struct {
+	src   searchSource
+	draws int
+	last  int64
+}
+
+func (c *countingSource) Int63() int64 {
+	c.draws++
+	c.last = c.src.Int63()
+	return c.last
+}
+
+func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
+
+// eq9Accept is the reference acceptance rule of Eq 9: a proposal from
+// P(T|O) = p to P(T|O') = pNew is accepted with probability
+// min[1, (pNew/p)^exp], decided by the uniform draw u. A negative
+// exponent is the greedy rule, which accepts exactly the non-worsening
+// proposals.
+func eq9Accept(pNew, p, exp, u float64) bool {
+	if exp < 0 || p == 0 {
+		return pNew >= p
+	}
+	return u < math.Min(1, math.Pow(pNew/p, exp))
+}
+
+// TestProposeAndDecideMatchesEq9 drives proposeAndDecide over every
+// live state of a small exact-evaluated organization, two sweeps per
+// acceptance exponent, with a counting source. Before each call it
+// finds the best candidate's P(T|O') by trial-evaluating the same
+// candidates on the same evaluator, and how many values candidate
+// picking draws from a copy of the source. The decision must equal
+// eq9Accept on the acceptance draw, and that draw must happen exactly
+// when P(T|O') < P(T|O) and P(T|O) > 0 with a positive exponent, and
+// never otherwise.
+func TestProposeAndDecideMatchesEq9(t *testing.T) {
+	outcomes := map[bool]int{}
+	for _, tc := range []struct {
+		exp  float64
+		seed int64
+	}{
+		{-1, 3}, {0.5, 5}, {1, 7}, {200, 11},
+	} {
+		// FuzzSearchStep's largest organization shape.
+		cfg := synth.SmallTagCloudConfig()
+		cfg.Tags, cfg.Attributes, cfg.MaxValues = 16, 90, 60
+		cfg.Dim, cfg.SuperTopics, cfg.Seed = 16, 4, tc.seed
+		lk, err := synth.GenerateTagCloud(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := NewClustered(lk.Lake, BuildConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := NewEvaluator(o, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &countingSource{src: *newSearchSource(tc.seed)}
+		rng := rand.New(src)
+		var sc, trial stepScratch
+		downhill := 0
+		for sweep := 0; sweep < 2; sweep++ {
+			// Levels and reachability are refreshed per sweep, as the
+			// search refreshes them per traversal.
+			levels, meanReach := o.Levels(), ev.MeanReach()
+			for sid := range levels {
+				if o.States[sid].deleted || StateID(sid) == o.Root || levels[sid] < 0 {
+					continue
+				}
+				pick := *src
+				cands := trial.pickOperations(o, StateID(sid), levels, meanReach, rand.New(&pick))
+				pickDraws := pick.draws - src.draws
+				p, pNew := ev.Effectiveness(), -1.0
+				for _, op := range cands {
+					o.recordChanges(&trial.cs)
+					undo := op.apply(o)
+					o.EndChanges()
+					pNew = math.Max(pNew, ev.Reevaluate(&trial.cs))
+					o.Undo(undo)
+					if err := ev.Rollback(); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				before := src.draws
+				_, accepted, proposed, _, err := proposeAndDecide(o, ev, &sc, StateID(sid), levels, meanReach, rng, tc.exp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if proposed != (len(cands) > 0) {
+					t.Fatalf("exp %v state %d: proposed %v with %d candidates", tc.exp, sid, proposed, len(cands))
+				}
+				drew, wantDraws := src.draws-before-pickDraws, 0
+				if proposed && tc.exp > 0 && p > 0 && pNew < p {
+					wantDraws = 1
+				}
+				if drew != wantDraws {
+					t.Fatalf("exp %v state %d: acceptance drew %d values for P %v -> %v", tc.exp, sid, drew, p, pNew)
+				}
+				if !proposed {
+					continue
+				}
+				u := float64(src.last) / (1 << 63)
+				if want := eq9Accept(pNew, p, tc.exp, u); accepted != want {
+					t.Fatalf("exp %v state %d: accepted %v for P %v -> %v (u %v), Eq 9 says %v", tc.exp, sid, accepted, p, pNew, u, want)
+				}
+				// The winner is re-applied after the other trials, which
+				// may sum in another order: equal to P(T|O') within 1e-12.
+				want := p
+				if accepted {
+					want = pNew
+				}
+				if got := ev.Effectiveness(); math.Abs(got-want) > 1e-12 {
+					t.Fatalf("exp %v state %d: effectiveness %v after the decision, want %v", tc.exp, sid, got, want)
+				}
+				if drew == 1 {
+					downhill++
+					outcomes[accepted]++
+				}
+			}
+		}
+		if err := o.Validate(); err != nil {
+			t.Fatalf("exp %v: %v", tc.exp, err)
+		}
+		if tc.exp > 0 && downhill == 0 {
+			t.Errorf("exp %v: no downhill proposal drew", tc.exp)
+		}
+	}
+	if outcomes[true] == 0 || outcomes[false] == 0 {
+		t.Errorf("downhill proposals accepted %d, rejected %d: the draw is not exercised both ways", outcomes[true], outcomes[false])
 	}
 }

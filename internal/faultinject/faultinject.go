@@ -1,9 +1,12 @@
 // Package faultinject provides deterministic fault injection for
 // robustness tests: torn and truncated files, readers that stall or
-// fail mid-stream, and optimizer probes that cancel a search at a
-// chosen iteration. Production code never imports it; tests across the
-// persistence, core, and server layers share it so every failure mode
-// is simulated the same way everywhere.
+// fail mid-stream, and per-iteration hooks that cancel a search at a
+// chosen iteration. The hooks take the iteration count, not a core
+// type: core's own tests import this package, so it cannot import core,
+// and a test wraps a hook in the search's Progress callback. Production
+// code never imports it; tests across the persistence, core, and server
+// layers share it so every failure mode is simulated the same way
+// everywhere.
 package faultinject
 
 import (
@@ -14,9 +17,8 @@ import (
 	"time"
 )
 
-// CancelAtIteration returns an optimizer Probe (see
-// core.OptimizeConfig.Probe) that cancels at iteration k, simulating a
-// deploy or crash landing mid-search.
+// CancelAtIteration returns an iteration hook that cancels at
+// iteration k, simulating a deploy or crash landing mid-search.
 //
 //lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 func CancelAtIteration(cancel context.CancelFunc, k int) func(int) {
@@ -27,9 +29,9 @@ func CancelAtIteration(cancel context.CancelFunc, k int) func(int) {
 	}
 }
 
-// CancelWhen returns a Probe that cancels as soon as cond reports true,
-// for faults keyed on observable side effects (e.g. "a checkpoint file
-// exists") rather than iteration counts.
+// CancelWhen returns an iteration hook that cancels as soon as cond
+// reports true, for faults keyed on observable side effects (e.g. "a
+// checkpoint file exists") rather than iteration counts.
 //
 //lakelint:ignore deadexport -- fault-injection helper for tests by design; production never imports this package
 func CancelWhen(cancel context.CancelFunc, cond func() bool) func(int) {

@@ -24,10 +24,6 @@ type ClientOptions struct {
 	// RetryBase is the first backoff delay; it doubles per retry.
 	// Non-positive selects defaultRetryBase.
 	RetryBase time.Duration
-	// Hedge, when positive, launches a second concurrent attempt if the
-	// first has not resolved within this delay; the first result wins
-	// and the loser is cancelled. Off when zero.
-	Hedge time.Duration
 }
 
 const (
@@ -53,7 +49,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 }
 
 // shardClient is the coordinator's handle on one navserver shard: an
-// HTTP client with retry/timeout/hedging, plus the passively and
+// HTTP client with retry/timeout, plus the passively and
 // actively maintained health state the routing layer consults.
 type shardClient struct {
 	id   string
@@ -85,7 +81,7 @@ func newShardClient(info ShardInfo, opts ClientOptions, m *coordMetrics) *shardC
 }
 
 // shardResult is one resolved shard call: either err is set (transport
-// failure after retries/hedging) or the HTTP answer is, verbatim.
+// failure after retries) or the HTTP answer is, verbatim.
 type shardResult struct {
 	status      int
 	contentType string
@@ -93,55 +89,19 @@ type shardResult struct {
 	err         error
 }
 
-// do performs one logical request against the shard: a primary attempt
-// (itself a retry loop) raced, when hedging is enabled, against a
-// second attempt launched after the hedge delay. The first non-error
-// result wins; when all racers fail, the last failure is returned.
-// Health state is maintained on the way out, except for a failure once
-// the caller's ctx is done: a caller giving up says nothing about the
+// do performs one logical request against the shard and maintains
+// the health state on the way out, except for a failure once the
+// caller's ctx is done: a caller giving up says nothing about the
 // shard.
 func (c *shardClient) do(ctx context.Context, method, pathAndQuery string, body []byte) shardResult {
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel() // reap the losing racer's request
-
-	// Buffered to the racer count, so an abandoned racer's send never
-	// blocks and the goroutine always exits.
-	resc := make(chan shardResult, 2)
-	launch := func() {
-		go func() { resc <- c.attemptLoop(rctx, method, pathAndQuery, body) }()
+	res := c.attemptLoop(ctx, method, pathAndQuery, body)
+	if res.err == nil || ctx.Err() == nil {
+		c.noteResult(res)
 	}
-	launch()
-	inflight := 1
-	var hedgeC <-chan time.Time
-	if c.opts.Hedge > 0 {
-		t := time.NewTimer(c.opts.Hedge)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	for {
-		select {
-		case res := <-resc:
-			inflight--
-			if res.err == nil || inflight == 0 {
-				if res.err == nil || ctx.Err() == nil {
-					c.noteResult(res)
-				}
-				return res
-			}
-			// The primary failed but a hedge is still running; let it
-			// finish.
-		case <-hedgeC:
-			hedgeC = nil
-			c.m.hedges.Inc()
-			launch()
-			inflight++
-		case <-ctx.Done():
-			return shardResult{err: ctx.Err()}
-		}
-	}
+	return res
 }
 
-// attemptLoop is one racer: up to 1+Retries attempts with doubling
+// attemptLoop makes up to 1+Retries attempts with doubling
 // backoff between them. Only transport errors retry.
 func (c *shardClient) attemptLoop(ctx context.Context, method, pathAndQuery string, body []byte) shardResult {
 	var last shardResult

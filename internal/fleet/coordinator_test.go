@@ -136,7 +136,7 @@ func (tf *testFleet) post(t *testing.T, url, body string) *httptest.ResponseReco
 
 // waitFirstSweep blocks until the coordinator's first health sweep,
 // started by SetMap, has finished with every shard healthy. Its probes
-// go through the same clients as requests and book hedges and health
+// go through the same clients as requests and book retries and health
 // transitions into the counters tests read.
 func (tf *testFleet) waitFirstSweep(t *testing.T) {
 	t.Helper()
@@ -559,48 +559,6 @@ func TestCoordinatorRetries(t *testing.T) {
 	}
 	if got := counterValue(t, tf.coord, "fleet.retries_total"); got == 0 {
 		t.Error("retry not counted")
-	}
-}
-
-// TestCoordinatorHedging: when the primary attempt stalls past the
-// hedge delay, a second concurrent attempt answers and wins.
-func TestCoordinatorHedging(t *testing.T) {
-	tf := bootFleet(t, 1, Options{
-		// One health sweep only: every sweep's /admin/shard probe goes
-		// through the same hedging client and may hedge too.
-		CheckInterval: time.Hour,
-		Client: ClientOptions{
-			Hedge:   10 * time.Millisecond,
-			Timeout: 5 * time.Second,
-			Retries: 0,
-		},
-	})
-	// Count only the request's hedge: the first sweep's probe hedges
-	// too when it takes longer than the hedge delay.
-	tf.waitFirstSweep(t)
-	before := counterValue(t, tf.coord, "fleet.hedges_total")
-	f := tf.flaky["s0"]
-	var calls atomic.Int64
-	inner := *f.h.Load()
-	f.setHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/admin/shard" {
-			inner.ServeHTTP(w, r)
-			return
-		}
-		if calls.Add(1) == 1 {
-			// Stall until the hedged attempt has won and the
-			// coordinator cancels this one.
-			<-r.Context().Done()
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	rec := tf.get(t, "/api/suggest?lake=a&q=salmon")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d with hedging: %s", rec.Code, rec.Body)
-	}
-	if got := counterValue(t, tf.coord, "fleet.hedges_total") - before; got != 1 {
-		t.Errorf("fleet.hedges_total grew by %d, want 1", got)
 	}
 }
 

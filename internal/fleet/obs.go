@@ -20,9 +20,8 @@ type coordMetrics struct {
 	degraded *obs.Counter
 	proxied  *obs.Counter
 
-	// Shard-client behavior: transport retries and hedged attempts.
+	// Shard-client behavior: transport retries.
 	retries *obs.Counter
-	hedges  *obs.Counter
 
 	// Health-plane state: shardDown counts up→down transitions (the
 	// alertable event), healthy gauges the current healthy-shard count,
@@ -45,7 +44,6 @@ func newCoordMetrics() *coordMetrics {
 		degraded:  reg.Counter("fleet.degraded_items_total"),
 		proxied:   reg.Counter("fleet.proxied_total"),
 		retries:   reg.Counter("fleet.retries_total"),
-		hedges:    reg.Counter("fleet.hedges_total"),
 		shardDown: reg.Counter("fleet.shard.down"),
 		healthy:   reg.Gauge("fleet.shards.healthy"),
 		genBumps:  reg.Counter("fleet.shard.gen_bumps_total"),

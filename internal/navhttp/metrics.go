@@ -30,7 +30,6 @@ type serverMetrics struct {
 	// the other values belong to.
 	buildRunning     *obs.Gauge
 	buildDim         *obs.Gauge
-	buildRestart     *obs.Gauge
 	buildIteration   *obs.Gauge
 	buildAccepted    *obs.Gauge
 	buildRejected    *obs.Gauge
@@ -71,7 +70,6 @@ func newServerMetrics() *serverMetrics {
 
 		buildRunning:     reg.Gauge("build.running"),
 		buildDim:         reg.Gauge("build.dim"),
-		buildRestart:     reg.Gauge("build.restart"),
 		buildIteration:   reg.Gauge("build.iteration"),
 		buildAccepted:    reg.Gauge("build.accepted"),
 		buildRejected:    reg.Gauge("build.rejected"),
@@ -141,7 +139,6 @@ func (s *Server) SetBuildRunning(running bool) {
 func (m *serverMetrics) noteBuildProgress(p lakenav.ProgressEvent) {
 	m.buildEvents.Inc()
 	m.buildDim.Set(int64(p.Dim))
-	m.buildRestart.Set(int64(p.Restart))
 	m.buildIteration.Set(int64(p.Iteration))
 	m.buildAccepted.Set(int64(p.Accepted))
 	m.buildRejected.Set(int64(p.Rejected))

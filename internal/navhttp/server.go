@@ -256,13 +256,6 @@ func parseDim(r *http.Request, org *lakenav.Organization) (int, error) {
 	return dim, nil
 }
 
-// navigateTo positions a fresh navigator at the dotted child-index
-// path; validation (length, depth, element range) lives in
-// serve.Navigate so the HTTP layer and the cached fast path agree.
-func navigateTo(org *lakenav.Organization, dim int, path string) (*lakenav.Navigator, error) {
-	return serve.Navigate(org, dim, path)
-}
-
 // parseK validates an optional k query parameter in [1, maxSearchK];
 // absent returns def.
 func parseK(r *http.Request, def int) (int, error) {
@@ -315,7 +308,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	nav, err := navigateTo(org, dim, r.URL.Query().Get("path"))
+	nav, err := serve.Navigate(org, dim, r.URL.Query().Get("path"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -385,14 +385,14 @@ func TestHandleMetrics(t *testing.T) {
 func TestBuildGaugesFollowProgress(t *testing.T) {
 	s := testServer(t)
 	s.metrics.noteBuildProgress(lakenav.ProgressEvent{
-		Dim: 1, Restart: 2, Iteration: 7, Accepted: 4, Rejected: 3,
+		Dim: 1, Iteration: 7, Accepted: 4, Rejected: 3,
 		CurrentEff: 1.25, BestEff: 1.5, Checkpoints: 1,
 		StatesVisitedFrac: 0.25, AttrsVisitedFrac: 0.125,
 	})
 	// A final event carries no visit fractions; the gauges keep the last
 	// iteration's.
 	s.metrics.noteBuildProgress(lakenav.ProgressEvent{
-		Dim: 1, Restart: 2, Iteration: 7, Accepted: 4, Rejected: 3,
+		Dim: 1, Iteration: 7, Accepted: 4, Rejected: 3,
 		CurrentEff: 1.25, BestEff: 1.5, Checkpoints: 1, Final: true,
 	})
 	rec := get(t, s.handleMetrics, "/metrics")
@@ -407,7 +407,7 @@ func TestBuildGaugesFollowProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := resp.Server.Gauges
-	if g["build.dim"] != 1 || g["build.restart"] != 2 || g["build.iteration"] != 7 ||
+	if g["build.dim"] != 1 || g["build.iteration"] != 7 ||
 		g["build.accepted"] != 4 || g["build.rejected"] != 3 || g["build.checkpoints"] != 1 {
 		t.Errorf("build gauges = %v", g)
 	}

@@ -191,9 +191,6 @@ type Config struct {
 	MaxIterations int
 	// Seed makes construction reproducible.
 	Seed int64
-	// Restarts runs each dimension's search that many times with derived
-	// seeds and keeps the most effective result; values < 2 search once.
-	Restarts int
 	// CheckpointPath, when non-empty, periodically snapshots the search
 	// so a killed build can continue where it left off: dimension i
 	// checkpoints atomically to CheckpointPath + ".dim<i>", and a clean
@@ -202,10 +199,10 @@ type Config struct {
 	// CheckpointEvery is how many accepted operations accumulate between
 	// snapshots; 0 selects the default (100).
 	CheckpointEvery int
-	// Resume continues every search (each restart of each dimension)
-	// whose checkpoint file exists and matches (same seed, same tag
-	// group). Stale or corrupt files are ignored and that search starts
-	// from scratch — resuming can speed a restart up but never fail it.
+	// Resume continues every dimension's search whose checkpoint file
+	// exists and matches (same seed, same tag group). Stale or corrupt
+	// files are ignored and that search starts from scratch — resuming
+	// can speed a restart up but never fail it.
 	Resume bool
 	// Progress, when non-nil, receives one event per optimizer
 	// iteration plus a closing event per search, letting callers watch
@@ -219,7 +216,7 @@ type Config struct {
 }
 
 // ProgressEvent is one observation of a running construction search:
-// which search (Dim, Restart), its counters, its effectiveness, and the
+// which dimension (Dim), its counters, its effectiveness, and the
 // share of the organization the iteration re-evaluated
 // (StatesVisitedFrac, AttrsVisitedFrac).
 type ProgressEvent = core.ProgressEvent
@@ -271,7 +268,6 @@ func OrganizeContext(ctx context.Context, l *Lake, cfg Config) (*Organization, e
 		Optimize: opt,
 		Seed:     cfg.Seed,
 		Parallel: true,
-		Restarts: cfg.Restarts,
 	}
 	if cfg.CheckpointPath != "" {
 		mc.Checkpoint = &core.CheckpointConfig{

@@ -43,7 +43,9 @@ stage "go test -race ./..." go test -race ./...
 # Fuzz smoke: a few seconds of coverage-guided input on the decode
 # surfaces that accept untrusted bytes (the structural org container
 # a checkpoint embeds, rebuilt through Import; the full binfmt org
-# container; binfmt checkpoint resume; journal recovery; the HTTP
+# container; binfmt checkpoint resume; the binfmt lake container every
+# serving restart reads, re-encoded and decoded again; journal
+# recovery; the HTTP
 # batch body decoder; lakelint's directive parser; the lake JSON
 # decoder and the value tokenizer, each of the last two against the
 # code it replaced), plus the local search's apply / Reevaluate /
@@ -59,10 +61,11 @@ fuzz_smoke() {
 	go test ./internal/httpx -fuzz FuzzDecodeBatch -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./cmd/lakelint -fuzz FuzzParseDirective -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/lake -fuzz FuzzReadJSON -fuzztime 5s -fuzzminimizetime 10x -run '^$'
+	go test ./internal/lake -fuzz FuzzReadBinLake -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/embedding -fuzz FuzzTokens -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 	go test ./internal/core -fuzz FuzzSearchStep -fuzztime 5s -fuzzminimizetime 10x -run '^$'
 }
-stage "go test -fuzz (5s smoke x9)" fuzz_smoke
+stage "go test -fuzz (5s smoke x10)" fuzz_smoke
 
 # Benchmarks compile and run: one iteration of everything keeps the
 # micro-benchmarks from bit-rotting. Performance is measured end to end
