@@ -7,9 +7,8 @@
 // request.
 //
 //	lakecoord -map fleet.json [-addr :7000] [-map-poll 5s]
-//	          [-max-inflight 256] [-max-batch 256]
-//	          [-check-interval 2s] [-timeout 5s] [-retries 1]
-//	          [-retry-base 50ms]
+//	          [-max-inflight 256] [-check-interval 2s] [-timeout 5s]
+//	          [-retries 1] [-retry-base 50ms]
 //
 // Each shard call runs on the caller's goroutine: up to 1+retries
 // attempts with doubling backoff, each bounded by -timeout.
@@ -41,7 +40,6 @@ func main() {
 	addr := flag.String("addr", ":7000", "listen address")
 	mapPoll := flag.Duration("map-poll", 0, "re-read -map on modification at this interval; 0 disables")
 	maxInflight := flag.Int("max-inflight", 256, "maximum concurrently served requests before shedding with 503")
-	maxBatch := flag.Int("max-batch", 256, "maximum queries per /batch request (keep at or below the shards' -max-batch)")
 	checkInterval := flag.Duration("check-interval", 2*time.Second, "active shard health-probe period")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-attempt shard request timeout")
 	retries := flag.Int("retries", 1, "extra attempts after a transport error (HTTP error statuses are answers, not failures)")
@@ -57,7 +55,6 @@ func main() {
 	}
 	coord := fleet.New(fleet.Options{
 		MaxInflight:   *maxInflight,
-		MaxBatch:      *maxBatch,
 		CheckInterval: *checkInterval,
 		Client: fleet.ClientOptions{
 			Timeout:   *timeout,

@@ -16,11 +16,10 @@ import (
 // method (String, Error, ServeHTTP, a module interface) is used through
 // the interface and is never reported.
 //
-// The per-package pass is a pure function of the package and its
-// dependencies, as the result cache requires: it exports "declares"
-// facts for its own exported identifiers and "uses" facts for every
-// module identifier its production files reference. The module pass
-// reports the declarations no package uses.
+// The per-package pass exports "declares" facts for its own exported
+// identifiers and "uses" facts for every module identifier its
+// production files reference. The module pass reports the
+// declarations no package uses.
 var deadexportCheck = &Check{
 	Name:   "deadexport",
 	Doc:    "exported identifiers under internal/ and vector/ are referenced by some non-test file",

@@ -132,7 +132,7 @@ type DirectiveIndex struct {
 }
 
 // buildDirectives scans every comment of every file. It needs no type
-// information, so a fully cached run can still apply suppressions.
+// information.
 func buildDirectives(m *Module) *DirectiveIndex {
 	idx := &DirectiveIndex{
 		immutable: make(map[string]bool),

@@ -42,25 +42,23 @@ func (f Finding) String() string {
 
 // Fact is one cross-package observation a per-package pass exports for
 // its check's module pass: a metric-name registration, a lock-order
-// edge. Facts round-trip through the result cache as JSON, so they may
-// carry only plain data — no AST or types handles.
+// edge.
 type Fact struct {
 	// Kind is a check-defined discriminator.
-	Kind string `json:"kind"`
+	Kind string
 	// Key is the fact's identity (a metric name, an "A=>B" lock edge).
-	Key string `json:"key"`
+	Key string
 	// File/Line/Col locate the fact for module-pass findings.
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string
+	Line int
+	Col  int
 }
 
 // PkgResult is what one check produces for one package: local findings
-// plus facts for the check's module pass. It is the unit the content-
-// hash cache stores.
+// plus facts for the check's module pass.
 type PkgResult struct {
-	Findings []Finding `json:"findings"`
-	Facts    []Fact    `json:"facts,omitempty"`
+	Findings []Finding
+	Facts    []Fact
 }
 
 // Check is one invariant analyzer.
@@ -69,15 +67,12 @@ type Check struct {
 	Name string
 	// Doc is the one-line contract description shown by -list.
 	Doc string
-	// Pkg analyzes one package. It must be a pure function of the
-	// package's sources plus its transitive dependencies' sources —
-	// that is the contract that makes the per-(check,package) result
-	// cache sound. Runs concurrently across packages.
+	// Pkg analyzes one package. Runs concurrently across packages, so
+	// it may only read the Module.
 	Pkg func(m *Module, p *Package) PkgResult
 	// Module, when non-nil, runs once after every package pass with the
-	// merged facts of this check (cached and fresh alike), for rules
-	// that need cross-package context: name uniqueness, lock-order
-	// consistency.
+	// merged facts of this check, for rules that need cross-package
+	// context: name uniqueness, lock-order consistency.
 	Module func(m *Module, facts []Fact) []Finding
 }
 
@@ -97,9 +92,8 @@ var AllChecks = []*Check{
 }
 
 // RunChecks runs the named checks (nil = all) over a loaded module and
-// returns the merged findings sorted by position then check name. It
-// is Analyze without a cache — the entry point the fixture
-// tests use.
+// returns the merged findings sorted by position then check name —
+// the entry point the fixture tests use.
 func RunChecks(m *Module, names []string) ([]Finding, error) {
 	return Analyze(m, Options{Checks: names})
 }

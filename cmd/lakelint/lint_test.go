@@ -144,6 +144,15 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModule(repo root): %v", err)
 	}
+	// lakelint holds itself to the suite: the whole-module run must
+	// cover its own package.
+	self := false
+	for _, p := range m.Pkgs {
+		self = self || p.Path == "lakenav/cmd/lakelint"
+	}
+	if !self {
+		t.Errorf("module load is missing lakenav/cmd/lakelint")
+	}
 	findings, err := RunChecks(m, nil)
 	if err != nil {
 		t.Fatalf("RunChecks: %v", err)

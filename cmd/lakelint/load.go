@@ -1,7 +1,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"go/ast"
 	gobuild "go/build"
@@ -39,11 +38,8 @@ type Package struct {
 	// the type-aware invariant checks analyze test files too.
 	Test []bool
 	// Imports is the sorted set of module-internal import paths across
-	// all files, used for the content-hash dependency closure.
+	// all files, which orders type-checking.
 	Imports []string
-	// SrcHash digests the package's file names and bytes; combined with
-	// the dependency closure it keys the analysis result cache.
-	SrcHash [sha256.Size]byte
 	// Types and Info carry the go/types results for the package; they
 	// are nil until Module.TypeCheck runs.
 	Types *types.Package
@@ -88,8 +84,8 @@ type Module struct {
 // LoadModule parses every package under dir (which must contain
 // go.mod), including _test.go files, respecting build constraints. It
 // is a stdlib-only substitute for x/tools' packages.Load. Parsing is
-// eager; type-checking is deferred to (*Module).TypeCheck so a fully
-// cached analysis run never pays for it.
+// eager; type-checking is left to (*Module).TypeCheck, which Analyze
+// calls.
 func LoadModule(dir string) (*Module, error) {
 	absDir, err := filepath.Abs(dir)
 	if err != nil {
@@ -177,7 +173,6 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) ([]*Package, error
 	}
 	base := &Package{Path: importPath, Dir: rel}
 	xtest := &Package{Path: importPath + " [test]", Dir: rel}
-	hash := sha256.New()
 	for _, e := range entries {
 		fn := e.Name()
 		if e.IsDir() || !strings.HasSuffix(fn, ".go") {
@@ -218,8 +213,6 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) ([]*Package, error
 		pkg.Files = append(pkg.Files, f)
 		pkg.Filenames = append(pkg.Filenames, relName)
 		pkg.Test = append(pkg.Test, isTest)
-		fmt.Fprintf(hash, "%s\n%d\n", relName, len(src))
-		_, _ = hash.Write(src)
 		for _, spec := range f.Imports {
 			ip := strings.Trim(spec.Path.Value, `"`)
 			if ip == modPath || strings.HasPrefix(ip, modPath+"/") {
@@ -234,10 +227,6 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) ([]*Package, error
 		}
 		sort.Strings(pkg.Imports)
 		pkg.Imports = dedupStrings(pkg.Imports)
-		// Both packages of a directory share the directory digest: a test
-		// file edit re-analyzes the production package too, which is the
-		// conservative direction.
-		copy(pkg.SrcHash[:], hash.Sum(nil))
 		out = append(out, pkg)
 	}
 	return out, nil
@@ -273,9 +262,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 // TypeCheck type-checks every package in dependency order. It is
-// idempotent; Analyze calls it lazily, only when at least one check
-// must actually run (a fully cached analysis skips it entirely, which
-// is where the repo-wide wall-clock win comes from).
+// idempotent.
 func (m *Module) TypeCheck() error {
 	if m.typechecked {
 		return nil

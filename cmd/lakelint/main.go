@@ -19,10 +19,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lakelint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.String("json", "", "write findings as JSON to this file ('-' for stdout)")
-	sarifOut := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file ('-' for stdout)")
 	checksFlag := fs.String("checks", "", "comma-separated checks to run (default: all)")
-	cacheDir := fs.String("cache", "", "directory for the per-(check,package) result cache (default: off)")
-	only := fs.String("only", "", "report only findings under this module-relative path prefix (analysis still covers the module)")
 	list := fs.Bool("list", false, "list the invariant checks and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: lakelint [flags] [module-dir]\n\n"+
@@ -59,16 +56,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	findings, err := Analyze(mod, Options{Checks: names, CacheDir: *cacheDir, Only: *only})
+	findings, err := Analyze(mod, Options{Checks: names})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	// With -json - or -sarif -, stdout carries a report; keep it
-	// machine-parseable by routing the human-readable lines to stderr.
+	// With -json -, stdout carries the report; keep it machine-
+	// parseable by routing the human-readable lines to stderr.
 	lines := stdout
-	if *jsonOut == "-" || *sarifOut == "-" {
+	if *jsonOut == "-" {
 		lines = stderr
 	}
 	for _, f := range findings {
@@ -76,12 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, stdout, mod, findings); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-	if *sarifOut != "" {
-		if err := writeSARIF(*sarifOut, stdout, findings); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}

@@ -1,45 +1,36 @@
 // Command lakeload is a deterministic load generator for navserver: the
-// measurement harness behind the serving fast path's latency and soak
-// numbers.
+// measurement harness behind the serving soaks.
 //
-//	lakeload -addr http://localhost:8080 [-mode closed|open]
-//	         [-workers 8] [-rate 100] [-duration 10s] [-seed 1]
-//	         [-zipf 1.1] [-queries 64] [-k 10] [-batch-size 16]
-//	         [-out requests.ndjson] [-wait-ready 30s] [-fail-on-error]
-//	         [-retries 2] [-retry-base 50ms]
+//	lakeload -addr http://localhost:8080 [-workers 8] [-duration 10s]
+//	         [-seed 1] [-lakes 0] [-out requests.ndjson]
+//	         [-fail-on-error] [-fail-on-degraded]
 //
-// The operation schedule — which endpoint, which query, which path,
-// which k — is derived entirely from -seed through a xorshift64*
-// generator and a Zipf query mix, so two runs against the same server
-// replay byte-identical request streams; only timing differs. The query
-// population is skewed (Zipf) the way interactive exploration is, which
-// is exactly the shape the server's query-topic cache exploits: runs
-// with and without -cache-size quantify the cache.
-//
-// Modes:
-//
-//	closed  -workers goroutines each issue requests back-to-back: the
-//	        classic closed loop, throughput set by service latency.
-//	open    requests are dispatched on a fixed -rate ticker regardless
-//	        of completions, the open-loop shape that exposes queueing
-//	        collapse; outstanding requests are capped, and requests the
-//	        cap forces the harness to skip are counted as dropped.
+// -workers goroutines each issue requests back-to-back: a closed loop,
+// throughput set by service latency. The operation schedule — which
+// endpoint, which query, which path, which k — is derived entirely
+// from -seed through a xorshift64* generator and a Zipf(1.1) mix over
+// 64 queries, so two runs against the same server replay
+// byte-identical request streams; only timing differs. The query
+// population is skewed (Zipf) the way interactive exploration is,
+// which is exactly the shape the server's query-topic cache exploits.
+// Before starting, lakeload waits up to 30s for /readyz; a server that
+// never becomes ready gets search-only load.
 //
 // Every request becomes one NDJSON record on -out (worker, operation,
 // status, latency, shed flag) and the run ends with a JSON summary on
-// stdout: counts by operation and status, shed and dropped totals,
-// latency quantiles, and achieved throughput. A 503 whose body is the
+// stdout: counts by operation and status, shed totals, latency
+// quantiles, and achieved throughput. A 503 whose body is the
 // navserver's load-shedding response "overloaded" is counted as shed —
 // deliberate back-pressure, not failure; with -fail-on-error any other
 // non-2xx response fails the run, which is the CI soak gate.
 //
 // Transport errors — connection refused or reset, as during a server
-// restart — are retried with jittered exponential backoff (-retries,
-// -retry-base). HTTP responses never retry. A request that recovers
-// within its budget counts normally and its extra attempts are tallied
-// as retries; one that exhausts the budget counts as a net error, so
-// the summary keeps retried recoveries, shed 503s, and failures as
-// three separate quantities.
+// restart — are retried twice with jittered exponential backoff from
+// 50ms. HTTP responses never retry. A request that recovers within its
+// budget counts normally and its extra attempts are tallied as
+// retries; one that exhausts the budget counts as a net error, so the
+// summary keeps retried recoveries, shed 503s, and failures as three
+// separate quantities.
 //
 // Against a fleet coordinator (cmd/lakecoord), -lakes N spreads the
 // schedule over N synthetic lake ids so requests fan out across
@@ -68,25 +59,28 @@ import (
 	"time"
 )
 
+// The fixed shape of the schedule and the transport-retry budget. The
+// fleet soak's zero-transport-error gate relies on the retry budget
+// absorbing a shard restart's connection resets.
+const (
+	zipfS     = 1.1
+	queries   = 64
+	resultK   = 10
+	batchSize = 16
+	waitReady = 30 * time.Second
+	retries   = 2
+	retryBase = 50 * time.Millisecond
+)
+
 func main() {
 	addr := flag.String("addr", "http://localhost:8080", "navserver base URL")
-	mode := flag.String("mode", "closed", "load shape: closed (worker loop) or open (rate ticker)")
-	workers := flag.Int("workers", 8, "concurrent workers (closed mode)")
-	rate := flag.Float64("rate", 100, "target requests per second (open mode)")
+	workers := flag.Int("workers", 8, "concurrent workers")
 	duration := flag.Duration("duration", 10*time.Second, "how long to generate load")
 	seed := flag.Int64("seed", 1, "schedule seed; same seed replays the same request stream")
-	zipfS := flag.Float64("zipf", 1.1, "query-popularity Zipf exponent")
-	queries := flag.Int("queries", 64, "distinct queries in the mix")
-	k := flag.Int("k", 10, "result bound sent with search/discover requests")
-	batchSize := flag.Int("batch-size", 16, "queries per /batch request")
 	out := flag.String("out", "", "write per-request NDJSON records to this file")
-	waitReady := flag.Duration("wait-ready", 30*time.Second, "wait up to this long for /readyz before starting (0 skips navigation ops)")
 	failOnError := flag.Bool("fail-on-error", false, "exit 1 on any non-2xx response that is not a deliberate shed 503 or a coordinator-degraded answer")
 	failOnDegraded := flag.Bool("fail-on-degraded", false, "exit 1 when any response or batch item was coordinator-degraded (dead shard)")
 	lakes := flag.Int("lakes", 0, "spread requests over this many synthetic lake ids (fleet mode); 0 sends no lake parameter")
-	maxOutstanding := flag.Int("max-outstanding", 1024, "outstanding request cap (open mode); excess ticks count as dropped")
-	retries := flag.Int("retries", 2, "additional attempts per request on transport errors (0 disables retry)")
-	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff step; attempt a sleeps base*2^a with jitter")
 	flag.Parse()
 
 	if _, err := url.Parse(*addr); err != nil {
@@ -113,7 +107,7 @@ func main() {
 	}
 
 	client := &http.Client{Timeout: 30 * time.Second}
-	probe, err := probeServer(client, *addr, *waitReady)
+	probe, err := probeServer(client, *addr, waitReady)
 	if err != nil {
 		log.Fatal("lakeload: ", err)
 	}
@@ -125,10 +119,10 @@ func main() {
 
 	gen, err := newOpGen(opGenConfig{
 		Seed:         *seed,
-		Queries:      *queries,
-		ZipfS:        *zipfS,
-		K:            *k,
-		BatchSize:    *batchSize,
+		Queries:      queries,
+		ZipfS:        zipfS,
+		K:            resultK,
+		BatchSize:    batchSize,
 		RootChildren: probe.RootChildren,
 		NavReady:     probe.Ready,
 		Lakes:        *lakes,
@@ -141,18 +135,11 @@ func main() {
 		client:    client,
 		base:      strings.TrimRight(*addr, "/"),
 		records:   newRecorder(sink),
-		retries:   *retries,
-		retryBase: *retryBase,
+		retries:   retries,
+		retryBase: retryBase,
 	}
 	start := time.Now()
-	switch *mode {
-	case "closed":
-		runner.runClosed(gen, *workers, *duration)
-	case "open":
-		runner.runOpen(gen, *rate, *duration, *maxOutstanding)
-	default:
-		log.Fatalf("lakeload: unknown -mode %q (want closed or open)", *mode)
-	}
+	runner.runClosed(gen, *workers, *duration)
 	elapsed := time.Since(start)
 
 	sum := runner.records.summarize(elapsed)
@@ -262,7 +249,7 @@ func (r *runner) backoff(attempt int) time.Duration {
 		return 0
 	}
 	if attempt > 20 {
-		attempt = 20 // beyond any real -retries; keeps the shift sane
+		attempt = 20 // beyond any real retry budget; keeps the shift sane
 	}
 	d := float64(base * (1 << attempt))
 	frac := 0.5 + 0.5*float64(splitmix(r.jitterSeq.Add(1))>>11)/float64(1<<53)
@@ -289,47 +276,6 @@ func (r *runner) runClosed(gen *opGen, workers int, duration time.Duration) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// runOpen drives the open loop: one deterministic operation stream
-// dispatched on a fixed-rate ticker, independent of completions.
-func (r *runner) runOpen(gen *opGen, rate float64, duration time.Duration, maxOutstanding int) {
-	if rate <= 0 {
-		rate = 1
-	}
-	if maxOutstanding <= 0 {
-		maxOutstanding = 1
-	}
-	interval := time.Duration(float64(time.Second) / rate)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-	sub := gen.worker(0)
-	slots := make(chan struct{}, maxOutstanding)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	stop := time.After(duration)
-	var wg sync.WaitGroup
-	for {
-		select {
-		case <-stop:
-			wg.Wait()
-			return
-		case <-ticker.C:
-			op := sub.next()
-			select {
-			case slots <- struct{}{}:
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { <-slots }()
-					r.issue(0, op)
-				}()
-			default:
-				r.records.dropped.Add(1)
-			}
-		}
-	}
 }
 
 // issue sends one operation — retrying transport errors with jittered
@@ -436,7 +382,6 @@ type recorder struct {
 	// it separately (-fail-on-degraded).
 	degraded      int
 	degradedItems int
-	dropped       atomic.Int64
 }
 
 func newRecorder(sink io.Writer) *recorder {
@@ -489,7 +434,6 @@ func (r *recorder) add(rec record) {
 // summary is the end-of-run report printed to stdout.
 type summary struct {
 	Requests int            `json:"requests"`
-	Dropped  int64          `json:"dropped,omitempty"`
 	ByOp     map[string]int `json:"by_op"`
 	ByStatus map[string]int `json:"by_status"`
 	Shed     int            `json:"shed"`
@@ -524,7 +468,6 @@ func (r *recorder) summarize(elapsed time.Duration) summary {
 	defer r.mu.Unlock()
 	s := summary{
 		Requests:      r.total,
-		Dropped:       r.dropped.Load(),
 		ByOp:          r.byOp,
 		ByStatus:      r.byStatus,
 		Shed:          r.shed,

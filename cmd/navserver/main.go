@@ -6,7 +6,7 @@
 //
 //	navserver -lake lake.json [-org org.bin] [-dims N] [-addr :8080]
 //	          [-checkpoint search.ck] [-resume] [-max-inflight 64]
-//	          [-pprof localhost:6060] [-cache-size 4096] [-max-batch 256]
+//	          [-pprof localhost:6060] [-cache-size 4096]
 //	          [-journal commits.journal] [-reoptimize] [-shard-id s0]
 //
 // The server is built to stay up: keyword search is served from the lake
@@ -55,7 +55,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 64, "maximum concurrently served requests before shedding with 503")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables")
 	cacheSize := flag.Int("cache-size", 0, "query-result cache capacity in entries; 0 uses the default, negative disables caching")
-	maxBatch := flag.Int("max-batch", 256, "maximum queries per /batch request")
 	journalPath := flag.String("journal", "", "tail this commit journal (written by `lakenav ingest`), serving a frozen generation per committed batch")
 	poll := flag.Duration("poll", 2*time.Second, "journal poll interval (with -journal)")
 	generations := flag.Int("generations", 5, "ingest generations retained for /admin/rollback (with -journal)")
@@ -72,7 +71,6 @@ func main() {
 	opts := navhttp.Options{
 		MaxInflight: *maxInflight,
 		CacheSize:   *cacheSize,
-		MaxBatch:    *maxBatch,
 		ShardID:     *shardID,
 	}
 	if *journalPath != "" {

@@ -25,10 +25,6 @@ type Options struct {
 	// with 503 (body "overloaded", like navserver); non-positive
 	// selects defaultCoordInflight.
 	MaxInflight int
-	// MaxBatch bounds queries per batch request; non-positive selects
-	// defaultCoordBatch. Keep it at or below the shards' -max-batch —
-	// every sub-batch a shard receives is a subset of the incoming one.
-	MaxBatch int
 	// CheckInterval is the active health-probe period; non-positive
 	// selects defaultCheckInterval.
 	CheckInterval time.Duration
@@ -38,7 +34,6 @@ type Options struct {
 
 const (
 	defaultCoordInflight  = 256
-	defaultCoordBatch     = 256
 	defaultCheckInterval  = 2 * time.Second
 	degradedHeader        = "X-Fleet-Degraded"
 	unavailableBodyPrefix = "shard"
@@ -74,9 +69,6 @@ type fleetState struct {
 func New(opts Options) *Coordinator {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = defaultCoordInflight
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = defaultCoordBatch
 	}
 	if opts.CheckInterval <= 0 {
 		opts.CheckInterval = defaultCheckInterval
@@ -270,7 +262,7 @@ func (c *Coordinator) handleBatchSuggest(w http.ResponseWriter, r *http.Request)
 	if st == nil {
 		return
 	}
-	queries, ok := httpx.DecodeBatch[suggestQuery](w, r, c.opts.MaxBatch)
+	queries, ok := httpx.DecodeBatch[suggestQuery](w, r, httpx.MaxBatch)
 	if !ok {
 		return
 	}
@@ -288,7 +280,7 @@ func (c *Coordinator) handleBatchSearch(w http.ResponseWriter, r *http.Request) 
 	if st == nil {
 		return
 	}
-	queries, ok := httpx.DecodeBatch[searchQuery](w, r, c.opts.MaxBatch)
+	queries, ok := httpx.DecodeBatch[searchQuery](w, r, httpx.MaxBatch)
 	if !ok {
 		return
 	}

@@ -447,7 +447,7 @@ func TestCoordinatorNoMap(t *testing.T) {
 // TestCoordinatorBatchRejections mirrors navserver's batch input
 // contract at the coordinator.
 func TestCoordinatorBatchRejections(t *testing.T) {
-	tf := bootFleet(t, 2, Options{MaxBatch: 2})
+	tf := bootFleet(t, 2, Options{})
 	if rec := tf.get(t, "/batch/suggest"); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET: status %d", rec.Code)
 	}
@@ -456,7 +456,7 @@ func TestCoordinatorBatchRejections(t *testing.T) {
 		"unknown field":      `{"nope":[]}`,
 		"unknown item field": `{"queries":[{"q":"a","zebra":1}]}`,
 		"empty":              `{"queries":[]}`,
-		"over budget":        `{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`,
+		"over budget":        `{"queries":[` + strings.Repeat(`{"q":"a"},`, httpx.MaxBatch) + `{"q":"a"}]}`,
 		"trailing data":      `{"queries":[{"q":"salmon","k":1}]} garbage`,
 	} {
 		if rec := tf.post(t, "/batch/suggest", body); rec.Code != http.StatusBadRequest {

@@ -26,6 +26,11 @@ const (
 	// Overloaded is the body of a shed 503; load generators match it to
 	// tell the server's own shedding apart from routed unavailability.
 	Overloaded = "overloaded"
+	// MaxBatch bounds the queries of one batch request, at navserver
+	// and lakecoord alike: a sub-batch the coordinator forwards is a
+	// subset of the batch it accepted, so no shard can reject it for
+	// size.
+	MaxBatch = 256
 	// maxBatchBody caps a batch request body, bytes.
 	maxBatchBody = 1 << 20
 	// drainTimeout bounds how long Serve waits for in-flight requests

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lakenav"
+	"lakenav/internal/httpx"
 	"lakenav/internal/serve"
 )
 
@@ -114,7 +115,6 @@ func TestHandleBatchSuggest(t *testing.T) {
 
 func TestHandleBatchSuggestRejections(t *testing.T) {
 	s := testServer(t)
-	s.maxBatch = 2
 
 	// GET is not allowed.
 	if rec := get(t, s.handleBatchSuggest, "/batch/suggest"); rec.Code != http.StatusMethodNotAllowed {
@@ -126,7 +126,7 @@ func TestHandleBatchSuggestRejections(t *testing.T) {
 		{"malformed JSON", `{"queries":`},
 		{"unknown field", `{"nope":[]}`},
 		{"empty batch", `{"queries":[]}`},
-		{"over budget", `{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`},
+		{"over budget", `{"queries":[` + strings.Repeat(`{"q":"a"},`, httpx.MaxBatch) + `{"q":"a"}]}`},
 		{"trailing data", `{"queries":[{"q":"salmon","k":1}]} garbage`},
 	}
 	for _, c := range cases {

@@ -23,7 +23,7 @@
 // generation stamp invalidates the shared cache wholesale on the atomic
 // org swap. Cached answers are bit-identical to uncached ones. The
 // batch endpoints fan their queries across the evaluator's bounded
-// worker pool; -cache-size and -max-batch bound both fast paths.
+// worker pool; -cache-size and httpx.MaxBatch bound both fast paths.
 //
 // The server is built to stay up: keyword search is served from the lake
 // the moment the listener is open, while the organization — when not
@@ -56,7 +56,6 @@ import (
 const (
 	maxSearchK      = 1000
 	defaultInflight = 64
-	defaultMaxBatch = 256
 )
 
 type Server struct {
@@ -71,8 +70,6 @@ type Server struct {
 	// swap's new snapshot generation invalidates old entries wholesale);
 	// nil disables caching.
 	cache *serve.Cache
-	// maxBatch bounds queries per batch request.
-	maxBatch int
 	// sem bounds concurrently served requests; a full semaphore sheds
 	// load with 503 instead of queueing without bound.
 	sem chan struct{}
@@ -101,9 +98,6 @@ type Options struct {
 	// CacheSize is the cache entry capacity: 0 selects
 	// serve.DefaultCacheSize, negative disables caching.
 	CacheSize int
-	// MaxBatch bounds queries per batch request; non-positive selects
-	// the default.
-	MaxBatch int
 	// Generations, when positive, retains that many ingest generations
 	// for /admin/generations and rollback (journal mode).
 	Generations int
@@ -118,15 +112,11 @@ func New(search *lakenav.SearchEngine, opts Options) *Server {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = defaultInflight
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = defaultMaxBatch
-	}
 	s := &Server{
-		search:   search,
-		maxBatch: opts.MaxBatch,
-		sem:      make(chan struct{}, opts.MaxInflight),
-		metrics:  newServerMetrics(),
-		shardID:  opts.ShardID,
+		search:  search,
+		sem:     make(chan struct{}, opts.MaxInflight),
+		metrics: newServerMetrics(),
+		shardID: opts.ShardID,
 	}
 	if opts.CacheSize >= 0 {
 		s.cache = serve.NewCache(opts.CacheSize)
@@ -399,7 +389,7 @@ func (s *Server) handleBatchSuggest(w http.ResponseWriter, r *http.Request) {
 	if !requireReady(w, snap) {
 		return
 	}
-	reqs, ok := httpx.DecodeBatch[serve.SuggestRequest](w, r, s.maxBatch)
+	reqs, ok := httpx.DecodeBatch[serve.SuggestRequest](w, r, httpx.MaxBatch)
 	if !ok {
 		return
 	}
@@ -418,7 +408,7 @@ func (s *Server) handleBatchSuggest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshot()
-	reqs, ok := httpx.DecodeBatch[serve.SearchRequest](w, r, s.maxBatch)
+	reqs, ok := httpx.DecodeBatch[serve.SearchRequest](w, r, httpx.MaxBatch)
 	if !ok {
 		return
 	}

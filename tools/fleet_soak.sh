@@ -166,7 +166,7 @@ DOWN_BEFORE=$(curl -fsS "$COORD/metrics" | jq -r '.fleet.counters["fleet.shard.d
 
 echo "==> lakeload: $DURATION closed-loop through the coordinator, $WORKERS workers, $LAKES lakes"
 "$WORK/lakeload" -addr "$COORD" \
-	-mode closed -workers "$WORKERS" -duration "$DURATION" -seed "$SEED" \
+	-workers "$WORKERS" -duration "$DURATION" -seed "$SEED" \
 	-lakes "$LAKES" -out "$ART/fleet_soak.ndjson" \
 	-fail-on-error >"$ART/fleet_soak_summary.json" &
 LOAD_PID=$!
@@ -217,7 +217,7 @@ echo "    fleet.shard.down: $DOWN_BEFORE -> $DOWN_AFTER"
 echo "==> recovery gate: all shards healthy, clean run with -fail-on-degraded"
 wait_healthy 3 "fleet did not recover 3 healthy shards after the restart"
 "$WORK/lakeload" -addr "$COORD" \
-	-mode closed -workers "$WORKERS" -duration 3s -seed $((SEED + 1)) \
+	-workers "$WORKERS" -duration 3s -seed $((SEED + 1)) \
 	-lakes "$LAKES" -fail-on-error -fail-on-degraded \
 	>"$ART/fleet_recovery_summary.json" ||
 	fail "post-recovery run degraded or failed; see $ART/fleet_recovery_summary.json"

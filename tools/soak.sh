@@ -53,7 +53,7 @@ SERVER_PID=$!
 
 echo "==> lakeload: $DURATION closed-loop, $WORKERS workers, seed $SEED"
 "$WORK/lakeload" -addr "http://127.0.0.1:$PORT" \
-	-mode closed -workers "$WORKERS" -duration "$DURATION" -seed "$SEED" \
+	-workers "$WORKERS" -duration "$DURATION" -seed "$SEED" \
 	-out "$ART/soak.ndjson" -fail-on-error >"$ART/soak_summary.json"
 
 # The server must still be alive (a race-detector abort or panic exits

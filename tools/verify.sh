@@ -31,10 +31,9 @@ stage "go vet ./..." go vet ./...
 
 # Invariant checks (cmd/lakelint): the determinism, caching, and
 # context contracts of DESIGN.md §10 plus the type-aware concurrency
-# and hot-path invariants of §15, enforced mechanically. The result
-# cache makes warm runs parse-only.
+# and hot-path invariants of §15, enforced mechanically.
 lakelint_run() {
-	go run ./cmd/lakelint -cache .lakelint-cache .
+	go run ./cmd/lakelint .
 }
 stage "lakelint ." lakelint_run
 
