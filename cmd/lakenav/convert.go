@@ -12,8 +12,10 @@ import (
 
 // cmdConvert re-encodes a lake file between the JSON and binary
 // container formats (input sniffed from the file magic, so either
-// direction is the same invocation with a different -to), or re-saves
-// a binary organization as bin or as a JSON export. Converting an
+// direction is the same invocation with a different -to; a bin lake
+// also stores the topics the default model derives, so loading it
+// derives none), or re-saves a binary organization as bin or as a JSON
+// export. Converting an
 // organization needs its lake (-lake): the binary format stores the
 // derived topic state verbatim, which only exists attached to a lake.
 func cmdConvert(args []string) error {

@@ -344,6 +344,17 @@ func (c *Container) Close() error {
 	return nil
 }
 
+// Has reports whether the container holds a section with the given id,
+// the test an optional section's reader makes before reading it.
+func (c *Container) Has(id uint32) bool {
+	for _, x := range c.ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
+}
+
 // Section returns a section's payload, verifying its CRC-32C on first
 // access. The returned slice aliases the container bytes: read-only,
 // invalid after Close.

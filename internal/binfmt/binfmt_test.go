@@ -440,3 +440,47 @@ func TestStringTableRejectsBadBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// A decoder resolves one string per reference: lookups must allocate
+// nothing and outlive the mmap'd container they were read from.
+func TestStringTableLookupOutlivesCloseWithoutAllocating(t *testing.T) {
+	b := NewStringTableBuilder()
+	words := []string{"seattle", "", "portland", "γreek"}
+	refs := make([]uint32, len(words))
+	for i, s := range words {
+		refs[i] = b.Ref(s)
+	}
+	w := NewWriter(KindLake, 1)
+	b.AddTo(w, 1, 2)
+	path := filepath.Join(t.TempDir(), "s.bin")
+	if err := WriteFile(path, w); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Has(1) || !c.Has(2) || c.Has(3) {
+		t.Fatalf("Has reports sections 1, 2, 3 as %v, %v, %v; want true, true, false", c.Has(1), c.Has(2), c.Has(3))
+	}
+	st, err := ReadStringTable(c, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, len(words))
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i, r := range refs {
+			got[i], _ = st.Lookup(r)
+		}
+	}); allocs != 0 {
+		t.Errorf("Lookup allocates %.0f times per pass, want 0", allocs)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range words {
+		if got[i] != s {
+			t.Errorf("after Close, ref %d reads %q, want %q", refs[i], got[i], s)
+		}
+	}
+}

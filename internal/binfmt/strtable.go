@@ -43,10 +43,12 @@ func (b *StringTableBuilder) AddTo(w *Writer, offsID, bytesID uint32) {
 }
 
 // StringTable is the read side: refs resolve to strings by slicing the
-// blob between adjacent boundaries.
+// blob between adjacent boundaries. The blob is copied out of the
+// container once, as one string, so a lookup allocates nothing and its
+// result survives Close; every string a decoder keeps shares that copy.
 type StringTable struct {
 	offs []uint32
-	blob []byte
+	blob string
 }
 
 // ReadStringTable parses a string table from a container's offset and
@@ -72,17 +74,17 @@ func ReadStringTable(c *Container, offsID, bytesID uint32) (*StringTable, error)
 			return nil, fmt.Errorf("binfmt: string table boundary %d decreases (%d after %d)", i, offs[i], offs[i-1])
 		}
 	}
-	return &StringTable{offs: offs, blob: blob}, nil
+	return &StringTable{offs: offs, blob: string(blob)}, nil
 }
 
 // Len returns the number of strings in the table.
 func (t *StringTable) Len() int { return len(t.offs) - 1 }
 
-// Lookup resolves a ref, copying out of the container bytes so the
-// result survives Close.
+// Lookup resolves a ref to a substring of the table's one copy of the
+// blob.
 func (t *StringTable) Lookup(ref uint32) (string, error) {
 	if int(ref) >= t.Len() {
 		return "", fmt.Errorf("binfmt: string ref %d out of range (table has %d)", ref, t.Len())
 	}
-	return string(t.blob[t.offs[ref]:t.offs[ref+1]]), nil
+	return t.blob[t.offs[ref]:t.offs[ref+1]], nil
 }

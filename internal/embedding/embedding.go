@@ -22,8 +22,10 @@
 package embedding
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 
 	"lakenav/vector"
@@ -47,6 +49,20 @@ type Model interface {
 	Lookup(word string) (vector.Vector, bool)
 	// Dim returns the embedding dimension.
 	Dim() int
+}
+
+// Identity returns m's identity string, or "" when m has none. A
+// model with an identity implements Identity() string, and two models
+// with one identity must return bit-identical vectors for every word:
+// the string names everything Lookup depends on, the algorithm version
+// included. Topics a lake derived with an identified model are stored
+// in lake.bin under that identity and reused only by an equal one; a
+// model without an identity (a Store, a TopicSpace) always recomputes.
+func Identity(m Model) string {
+	if im, ok := m.(interface{ Identity() string }); ok {
+		return im.Identity()
+	}
+	return ""
 }
 
 // FNV-1 and FNV-1a parameters (hash/fnv), inlined so that hashing a
@@ -123,6 +139,22 @@ func NewHashed(dim int, seed int64, coverage float64) *Hashed {
 
 // Dim returns the embedding dimension.
 func (h *Hashed) Dim() int { return h.dim }
+
+// hashedVersion numbers the algorithm behind Hashed.Lookup: the FNV-1a
+// word seed, the FNV-1 coverage hash, the math/rand Gaussian draw
+// through lazySource, and the in-place normalization. Any change to
+// the bits Lookup returns must bump it, so that topics stored under
+// the old identity are recomputed rather than reused;
+// TestHashedIdentityPinsLookupBits fails until it is bumped.
+const hashedVersion = 1
+
+// Identity names the algorithm version and the exact constructor
+// parameters: two Hashed models with equal identities embed every word
+// identically.
+func (h *Hashed) Identity() string {
+	return fmt.Sprintf("embedding.Hashed/v%d dim=%d seed=%d coverage=%s",
+		hashedVersion, h.dim, h.seed, strconv.FormatFloat(h.coverage, 'g', -1, 64))
+}
 
 // Lookup returns the deterministic embedding of word, or false if word
 // falls in the uncovered fraction of the hash space.

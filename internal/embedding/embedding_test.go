@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -459,5 +460,76 @@ func TestNearestSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// lookupBitsGolden holds, per Identity, the FNV-1a hash of what Lookup
+// returns over identityWords: a hit/miss byte per word, then every
+// component's bits of each hit. lake.bin stores topics under the
+// identity of the model that derived them and reuses them whenever the
+// identities are equal, so a change to Lookup's bits under an unchanged
+// identity would serve stale topics.
+var lookupBitsGolden = map[string]string{
+	"embedding.Hashed/v1 dim=64 seed=1 coverage=0.95": "d0bf6e454ce83f0b",
+	"embedding.Hashed/v1 dim=24 seed=-3 coverage=0.7": "cb5fb9ae47dc6aaa",
+}
+
+func identityWords() []string {
+	rng := rand.New(rand.NewSource(41))
+	words := []string{"", "a", "été", "straße", "数据湖", "fisheries", "seattle", "permits"}
+	for len(words) < 512 {
+		words = append(words, randWord(rng))
+	}
+	return words
+}
+
+// TestHashedIdentityPinsLookupBits fails when Lookup's bits change
+// while Identity stays the same. Changing the algorithm means bumping
+// hashedVersion and pinning the new identities' hashes here.
+func TestHashedIdentityPinsLookupBits(t *testing.T) {
+	words := identityWords()
+	for _, m := range []*Hashed{NewHashed(64, 1, 0.95), NewHashed(24, -3, 0.7)} {
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, w := range words {
+			v, ok := m.Lookup(w)
+			if !ok {
+				h.Write([]byte{0})
+				continue
+			}
+			h.Write([]byte{1})
+			for _, x := range v {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+				h.Write(buf[:])
+			}
+		}
+		got := fmt.Sprintf("%016x", h.Sum64())
+		want, ok := lookupBitsGolden[m.Identity()]
+		if !ok {
+			t.Errorf("no golden for identity %q (Lookup bits hash %s)", m.Identity(), got)
+			continue
+		}
+		if got != want {
+			t.Errorf("identity %q: Lookup bits hash %s, golden %s; the algorithm changed, so bump hashedVersion", m.Identity(), got, want)
+		}
+	}
+}
+
+// Identity tells apart every constructor parameter, and models that
+// have none report "".
+func TestIdentityDistinguishesModels(t *testing.T) {
+	ids := map[string]bool{}
+	for _, m := range []*Hashed{
+		NewHashed(64, 1, 0.95), NewHashed(32, 1, 0.95), NewHashed(64, 2, 0.95),
+		NewHashed(64, 1, 0.9500000000000001), NewHashed(64, 1, 1),
+	} {
+		id := Identity(m)
+		if id == "" || ids[id] {
+			t.Fatalf("Identity(%+v) = %q: empty or shared with another model", *m, id)
+		}
+		ids[id] = true
+	}
+	if id := Identity(NewStore(4)); id != "" {
+		t.Errorf("Identity(Store) = %q, want \"\"", id)
 	}
 }

@@ -2,6 +2,7 @@ package lake_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"lakenav/internal/embedding"
@@ -43,5 +44,23 @@ func BenchmarkComputeTopics(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.ComputeTopics(model)
+	}
+}
+
+// BenchmarkLoadBinLake is a navserver restart's lake load: decoding the
+// default Socrata lake's lake.bin, stored topics included.
+func BenchmarkLoadBinLake(b *testing.B) {
+	l := defaultSocrataLake(b)
+	l.ComputeTopics(embedding.NewHashed(64, 1, 0.95)) // what lakenav's Save(FormatBin) stores
+	path := filepath.Join(b.TempDir(), "lake.bin")
+	if err := l.SaveFileBin(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lake.LoadFile(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

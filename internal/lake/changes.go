@@ -143,6 +143,9 @@ func (l *Lake) ComputeTopicsFor(model embedding.Model, ids []AttrID) error {
 	if l.dim != 0 && l.dim != model.Dim() {
 		return fmt.Errorf("lake: embedding dimension %d does not match lake dimension %d", model.Dim(), l.dim)
 	}
+	if embedding.Identity(model) != l.topicModel {
+		l.topicModel = ""
+	}
 	l.computeTopics(model, ids)
 	return nil
 }
@@ -155,12 +158,13 @@ func (l *Lake) ComputeTopicsFor(model embedding.Model, ids []AttrID) error {
 // clone observes.
 func (l *Lake) Clone() *Lake {
 	c := &Lake{
-		Tables:   make([]*Table, len(l.Tables)),
-		Attrs:    make([]*Attribute, len(l.Attrs)),
-		tagAttrs: make(map[string][]AttrID, len(l.tagAttrs)),
-		attrTags: make(map[AttrID][]string, len(l.attrTags)),
-		tags:     append([]string(nil), l.tags...),
-		dim:      l.dim,
+		Tables:     make([]*Table, len(l.Tables)),
+		Attrs:      make([]*Attribute, len(l.Attrs)),
+		tagAttrs:   make(map[string][]AttrID, len(l.tagAttrs)),
+		attrTags:   make(map[AttrID][]string, len(l.attrTags)),
+		tags:       append([]string(nil), l.tags...),
+		dim:        l.dim,
+		topicModel: l.topicModel,
 	}
 	for i, t := range l.Tables {
 		tc := *t

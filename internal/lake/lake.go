@@ -92,6 +92,12 @@ type Lake struct {
 
 	// dim is the embedding dimension once topics are computed; 0 before.
 	dim int
+	// topicModel is the identity (embedding.Identity) of the model that
+	// derived the topics of every live attribute, or "" when no
+	// identified model did: before ComputeTopics, after AddTable, or
+	// when the model has no identity. SaveFileBin stores the topics only
+	// under a non-empty identity.
+	topicModel string
 }
 
 // New returns an empty lake.
@@ -111,6 +117,7 @@ type AttrSpec struct {
 // AddTable appends a table with the given tags and attributes and returns
 // it. Duplicate tags on a single table are collapsed.
 func (l *Lake) AddTable(name string, tags []string, attrs ...AttrSpec) *Table {
+	l.topicModel = "" // the new attributes have no topics yet
 	t := &Table{ID: TableID(len(l.Tables)), Name: name}
 	seen := make(map[string]bool, len(tags))
 	for _, tag := range tags {
@@ -264,10 +271,10 @@ func isNumeric(v string) bool {
 }
 
 // ComputeTopics computes the topic vector of every live attribute using
-// model and records the lake's embedding dimension. Attributes whose
-// domains have no embedded token keep a zero topic vector; they remain
-// in the lake but carry no navigation signal. Each distinct word is
-// looked up once (see computeTopics).
+// model and records the lake's embedding dimension and the model's
+// identity. Attributes whose domains have no embedded token keep a zero
+// topic vector; they remain in the lake but carry no navigation signal.
+// Each distinct word is looked up once (see computeTopics).
 func (l *Lake) ComputeTopics(model embedding.Model) {
 	ids := make([]AttrID, 0, len(l.Attrs))
 	for _, a := range l.Attrs {
@@ -276,6 +283,15 @@ func (l *Lake) ComputeTopics(model embedding.Model) {
 		}
 	}
 	l.computeTopics(model, ids)
+	l.topicModel = embedding.Identity(model)
+}
+
+// HasTopicsFrom reports whether every live attribute's topics are
+// model's: they were derived, here or before the lake was saved, by a
+// model with model's identity and dimension. A model without an
+// identity never matches.
+func (l *Lake) HasTopicsFrom(model embedding.Model) bool {
+	return l.topicModel != "" && l.topicModel == embedding.Identity(model) && l.dim == model.Dim()
 }
 
 // TagTopic returns the topic vector of a tag state: the mean embedding

@@ -112,7 +112,11 @@ func LoadCSVDir(dir string, opts ...Option) (*Lake, error) {
 	return l, nil
 }
 
-// LoadJSON reads a lake previously saved with SaveJSON.
+// LoadJSON reads a lake previously saved with SaveJSON or Save, in
+// either format. A FormatBin file that stores topics derived by a model
+// with this lake's model's identity (embedding.Identity) is used as it
+// stands; every other file, JSON included, has its topics derived anew
+// on first use, exactly as if they had never been stored.
 func LoadJSON(path string, opts ...Option) (*Lake, error) {
 	inner, err := lake.LoadFile(path)
 	if err != nil {
@@ -120,7 +124,7 @@ func LoadJSON(path string, opts ...Option) (*Lake, error) {
 	}
 	l := NewLake(opts...)
 	l.l = inner
-	l.dirty = true
+	l.dirty = !inner.HasTopicsFrom(l.model)
 	return l, nil
 }
 
@@ -128,12 +132,16 @@ func LoadJSON(path string, opts ...Option) (*Lake, error) {
 func (l *Lake) SaveJSON(path string) error { return l.l.SaveFile(path) }
 
 // Save writes the lake to path in the given format. LoadJSON sniffs
-// the magic, so either format loads back transparently.
+// the magic, so either format loads back transparently. FormatBin
+// first derives the topics if they are stale and stores them with the
+// model's identity when it has one, so a restart that loads the file
+// with the same model derives nothing; FormatJSON stores values only.
 func (l *Lake) Save(path string, f Format) error {
 	switch f {
 	case FormatJSON:
 		return l.l.SaveFile(path)
 	case FormatBin:
+		l.ensureTopics()
 		return l.l.SaveFileBin(path)
 	default:
 		return fmt.Errorf("lakenav: unknown format %q", f)
@@ -164,7 +172,9 @@ func (l *Lake) Stats() string {
 	return lake.ComputeStats(l.l).String()
 }
 
-// ensureTopics computes topic vectors once per mutation.
+// ensureTopics computes topic vectors once per mutation. A lake loaded
+// with topics from its own model (see LoadJSON) starts clean and
+// computes nothing until it is mutated.
 func (l *Lake) ensureTopics() {
 	if l.dirty || l.l.Dim() == 0 {
 		l.l.ComputeTopics(l.model)

@@ -336,13 +336,11 @@ func TestOrganizationSaveLoad(t *testing.T) {
 	}
 }
 
-// A navserver cold start builds the keyword index on a second goroutine
-// while LoadOrganization derives the lake's topics and decodes the
-// organization. Both only read what the other writes, so the
-// concurrent start must load the fingerprint and search results of the
-// sequential one; under -race it also checks that they share no
-// unsynchronized write.
-func TestConcurrentColdStartMatchesSequential(t *testing.T) {
+// socrataLake copies synth's small Socrata lake into a facade lake with
+// the default model, and returns the distinct words of its values as
+// keyword queries.
+func socrataLake(t *testing.T) (*Lake, []string) {
+	t.Helper()
 	soc, err := synth.GenerateSocrata(synth.SmallSocrataConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -362,11 +360,25 @@ func TestConcurrentColdStartMatchesSequential(t *testing.T) {
 		}
 		l.AddTable(tb.Name, tb.Tags, cols...)
 	}
-	dir := t.TempDir()
-	lakePath, orgPath := filepath.Join(dir, "lake.json"), filepath.Join(dir, "org.bin")
-	if err := l.Save(lakePath, FormatJSON); err != nil {
-		t.Fatal(err)
+	queries := make([]string, 0, len(words))
+	for w := range words {
+		queries = append(queries, w)
 	}
+	sort.Strings(queries)
+	return l, queries
+}
+
+// A navserver cold start builds the keyword index on a second goroutine
+// while LoadOrganization derives the lake's topics and decodes the
+// organization. Both only read what the other writes, so the
+// concurrent start must load the fingerprint and search results of the
+// sequential one; under -race it also checks that they share no
+// unsynchronized write. A JSON lake derives its topics during the
+// start; a bin lake carries them.
+func TestConcurrentColdStartMatchesSequential(t *testing.T) {
+	l, queries := socrataLake(t)
+	dir := t.TempDir()
+	orgPath := filepath.Join(dir, "org.bin")
 	cfg := DefaultConfig()
 	cfg.Dimensions = 3
 	cfg.MaxIterations = 20
@@ -380,46 +392,48 @@ func TestConcurrentColdStartMatchesSequential(t *testing.T) {
 	if err := built.Save(orgPath, FormatBin); err != nil {
 		t.Fatal(err)
 	}
-	queries := make([]string, 0, len(words))
-	for w := range words {
-		queries = append(queries, w)
-	}
-	sort.Strings(queries)
-
-	coldStart := func(concurrent bool) (*SearchEngine, *Organization) {
-		l, err := LoadJSON(lakePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var search *SearchEngine
-		var org *Organization
-		if concurrent {
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				search = NewSearchEngine(l)
-			}()
-			org, err = LoadOrganization(l, orgPath)
-			wg.Wait()
-		} else {
-			search = NewSearchEngine(l)
-			org, err = LoadOrganization(l, orgPath)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return search, org
-	}
-	seqSearch, seqOrg := coldStart(false)
-	conSearch, conOrg := coldStart(true)
-	if got, want := conOrg.Fingerprint(), seqOrg.Fingerprint(); got != want {
-		t.Errorf("concurrent cold start fingerprint %s, sequential %s", got, want)
-	}
-	for _, q := range queries {
-		if got, want := conSearch.Search(q, 10), seqSearch.Search(q, 10); !slices.Equal(got, want) {
-			t.Fatalf("Search(%q): concurrent %v, sequential %v", q, got, want)
-		}
+	for _, format := range []Format{FormatJSON, FormatBin} {
+		t.Run(string(format), func(t *testing.T) {
+			lakePath := filepath.Join(dir, "lake."+string(format))
+			if err := l.Save(lakePath, format); err != nil {
+				t.Fatal(err)
+			}
+			coldStart := func(concurrent bool) (*SearchEngine, *Organization) {
+				l, err := LoadJSON(lakePath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var search *SearchEngine
+				var org *Organization
+				if concurrent {
+					var wg sync.WaitGroup
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						search = NewSearchEngine(l)
+					}()
+					org, err = LoadOrganization(l, orgPath)
+					wg.Wait()
+				} else {
+					search = NewSearchEngine(l)
+					org, err = LoadOrganization(l, orgPath)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return search, org
+			}
+			seqSearch, seqOrg := coldStart(false)
+			conSearch, conOrg := coldStart(true)
+			if got, want := conOrg.Fingerprint(), seqOrg.Fingerprint(); got != want {
+				t.Errorf("concurrent cold start fingerprint %s, sequential %s", got, want)
+			}
+			for _, q := range queries {
+				if got, want := conSearch.Search(q, 10), seqSearch.Search(q, 10); !slices.Equal(got, want) {
+					t.Fatalf("Search(%q): concurrent %v, sequential %v", q, got, want)
+				}
+			}
+		})
 	}
 }
 
